@@ -16,9 +16,9 @@ import argparse
 import json
 import sys
 
-from .combinatorics import InvalidSpec, count_partitions, parse_spec, scan_signs
+from .combinatorics import count_partitions, parse_spec, scan_signs
 from .identities import load_records, verify_all
-from .qexpr import InvalidFactor, InvalidFamilyParameters, ParseError, evaluate, parse
+from .qexpr import evaluate, parse
 from .series import NonUnitConstantTerm, dissect
 from .theta import InvalidParameters, InvalidThetaArgument, NegativeExponent, ZeroProduct
 
@@ -29,7 +29,6 @@ _EVAL_ERRORS = (
     InvalidParameters,
     NonUnitConstantTerm,
 )
-_PARSE_ERRORS = (ParseError, InvalidFactor, InvalidFamilyParameters)
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 
@@ -56,6 +55,12 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _check_res(args: argparse.Namespace) -> None:
+    if not 0 <= args.res < args.mod:
+        raise ValueError(f"--res must satisfy 0 <= res < mod, got res={args.res} "
+                         f"mod={args.mod}")
+
+
 def _cmd_expand(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
     series = evaluate(expr, args.order)
@@ -71,10 +76,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_dissect(args: argparse.Namespace) -> int:
-    if not 0 <= args.res < args.mod:
-        print(f"error: --res must satisfy 0 <= res < mod, got res={args.res} "
-              f"mod={args.mod}", file=sys.stderr)
-        return 2
+    _check_res(args)
     expr = parse(args.expr)
     series = evaluate(expr, args.order)
     selected = dissect(series, args.mod, args.res)
@@ -113,10 +115,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    if not 0 <= args.res < args.mod:
-        print(f"error: --res must satisfy 0 <= res < mod, got res={args.res} "
-              f"mod={args.mod}", file=sys.stderr)
-        return 2
+    _check_res(args)
     expr = parse(args.expr)
     result = scan_signs(expr, args.mod, args.res, args.up_to)
     if args.format == "json":
@@ -210,16 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _EVAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # parse, spec, records and usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

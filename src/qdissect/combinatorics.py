@@ -4,7 +4,7 @@ A PartClassSpec fixes a modulus M and a set of residue classes, each with
 a flavour count.  A partition counted here uses parts whose sizes lie in
 one of the residue classes mod M; parts of a class with f flavours come
 in f distinguishable copies.  The generating function is the product of
-(q^r; q^M)^(-f) over the classes, and count_partitions is an independent
+(q^r; q^M)^(-f) over the classes, and counting_series is an independent
 dynamic program against which series coefficients can be checked.
 """
 
@@ -66,27 +66,19 @@ def spec_text(spec: PartClassSpec) -> str:
 
 
 def count_partitions(spec: PartClassSpec, n: int) -> int:
-    """Number of flavoured partitions of n (exact, bottom-up DP).
-
-    Each flavour of each admissible part size is one independent part
-    type; types are applied one at a time, the standard unordered
-    multiset recurrence.  count_partitions(spec, 0) = 1.
-    """
+    """Number of flavoured partitions of n; count_partitions(spec, 0) = 1."""
     if n < 0:
         raise InvalidSpec(f"cannot partition {n}")
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for residue, flavours in spec.classes:
-        sizes = range(residue, n + 1, spec.modulus)
-        for size in sizes:
-            for _ in range(flavours):
-                for i in range(size, n + 1):
-                    dp[i] += dp[i - size]
-    return dp[n]
+    return counting_series(spec, n)[n]
 
 
 def counting_series(spec: PartClassSpec, order: int) -> TruncatedSeries:
-    """All counts 0..order in one DP pass."""
+    """Counts of the partitions of 0..order (exact, bottom-up DP).
+
+    Each flavour of each admissible part size is one independent part
+    type; types are applied one at a time, the standard unordered
+    multiset recurrence.
+    """
     dp = [0] * (order + 1)
     dp[0] = 1
     for residue, flavours in spec.classes:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .series import TruncatedSeries, dissect
 from .theta import SignedMonomial
-from .qexpr import evaluate, parse, render
+from .qexpr import Add, Monomial, Mul, Sub, ThetaF, evaluate, family_g, family_h, parse, render
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,6 @@ class VerificationReport:
 # Verification
 
 
-@lru_cache(maxsize=None)
 def _series_of(text: str, order: int) -> TruncatedSeries:
     return evaluate(parse(text), order)
 
@@ -245,6 +243,39 @@ def _sign_value(text: str) -> int:
     raise ValueError(f"bad sign {text!r}")
 
 
+def _record_from_line(line: str) -> IdentityRecord:
+    fields = [f.strip() for f in line.split("|")]
+    if len(fields) != 5:
+        raise ValueError(f"expected 5 pipe-separated fields, got {len(fields)}")
+    rid, kind_name, param_text, lhs, rhs = fields
+    params = _parse_params(param_text)
+    order = int(params.pop("order", "300"))
+    kind: ClaimKind
+    if kind_name == "equality":
+        kind = SeriesEquality(lhs, rhs)
+    elif kind_name == "dissection":
+        kind = DissectionRelation(
+            lhs,
+            int(params["k1"]), int(params["l1"]),
+            rhs,
+            int(params["k2"]), int(params["l2"]),
+            _sign_value(params.get("sign", "+")),
+        )
+    elif kind_name == "vanishing":
+        kind = VanishingProgression(lhs, int(params["k"]), int(params["l"]))
+    elif kind_name == "congruence":
+        kind = Congruence(lhs, int(params["k"]), int(params["l"]), int(params["mod"]))
+    elif kind_name == "sign":
+        exceptions = frozenset(int(x) for x in params.get("except", "").split("/") if x)
+        kind = SignPattern(
+            lhs, int(params["k"]), int(params["l"]),
+            _sign_value(params["sign"]), exceptions,
+        )
+    else:
+        raise ValueError(f"unknown kind {kind_name!r}")
+    return IdentityRecord(rid, "user record", kind, order)
+
+
 def load_records(path: str) -> list[IdentityRecord]:
     """Read user records from a pipe-separated text file.
 
@@ -252,7 +283,8 @@ def load_records(path: str) -> list[IdentityRecord]:
     rhs-expression, with the rhs field empty for vanishing, congruence,
     and sign kinds.  Lines starting with '#' and blank lines are skipped.
     Parameters are comma-separated key=value pairs; an order=N entry
-    overrides the default order.
+    overrides the default order.  A malformed line raises ValueError
+    naming the file and line.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -260,42 +292,12 @@ def load_records(path: str) -> list[IdentityRecord]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = [f.strip() for f in line.split("|")]
-            if len(fields) != 5:
-                raise ValueError(
-                    f"{path}:{line_no}: expected 5 pipe-separated fields, got {len(fields)}"
-                )
-            rid, kind_name, param_text, lhs, rhs = fields
-            params = _parse_params(param_text)
-            order = int(params.pop("order", "300"))
-            kind: ClaimKind
-            if kind_name == "equality":
-                kind = SeriesEquality(lhs, rhs)
-            elif kind_name == "dissection":
-                kind = DissectionRelation(
-                    lhs,
-                    int(params["k1"]), int(params["l1"]),
-                    rhs,
-                    int(params["k2"]), int(params["l2"]),
-                    _sign_value(params.get("sign", "+")),
-                )
-            elif kind_name == "vanishing":
-                kind = VanishingProgression(lhs, int(params["k"]), int(params["l"]))
-            elif kind_name == "congruence":
-                kind = Congruence(
-                    lhs, int(params["k"]), int(params["l"]), int(params["mod"])
-                )
-            elif kind_name == "sign":
-                exceptions = frozenset(
-                    int(x) for x in params.get("except", "").split("/") if x
-                )
-                kind = SignPattern(
-                    lhs, int(params["k"]), int(params["l"]),
-                    _sign_value(params["sign"]), exceptions,
-                )
-            else:
-                raise ValueError(f"{path}:{line_no}: unknown kind {kind_name!r}")
-            records.append(IdentityRecord(rid, "user record", kind, order))
+            try:
+                records.append(_record_from_line(line))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{line_no}: missing parameter {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     return records
 
 
@@ -325,15 +327,6 @@ _N2 = (
 )
 
 
-def _smono_text(m: SignedMonomial) -> str:
-    head = "-" if m.sign < 0 else ""
-    if m.exponent == 0:
-        return head + "1"
-    if m.exponent == 1:
-        return head + "q"
-    return f"{head}q^{m.exponent}"
-
-
 def _ff_instance(
     a: SignedMonomial, b: SignedMonomial, c: SignedMonomial, d: SignedMonomial
 ) -> SeriesEquality:
@@ -344,16 +337,14 @@ def _ff_instance(
     if a.times(b) != c.times(d):
         raise ValueError("instance needs ab = cd")
     abcd = a.times(b).times(c.times(d))
-    lhs = f"f({_smono_text(a)},{_smono_text(b)})*f({_smono_text(c)},{_smono_text(d)})"
-    head = (
-        f"f({_smono_text(a.times(c))},{_smono_text(b.times(d))})"
-        f"*f({_smono_text(a.times(d))},{_smono_text(b.times(c))})"
+    lhs = Mul(ThetaF(a, b), ThetaF(c, d))
+    head = Mul(ThetaF(a.times(c), b.times(d)), ThetaF(a.times(d), b.times(c)))
+    tail = Mul(
+        Mul(Monomial(1, a.exponent), ThetaF(b.over(c), abcd.times(c).over(b))),
+        ThetaF(b.over(d), abcd.times(d).over(b)),
     )
-    u1 = f"f({_smono_text(b.over(c))},{_smono_text(abcd.times(c).over(b))})"
-    u2 = f"f({_smono_text(b.over(d))},{_smono_text(abcd.times(d).over(b))})"
-    mono = "q" if a.exponent == 1 else f"q^{a.exponent}"
-    op = " + " if a.sign > 0 else " - "
-    return SeriesEquality(lhs, head + op + f"{mono}*{u1}*{u2}")
+    rhs = Add(head, tail) if a.sign > 0 else Sub(head, tail)
+    return SeriesEquality(render(lhs), render(rhs))
 
 
 def _sm(sign: int, e: int) -> SignedMonomial:
@@ -361,8 +352,6 @@ def _sm(sign: int, e: int) -> SignedMonomial:
 
 
 def _family_text(which: str, r: int, s: int, t: int) -> str:
-    from .qexpr import family_g, family_h
-
     return render(family_g(r, s, t) if which == "g" else family_h(r, s, t))
 
 

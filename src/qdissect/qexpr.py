@@ -74,15 +74,12 @@ class Monomial:
 class Poch:
     args: tuple[SignedMonomial, ...]
     modulus: int
-    power: int = 1
 
     def __post_init__(self) -> None:
         if not self.args:
             raise InvalidFactor("empty Pochhammer argument list")
         if self.modulus < 1:
             raise InvalidFactor(f"modulus must be positive, got {self.modulus}")
-        if self.power == 0:
-            raise InvalidFactor("zero Pochhammer power")
         for a in self.args:
             if a.sign == 1 and a.exponent == 0:
                 raise InvalidFactor("(q^0; q^m)_inf is identically zero")
@@ -382,17 +379,13 @@ _PREC_POW = 4
 _PREC_ATOM = 5
 
 
-def _smono_text(m: SignedMonomial) -> str:
-    head = "-" if m.sign < 0 else ""
-    if m.exponent == 0:
-        return head + "1"
-    if m.exponent == 1:
-        return head + "q"
-    return f"{head}q^{m.exponent}"
-
-
 def _mono_text(exponent: int) -> str:
     return "q" if exponent == 1 else f"q^{exponent}"
+
+
+def _smono_text(m: SignedMonomial) -> str:
+    head = "-" if m.sign < 0 else ""
+    return head + ("1" if m.exponent == 0 else _mono_text(m.exponent))
 
 
 def _prec(e: QExpr) -> int:
@@ -431,8 +424,7 @@ def render(e: QExpr) -> str:
         return f"{e.coefficient}*{body}"
     if isinstance(e, Poch):
         args = ",".join(_smono_text(a) for a in e.args)
-        base = f"({args};{_mono_text(e.modulus)})_inf"
-        return base if e.power == 1 else f"{base}^{e.power}"
+        return f"({args};{_mono_text(e.modulus)})_inf"
     if isinstance(e, ThetaF):
         return f"f({_smono_text(e.a)},{_smono_text(e.b)})"
     if isinstance(e, Phi):
@@ -472,7 +464,7 @@ def _eval(e: QExpr, order: int) -> TruncatedSeries:
         acc = TruncatedSeries.one(order)
         for a in e.args:
             acc = acc * pochhammer(PochhammerFactor(a, e.modulus), order)
-        return acc ** e.power
+        return acc
     if isinstance(e, ThetaF):
         return theta_f(e.a, e.b, order)
     if isinstance(e, Phi):

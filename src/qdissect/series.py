@@ -4,7 +4,9 @@ A series is a dense coefficient vector c[0..N] representing
 c[0] + c[1] q + ... + c[N] q^N; N is the order (highest retained
 exponent).  All arithmetic is exact.  Binary operations truncate the
 result to the smaller of the two input orders, so a coefficient is
-never reported unless it is fully determined.
+never reported unless it is fully determined.  Multiplication is one
+signed Kronecker substitution: both operands are packed into big
+integers and multiplied once.
 """
 
 from __future__ import annotations
@@ -16,25 +18,15 @@ class NonUnitConstantTerm(ValueError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
 
 
-def _conv_nonneg(xs: Sequence[int], ys: Sequence[int], n_out: int, width: int) -> list[int]:
-    # Kronecker substitution: pack each nonnegative sequence into one big
-    # integer with `width` bytes per coefficient, multiply once, unpack.
-    px = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in xs), "little")
-    py = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in ys), "little")
-    prod = px * py
-    total = width * (n_out + 1)
-    raw = prod.to_bytes(max(total, (prod.bit_length() + 7) // 8 + 1), "little")[:total]
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(n_out + 1)
-    ]
-
-
 def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     """Exact truncated convolution of two integer sequences.
 
-    Implemented by splitting into nonnegative parts and using integer
-    packing; equals schoolbook convolution coefficient by coefficient
+    Signed Kronecker substitution: each operand is packed into one big
+    integer with `width` bytes per coefficient, the two are multiplied
+    once, and the product's first n_out + 1 digits are read back as
+    balanced digits in (-half, half).  The width bounds every product
+    coefficient by half, so no digit overflows into its neighbour.  The
+    result equals schoolbook convolution coefficient by coefficient
     (that equality is a tested property).
     """
     xs = xs[: n_out + 1]
@@ -45,21 +37,26 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
         return [0] * (n_out + 1)
     bound = mx * my * min(len(xs), len(ys))
     width = (bound.bit_length() + 8) // 8
-    xp = [c if c > 0 else 0 for c in xs]
-    xn = [-c if c < 0 else 0 for c in xs]
-    yp = [c if c > 0 else 0 for c in ys]
-    yn = [-c if c < 0 else 0 for c in ys]
-    out = _conv_nonneg(xp, yp, n_out, width)
-    if any(xn) and any(yn):
-        nn = _conv_nonneg(xn, yn, n_out, width)
-        out = [a + b for a, b in zip(out, nn)]
-    if any(xp) and any(yn):
-        pn = _conv_nonneg(xp, yn, n_out, width)
-        out = [a - b for a, b in zip(out, pn)]
-    if any(xn) and any(yp):
-        np_ = _conv_nonneg(xn, yp, n_out, width)
-        out = [a - b for a, b in zip(out, np_)]
-    return out
+    half = 1 << (8 * width - 1)
+    offset = half.to_bytes(width, "little")
+
+    def pack(cs: Sequence[int]) -> int:
+        # Digits c + half are nonnegative; subtracting half per digit
+        # leaves sum(c_i * 2^(8*width*i)).
+        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(raw, "little") - int.from_bytes(offset * len(cs), "little")
+
+    # Adding half per digit and keeping n_out + 1 digits turns the low
+    # digits of the product, each in (-half, half), into plain bytes.
+    # The digits are kept with a mask: CPython's % by a power of two is a
+    # general long division, quadratic in the operand size.
+    n = n_out + 1
+    low = pack(xs) * pack(ys) + int.from_bytes(offset * n, "little")
+    raw = (low & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return [
+        int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
+        for i in range(n)
+    ]
 
 
 class TruncatedSeries:
@@ -152,18 +149,8 @@ class TruncatedSeries:
         return not any(self._coeffs)
 
 
-def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Sum truncated at min(a.order, b.order)."""
-    return a + b
-
-
-def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at min(a.order, b.order)."""
-    return a * b
-
-
 def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Reference O(N^2) convolution; the oracle that `mul` must match."""
+    """Reference O(N^2) convolution; the oracle that `*` must match."""
     n = min(a.order, b.order)
     bc = b.coeffs
     out = [0] * (n + 1)

@@ -8,6 +8,8 @@ theta function is
 taken at signed monomial arguments a = +-q^r, b = +-q^s with r + s >= 1.
 Its product form (the triple product) is f(a, b) = (-a; ab) (-b; ab) (ab; ab),
 each factor an infinite product expanded lazily to the truncation order.
+phi, psi and the bilateral sums bsum are special values of f and are
+built by theta_f.
 """
 
 from __future__ import annotations
@@ -161,7 +163,6 @@ def _product_signed_base(
     return True
 
 
-@lru_cache(maxsize=None)
 def jtp_product(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries:
     """Product form (-a; ab)(-b; ab)(ab; ab) of f(a, b).
 
@@ -180,36 +181,25 @@ def jtp_product(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSe
     return TruncatedSeries(cs)
 
 
-@lru_cache(maxsize=None)
 def phi(scale: int, order: int) -> TruncatedSeries:
-    """phi(q^k) = 1 + 2*sum_{n>=1} q^(k n^2), the theta value f(q^k, q^k)."""
+    """phi(q^k) = sum over all integers n of q^(k n^2), the theta value
+    f(q^k, q^k)."""
     if scale < 1:
         raise InvalidParameters(f"phi needs a positive power of q, got {scale}")
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    n = 1
-    while scale * n * n <= order:
-        cs[scale * n * n] += 2
-        n += 1
-    return TruncatedSeries(cs)
+    q_k = SignedMonomial(1, scale)
+    return theta_f(q_k, q_k, order)
 
 
-@lru_cache(maxsize=None)
 def psi(scale: int, order: int) -> TruncatedSeries:
     """psi(q^k) = sum_{n>=0} q^(k n(n+1)/2), the theta value f(q^k, q^(3k))."""
     if scale < 1:
         raise InvalidParameters(f"psi needs a positive power of q, got {scale}")
-    cs = [0] * (order + 1)
-    n = 0
-    while scale * n * (n + 1) // 2 <= order:
-        cs[scale * n * (n + 1) // 2] += 1
-        n += 1
-    return TruncatedSeries(cs)
+    return theta_f(SignedMonomial(1, scale), SignedMonomial(1, 3 * scale), order)
 
 
-@lru_cache(maxsize=None)
 def bsum(quad: int, lin: int, order: int) -> TruncatedSeries:
-    """Bilateral sum over all integers n of q^(A n^2 + B n).
+    """Bilateral sum over all integers n of q^(A n^2 + B n), the theta
+    value f(q^(A+B), q^(A-B)).
 
     Requires |B| < 2A so the exponent tends to +infinity both ways, and
     A >= |B| so no term has a negative exponent.  Coefficients are 0, 1,
@@ -223,19 +213,4 @@ def bsum(quad: int, lin: int, order: int) -> TruncatedSeries:
         raise NegativeExponent(
             f"term at n = -sign(B) has exponent {quad - abs(lin)} < 0"
         )
-    cs = [0] * (order + 1)
-
-    def accumulate(n: int) -> bool:
-        e = quad * n * n + lin * n
-        if e > order:
-            return False
-        cs[e] += 1
-        return True
-
-    n = 0
-    while accumulate(n) or n < 1:
-        n += 1
-    n = -1
-    while accumulate(n) or n > -1:
-        n -= 1
-    return TruncatedSeries(cs)
+    return theta_f(SignedMonomial(1, quad + lin), SignedMonomial(1, quad - lin), order)

@@ -112,11 +112,11 @@ def test_dissect_json_keys(capsys):
     assert payload["coeffs"] == ["1", "1", "0", "0", "0"]
 
 
-def test_dissect_res_out_of_range(capsys):
-    code, _, err = run(capsys, "dissect", "psi(q)", "--mod", "5", "--res", "5",
-                       "-N", "9")
+@pytest.mark.parametrize("command", ["dissect", "scan"])
+def test_res_out_of_range(capsys, command):
+    code, _, err = run(capsys, command, "psi(q)", "--mod", "5", "--res", "5")
     assert code == 2
-    assert "res" in err
+    assert "--res must satisfy" in err
 
 
 # --- verify ---------------------------------------------------------------------
@@ -168,6 +168,14 @@ def test_verify_records_file(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--records", str(bad), "--order", "60")
     assert code == 1
     assert "first failure at index 1" in out
+
+
+def test_verify_malformed_records_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("my.v | vanishing | k=5 | q |\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 2
+    assert f"{bad}:1: missing parameter 'l'" in err
 
 
 def test_verify_missing_records_file(capsys):

@@ -1,5 +1,7 @@
 """Registry integrity and the verification machinery itself."""
 
+import re
+
 import pytest
 
 from qdissect.identities import (
@@ -220,8 +222,10 @@ def test_load_records_rejects_malformed(tmp_path):
         "x | wat | | phi(q) | phi(q)",
         "x | dissection | k1=1,l1=0 | phi(q) | phi(q)",
         "x | sign | k=5,l=0,sign=? | phi(q) |",
+        "my.v | vanishing | k=5 | q |",
+        "my.v | vanishing | k=5,l=x | q |",
     ):
         path = tmp_path / "bad.txt"
-        path.write_text(line + "\n", encoding="utf-8")
-        with pytest.raises((ValueError, KeyError)):
+        path.write_text("# header\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
             load_records(str(path))

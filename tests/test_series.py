@@ -5,11 +5,11 @@ import random
 import pytest
 
 from qdissect.series import (
+    _mul_lists,
     NonUnitConstantTerm,
     TruncatedSeries,
     dissect,
     invert,
-    mul,
     schoolbook_mul,
     shift,
     substitute_power,
@@ -84,6 +84,32 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
+def _stress_pairs(rng: random.Random):
+    """Operands whose products push the balanced-digit decode to its edges."""
+    for _ in range(CASES):
+        # all-negative operands
+        n, m = rng.randint(0, 40), rng.randint(0, 40)
+        yield (TruncatedSeries([-rng.randint(1, 10**9) for _ in range(n + 1)]),
+               TruncatedSeries([-rng.randint(1, 10**9) for _ in range(m + 1)]))
+        # +-(2^k - 1) and +-2^k: with equal signs lined up, a product
+        # coefficient reaches the width bound mx * my * length
+        k = rng.randint(1, 80)
+        edge = (2**k - 1, 2**k, -(2**k - 1), -(2**k))
+        length = rng.randint(1, 30)
+        c = rng.choice(edge)
+        yield (TruncatedSeries([c] * length),
+               TruncatedSeries([rng.choice((c, -c))] * length))
+        yield (TruncatedSeries([rng.choice(edge) for _ in range(length)]),
+               TruncatedSeries([rng.choice(edge) for _ in range(length)]))
+        # long zero runs between sparse nonzero terms
+        cs = [0] * rng.randint(20, 200)
+        ds = [0] * rng.randint(20, 200)
+        for xs in (cs, ds):
+            for _ in range(rng.randint(1, 4)):
+                xs[rng.randrange(len(xs))] = rng.choice((-1, 1)) * rng.randint(1, 2**40)
+        yield TruncatedSeries(cs), TruncatedSeries(ds)
+
+
 def test_mul_matches_schoolbook_random():
     rng = random.Random(97)
     for _ in range(CASES):
@@ -91,7 +117,16 @@ def test_mul_matches_schoolbook_random():
         bound = rng.choice((5, 10**6, 10**12, 10**24))
         a = rand_series(rng, n, bound)
         b = rand_series(rng, rng.randint(0, 40), bound)
-        assert mul(a, b) == schoolbook_mul(a, b)
+        assert a * b == schoolbook_mul(a, b)
+    for a, b in _stress_pairs(rng):
+        assert a * b == schoolbook_mul(a, b), (a, b)
+    # n_out shorter than both operands: only the low digits are read back
+    for _ in range(CASES):
+        xs = [rng.randint(-2**30, 2**30) for _ in range(rng.randint(5, 40))]
+        ys = [rng.randint(-2**30, 2**30) for _ in range(rng.randint(5, 40))]
+        n_out = rng.randint(0, min(len(xs), len(ys)) - 2)
+        a, b = TruncatedSeries(xs[: n_out + 1]), TruncatedSeries(ys[: n_out + 1])
+        assert _mul_lists(xs, ys, n_out) == list(schoolbook_mul(a, b).coeffs)
 
 
 def test_mul_spot_values():

@@ -146,12 +146,30 @@ def test_bsum_validation():
         bsum(3, 4, 10)
 
 
+def direct_sum(exponent, order: int) -> TruncatedSeries:
+    """Sum of q^exponent(n) over all integers n, term by term: the oracle
+    for the builders that theta_f implements.  Every exponent used here
+    is at least |n| - 1, so |n| <= order + 1 covers every term."""
+    cs = [0] * (order + 1)
+    for n in range(-order - 1, order + 2):
+        e = exponent(n)
+        if e <= order:
+            cs[e] += 1
+    return TruncatedSeries(cs)
+
+
 def test_bsum_matches_direct_sum():
-    for quad, lin in ((20, 2), (20, 18), (40, 12), (40, 38), (5, 3)):
-        order = 200
-        cs = [0] * (order + 1)
-        for n in range(-40, 41):
-            e = quad * n * n + lin * n
-            if 0 <= e <= order:
-                cs[e] += 1
-        assert bsum(quad, lin, order) == TruncatedSeries(cs)
+    order = 400
+    for quad in range(1, 25):
+        for lin in range(-quad, quad + 1):
+            want = direct_sum(lambda n: quad * n * n + lin * n, order)
+            assert bsum(quad, lin, order) == want, (quad, lin)
+
+
+def test_phi_psi_match_direct_sum():
+    order = 400
+    for k in range(1, 20):
+        assert phi(k, order) == direct_sum(lambda n: k * n * n, order), k
+        # n(n+1)/2 over all integers n visits each triangular number twice
+        tri = direct_sum(lambda n: k * n * (n + 1) // 2, order)
+        assert psi(k, order) == TruncatedSeries([c // 2 for c in tri.coeffs]), k
