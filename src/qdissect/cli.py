@@ -155,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_order(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--order", "-N", type=_positive, default=300,
-                       help="truncation order (default 300)")
+    def add_order(p: argparse.ArgumentParser, default: int | None = 300,
+                  help_text: str = "truncation order (default 300)") -> None:
+        p.add_argument("--order", "-N", type=_positive, default=default, help=help_text)
 
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text",
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", default=None, help="only ids with this prefix")
     p.add_argument("--records", default=None, metavar="FILE",
                    help="verify records from FILE instead of the built-in registry")
-    add_order(p)
+    add_order(p, None, "truncation order for every record (default: each record's "
+                       "own order=N; 300 for the registry)")
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .series import TruncatedSeries, dissect
+from .series import TruncatedSeries, check_progression, dissect
 from .theta import SignedMonomial
 from .qexpr import Add, Monomial, Mul, Sub, ThetaF, evaluate, family_g, family_h, parse, render
 
@@ -243,36 +243,49 @@ def _sign_value(text: str) -> int:
     raise ValueError(f"bad sign {text!r}")
 
 
+def _progression(params: dict[str, str], k: str = "k", l: str = "l") -> tuple[int, int]:
+    """The progression params[k]*n + params[l], checked as dissect checks it."""
+    pair = int(params[k]), int(params[l])
+    check_progression(*pair)
+    return pair
+
+
+def _positive(name: str, text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _record_from_line(line: str) -> IdentityRecord:
     fields = [f.strip() for f in line.split("|")]
     if len(fields) != 5:
         raise ValueError(f"expected 5 pipe-separated fields, got {len(fields)}")
     rid, kind_name, param_text, lhs, rhs = fields
     params = _parse_params(param_text)
-    order = int(params.pop("order", "300"))
+    order = _positive("order", params.pop("order", "300"))
     kind: ClaimKind
     if kind_name == "equality":
         kind = SeriesEquality(lhs, rhs)
     elif kind_name == "dissection":
         kind = DissectionRelation(
-            lhs,
-            int(params["k1"]), int(params["l1"]),
-            rhs,
-            int(params["k2"]), int(params["l2"]),
+            lhs, *_progression(params, "k1", "l1"),
+            rhs, *_progression(params, "k2", "l2"),
             _sign_value(params.get("sign", "+")),
         )
     elif kind_name == "vanishing":
-        kind = VanishingProgression(lhs, int(params["k"]), int(params["l"]))
+        kind = VanishingProgression(lhs, *_progression(params))
     elif kind_name == "congruence":
-        kind = Congruence(lhs, int(params["k"]), int(params["l"]), int(params["mod"]))
+        kind = Congruence(lhs, *_progression(params), _positive("mod", params["mod"]))
     elif kind_name == "sign":
         exceptions = frozenset(int(x) for x in params.get("except", "").split("/") if x)
         kind = SignPattern(
-            lhs, int(params["k"]), int(params["l"]),
-            _sign_value(params["sign"]), exceptions,
+            lhs, *_progression(params), _sign_value(params["sign"]), exceptions,
         )
     else:
         raise ValueError(f"unknown kind {kind_name!r}")
+    for text in (lhs, rhs) if kind_name in ("equality", "dissection") else (lhs,):
+        parse(text)
     return IdentityRecord(rid, "user record", kind, order)
 
 
@@ -283,22 +296,27 @@ def load_records(path: str) -> list[IdentityRecord]:
     rhs-expression, with the rhs field empty for vanishing, congruence,
     and sign kinds.  Lines starting with '#' and blank lines are skipped.
     Parameters are comma-separated key=value pairs; an order=N entry
-    overrides the default order.  A malformed line raises ValueError
-    naming the file and line.
+    overrides the default order.  A malformed line (a missing or bad
+    parameter, a progression dissect would reject, a nonpositive order or
+    modulus, an expression that does not parse, or a repeated id) raises
+    ValueError naming the file and line.
     """
-    records = []
+    records: dict[str, IdentityRecord] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             try:
-                records.append(_record_from_line(line))
+                record = _record_from_line(line)
             except KeyError as exc:
                 raise ValueError(f"{path}:{line_no}: missing parameter {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
-    return records
+            if record.id in records:
+                raise ValueError(f"{path}:{line_no}: duplicate id {record.id!r}")
+            records[record.id] = record
+    return list(records.values())
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ reparses to a structurally equal tree.
 
 from __future__ import annotations
 
+import operator
+import string
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .series import TruncatedSeries, invert
+from .series import TruncatedSeries
 from .theta import (
     InvalidParameters,
     NegativeExponent,
@@ -170,9 +172,9 @@ def _lex(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in string.digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in string.digits:
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -183,9 +185,9 @@ def _lex(text: str) -> list[_Token]:
                 i += 4
                 continue
             raise ParseError(i, "'_inf'", repr(text[i : i + 4]))
-        if c.isalpha():
+        if c in string.ascii_letters:
             j = i
-            while j < n and text[j].isalpha():
+            while j < n and text[j] in string.ascii_letters:
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j
@@ -202,11 +204,19 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent with backtracking at the poch/group fork)
 
+# Deepest expression parse() accepts.  Each binary operator, unary minus,
+# power and parenthesised group adds one level above the atoms.  The
+# evaluator, the renderer and node hashing recurse once per level, so the
+# bound keeps them, and the parser itself, inside Python's recursion
+# limit.  The deepest registry expression has depth 12.
+MAX_DEPTH = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.groups = 0  # parenthesised groups open at the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -232,31 +242,46 @@ class _Parser:
         t = self.peek()
         return t.kind == "sym" and t.text == s
 
-    def expr(self) -> QExpr:
-        node = self.term()
+    def nest(self, pos: int, *depths: int) -> int:
+        """Depth of a node one level above `depths`, at most MAX_DEPTH."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError(pos, f"nesting depth at most {MAX_DEPTH}", f"depth {depth}")
+        return depth
+
+    # expr, term, factor and atom return (node, depth).
+
+    def expr(self) -> tuple[QExpr, int]:
+        node, depth = self.term()
         while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.term()
+            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
+            depth = self.nest(op.pos, depth, rhs_depth)
+        return node, depth
 
-    def term(self) -> QExpr:
-        node = self.factor()
+    def term(self) -> tuple[QExpr, int]:
+        node, depth = self.factor()
         while self.at_sym("*") or self.at_sym("/"):
-            op = self.advance().text
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.factor()
+            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
+            depth = self.nest(op.pos, depth, rhs_depth)
+        return node, depth
 
-    def factor(self) -> QExpr:
-        if self.at_sym("-"):
-            self.advance()
-            return Neg(self.factor())
-        node = self.atom()
+    def factor(self) -> tuple[QExpr, int]:
+        # Leading minus signs are collected in a loop, not by recursion,
+        # and applied outermost: -q^2 is -(q^2).
+        minus = []
+        while self.at_sym("-"):
+            minus.append(self.advance().pos)
+        node, depth = self.atom()
         if self.at_sym("^"):
-            self.advance()
-            return Pow(node, self.signed_int())
-        return node
+            pos = self.advance().pos
+            node, depth = Pow(node, self.signed_int()), self.nest(pos, depth)
+        for pos in reversed(minus):
+            node, depth = Neg(node), self.nest(pos, depth)
+        return node, depth
 
     def signed_int(self) -> int:
         neg = False
@@ -298,14 +323,14 @@ class _Parser:
             return SignedMonomial(sign, 0)
         return SignedMonomial(sign, self.monomial_exponent())
 
-    def atom(self) -> QExpr:
+    def atom(self) -> tuple[QExpr, int]:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            return IntLit(int(t.text))
+            return IntLit(int(t.text)), 1
         if t.kind == "name":
             if t.text == "q":
-                return Monomial(1, self.monomial_exponent())
+                return Monomial(1, self.monomial_exponent()), 1
             if t.text == "f":
                 self.advance()
                 self.eat_sym("(")
@@ -313,7 +338,7 @@ class _Parser:
                 self.eat_sym(",")
                 b = self.smono()
                 self.eat_sym(")")
-                return ThetaF(a, b)
+                return ThetaF(a, b), 1
             if t.text in ("phi", "psi"):
                 self.advance()
                 self.eat_sym("(")
@@ -321,7 +346,7 @@ class _Parser:
                 self.eat_sym(")")
                 if scale < 1:
                     raise InvalidFactor(f"{t.text} needs a positive power of q")
-                return Phi(scale) if t.text == "phi" else Psi(scale)
+                return (Phi(scale) if t.text == "phi" else Psi(scale)), 1
             if t.text == "bsum":
                 self.advance()
                 self.eat_sym("(")
@@ -329,18 +354,20 @@ class _Parser:
                 self.eat_sym(",")
                 b = self.signed_int()
                 self.eat_sym(")")
-                return BSum(a, b)
+                return BSum(a, b), 1
             raise self.fail("'q', 'f', 'phi', 'psi', or 'bsum'")
         if self.at_sym("("):
             mark = self.i
             try:
-                return self.poch()
+                return self.poch(), 1
             except ParseError:
                 self.i = mark
-            self.eat_sym("(")
-            node = self.expr()
+            pos = self.advance().pos
+            self.groups = self.nest(pos, self.groups)
+            node, depth = self.expr()
+            self.groups -= 1
             self.eat_sym(")")
-            return node
+            return node, self.nest(pos, depth)
         raise self.fail("an integer, 'q', 'f(', 'phi(', 'psi(', 'bsum(', or '('")
 
     def poch(self) -> Poch:
@@ -360,9 +387,10 @@ class _Parser:
 
 
 def parse(text: str) -> QExpr:
-    """Parse expression text into an AST; raises ParseError with position."""
+    """Parse expression text into an AST; raises ParseError with position,
+    also for nesting deeper than MAX_DEPTH."""
     p = _Parser(_lex(text))
-    node = p.expr()
+    node, _ = p.expr()
     t = p.peek()
     if t.kind != "end":
         raise ParseError(t.pos, "end of input", repr(t.text))
@@ -452,19 +480,26 @@ def render(e: QExpr) -> str:
 # Evaluator
 
 
+def _power(base: TruncatedSeries, k: int) -> TruncatedSeries:
+    if k < 0 and base.coeffs[0] == 0:
+        raise NegativeExponent(
+            "a negative power of a series with zero constant term needs q^-1 terms"
+        )
+    return base ** k
+
+
 @lru_cache(maxsize=4096)
 def _eval(e: QExpr, order: int) -> TruncatedSeries:
+    """Series of a node, memoized per (node, order).  Products are formed
+    only from the factors themselves (no unit seed), and quotients and
+    negative powers share _power."""
     if isinstance(e, IntLit):
-        cs = [0] * (order + 1)
-        cs[0] = e.value
-        return TruncatedSeries(cs)
+        return TruncatedSeries.monomial(0, order, e.value)
     if isinstance(e, Monomial):
         return TruncatedSeries.monomial(e.exponent, order, e.coefficient)
     if isinstance(e, Poch):
-        acc = TruncatedSeries.one(order)
-        for a in e.args:
-            acc = acc * pochhammer(PochhammerFactor(a, e.modulus), order)
-        return acc
+        factors = [pochhammer(PochhammerFactor(a, e.modulus), order) for a in e.args]
+        return reduce(operator.mul, factors)
     if isinstance(e, ThetaF):
         return theta_f(e.a, e.b, order)
     if isinstance(e, Phi):
@@ -480,21 +515,11 @@ def _eval(e: QExpr, order: int) -> TruncatedSeries:
     if isinstance(e, Mul):
         return _eval(e.left, order) * _eval(e.right, order)
     if isinstance(e, Div):
-        denom = _eval(e.right, order)
-        if denom.coeffs[0] == 0:
-            raise NegativeExponent(
-                "division by a series with zero constant term needs q^-1 terms"
-            )
-        return _eval(e.left, order) * invert(denom)
+        return _eval(e.left, order) * _power(_eval(e.right, order), -1)
     if isinstance(e, Neg):
         return -_eval(e.operand, order)
     if isinstance(e, Pow):
-        base = _eval(e.base, order)
-        if e.exponent < 0 and base.coeffs[0] == 0:
-            raise NegativeExponent(
-                "negative power of a series with zero constant term"
-            )
-        return base ** e.exponent
+        return _power(_eval(e.base, order), e.exponent)
     raise TypeError(f"not a QExpr node: {e!r}")
 
 

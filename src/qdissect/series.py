@@ -11,6 +11,7 @@ integers and multiplied once.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 
@@ -65,7 +66,7 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        cs = tuple(int(c) for c in coeffs)
+        cs = tuple(map(operator.index, coeffs))
         if not cs:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = cs
@@ -133,16 +134,18 @@ class TruncatedSeries:
         return TruncatedSeries([c * x for x in self._coeffs])
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
+        """self^k by left-to-right binary powering: bit_length(k) - 1
+        squarings and popcount(k) - 1 products by self, with no unit seed.
+        A negative k powers the inverse."""
         if exponent < 0:
-            return invert(self) ** (-exponent)
-        result = TruncatedSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+            return invert(self) ** -exponent
+        if exponent == 0:
+            return TruncatedSeries.one(self.order)
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def is_zero(self) -> bool:
@@ -207,13 +210,18 @@ def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
     return TruncatedSeries((0,) * e + a.coeffs)
 
 
+def check_progression(k: int, l: int) -> None:
+    """Raise ValueError unless k*n + l is a progression dissect accepts."""
+    if k < 1 or not 0 <= l < k:
+        raise ValueError(f"dissection needs 0 <= l < k, got k={k}, l={l}")
+
+
 def dissect(a: TruncatedSeries, k: int, l: int) -> TruncatedSeries:
     """Arithmetic-progression extract: result(n) = a(k*n + l), compressed.
 
     The result order is floor((a.order - l) / k).
     """
-    if k < 1 or not 0 <= l < k:
-        raise ValueError(f"dissection needs 0 <= l < k, got k={k}, l={l}")
+    check_progression(k, l)
     if l > a.order:
         raise ValueError(f"residue {l} exceeds series order {a.order}")
     return TruncatedSeries(a.coeffs[l::k])

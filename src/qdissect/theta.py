@@ -93,15 +93,13 @@ def _apply_factor(cs: list[int], sign: int, e: int) -> None:
 def pochhammer(factor: PochhammerFactor, order: int) -> TruncatedSeries:
     """Expand (+-q^r; q^m)_inf to the given order.
 
-    Each product factor (1 -+ q^(r+nm)) is a sparse multiply, so the whole
+    The factors (1 -+ q^(r+nm)) are multiplied in place by
+    _product_signed_base, the loop jtp_product uses, so the whole
     expansion costs O(order^2 / m) integer operations.
     """
     cs = [0] * (order + 1)
     cs[0] = 1
-    e = factor.arg.exponent
-    while e <= order:
-        _apply_factor(cs, factor.arg.sign, e)
-        e += factor.modulus
+    _product_signed_base(cs, factor.arg, SignedMonomial(1, factor.modulus), order)
     return TruncatedSeries(cs)
 
 

@@ -63,6 +63,15 @@ def test_expand_eval_error_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "+".join(["q"] * 500), "(" * 300 + "q" + ")" * 300, "-" * 600 + "q", "q^\u00b2",
+], ids=["sum", "parens", "minus", "non-ascii"])
+def test_expand_deep_or_non_ascii_input_exit_2(capsys, expr):
+    code, out, err = run(capsys, "expand", "--order", "5", "--", expr)
+    assert code == 2
+    assert out == "" and err.startswith("error: at position ")
+
+
 def test_expand_rejects_nonpositive_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "q", "--order", "0"])
@@ -176,6 +185,17 @@ def test_verify_malformed_records_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--records", str(bad))
     assert code == 2
     assert f"{bad}:1: missing parameter 'l'" in err
+
+
+def test_verify_honours_record_order(tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text("u.low | equality | order=25 | psi(q) | psi(q)\n"
+                    "u.dflt | equality | | phi(q) | phi(q)\n", encoding="utf-8")
+    for extra, orders in (([], [300, 25]), (["--order", "40"], [40, 40])):
+        code, out, _ = run(capsys, "verify", "--records", str(path), "--format", "json",
+                           *extra)
+        assert code == 0
+        assert [r["checkedOrder"] for r in json.loads(out)] == orders
 
 
 def test_verify_missing_records_file(capsys):

@@ -18,6 +18,7 @@ from qdissect.identities import (
     verify_all,
 )
 from qdissect.qexpr import evaluate_text
+from qdissect.series import TruncatedSeries, dissect
 
 
 # --- registry shape -----------------------------------------------------------
@@ -224,8 +225,32 @@ def test_load_records_rejects_malformed(tmp_path):
         "x | sign | k=5,l=0,sign=? | phi(q) |",
         "my.v | vanishing | k=5 | q |",
         "my.v | vanishing | k=5,l=x | q |",
+        # progressions dissect rejects, nonpositive modulus and order
+        "my.v | vanishing | k=5,l=5 | q |",
+        "my.v | vanishing | k=0,l=0 | q |",
+        "my.v | sign | k=5,l=-1,sign=- | q |",
+        "my.d | dissection | k1=5,l1=0,k2=5,l2=7 | q | q",
+        "my.c | congruence | k=5,l=3,mod=0 | q |",
+        "my.e | equality | order=-4 | q | q",
+        # expressions that do not parse, on either side
+        "my.e | equality | | q + | q",
+        "my.d | dissection | k1=5,l1=0,k2=5,l2=0 | q | (q;q",
+        "my.e | equality | | q |",
+        # a repeated id is reported on its second line
+        "my.e | equality | | q | q\nmy.e | equality | | q^2 | q^2",
     ):
         path = tmp_path / "bad.txt"
         path.write_text("# header\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        bad_line = 1 + len(line.splitlines())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_line}: "):
             load_records(str(path))
+
+
+def test_load_records_checks_progressions_like_dissect(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("my.v | vanishing | k=5,l=5 | q |\n", encoding="utf-8")
+    with pytest.raises(ValueError) as load_error:
+        load_records(str(path))
+    with pytest.raises(ValueError) as dissect_error:
+        dissect(TruncatedSeries.one(10), 5, 5)
+    assert str(load_error.value) == f"{path}:1: {dissect_error.value}"

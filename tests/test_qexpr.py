@@ -13,6 +13,7 @@ from qdissect.identities import (
     registry,
 )
 from qdissect.qexpr import (
+    MAX_DEPTH,
     Add,
     BSum,
     IntLit,
@@ -101,6 +102,35 @@ def test_parse_errors_carry_position():
     except ParseError as exc:
         assert exc.position >= 0
         assert "expected" in str(exc)
+
+
+def test_lexer_accepts_ascii_digits_and_letters_only():
+    # str.isdigit is wider than int(): it accepts '\u00b2', which int()
+    # rejects, and Arabic-Indic digits, which int() reads as decimal.
+    for text in ("q^\u00b2", "q^\u0661\u0662", "\u03c6(q)", "q\u00e9"):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == text.index(next(c for c in text if not c.isascii()))
+
+
+# One shape per way of nesting: a left-leaning sum, parentheses, and
+# leading minus signs.  At MAX_DEPTH each parses, renders and evaluates;
+# one level deeper each is a ParseError, not a RecursionError.
+DEPTH_SHAPES = {
+    "sum": lambda d: "+".join(["q"] * d),
+    "parens": lambda d: "(" * (d - 1) + "q" + ")" * (d - 1),
+    "minus": lambda d: "-" * (d - 1) + "q",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEPTH_SHAPES))
+def test_nesting_depth_bound(shape):
+    deepest = parse(DEPTH_SHAPES[shape](MAX_DEPTH))
+    assert parse(render(deepest)) == deepest
+    assert evaluate(deepest, 3).order == 3
+    for depth in (MAX_DEPTH + 1, 600):
+        with pytest.raises(ParseError, match=f"nesting depth at most {MAX_DEPTH}"):
+            parse(DEPTH_SHAPES[shape](depth))
 
 
 def test_invalid_factor_is_not_a_parse_error():
@@ -214,6 +244,26 @@ def test_evaluate_pow_negative_zero_constant():
     # monomial exponents are unsigned by grammar, so q^-1 cannot parse
     with pytest.raises(ParseError):
         parse("q^-1")
+
+
+def test_pochhammer_list_multiply_count(monkeypatch):
+    # A j-argument list multiplies its j factor series together: j - 1
+    # products, none with a unit seed.  Order 97 is fresh to the cache.
+    import qdissect.series as series
+
+    calls = []
+    real = series._mul_lists
+
+    def counting(xs, ys, n_out):
+        calls.append(n_out)
+        return real(xs, ys, n_out)
+
+    monkeypatch.setattr(series, "_mul_lists", counting)
+    for j in range(1, 6):
+        calls.clear()
+        args = ",".join(f"q^{r}" for r in range(1, j + 1))
+        evaluate(parse(f"({args};q^7)_inf"), 97)
+        assert len(calls) == j - 1, j
 
 
 def test_evaluation_is_cached_and_consistent():

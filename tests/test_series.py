@@ -43,6 +43,12 @@ def test_basic_accessors():
         a[-1]
 
 
+def test_coefficients_must_be_integers():
+    for bad in ([0.5, 2.9], "123", [1, "2"]):
+        with pytest.raises(TypeError):
+            TruncatedSeries(bad)
+
+
 def test_constructors():
     assert TruncatedSeries.zero(3).coeffs == (0, 0, 0, 0)
     assert TruncatedSeries.one(3).coeffs == (1, 0, 0, 0)
@@ -144,6 +150,36 @@ def test_pow():
     assert a**-2 == invert(a) * invert(a)
     with pytest.raises(NonUnitConstantTerm):
         TruncatedSeries([0, 1]) ** -1
+
+
+def test_pow_matches_repeated_products():
+    rng = random.Random(77)
+    a = rand_unit(rng, 30, bound=5)
+    inv = invert(a)
+    for k in range(-5, 17):
+        want = TruncatedSeries.one(30)
+        for _ in range(abs(k)):
+            want = want * (a if k > 0 else inv)
+        assert a**k == want, k
+
+
+def test_pow_multiply_count(monkeypatch):
+    # Binary powering: bit_length(k) - 1 squarings and popcount(k) - 1
+    # products by the base; no product with a unit seed.
+    import qdissect.series as series
+
+    calls = []
+
+    def counting(xs, ys, n_out):
+        calls.append(n_out)
+        return _mul_lists(xs, ys, n_out)
+
+    monkeypatch.setattr(series, "_mul_lists", counting)
+    a = TruncatedSeries([1, 3, -2, 4, 1])
+    for k in range(1, 40):
+        calls.clear()
+        a**k
+        assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
 
 
 # --- inversion ---------------------------------------------------------------

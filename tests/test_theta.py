@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdissect.series import TruncatedSeries
+from qdissect.series import TruncatedSeries, schoolbook_mul
 from qdissect.theta import (
     InvalidParameters,
     InvalidThetaArgument,
@@ -59,6 +59,20 @@ def test_pochhammer_sparse_factor():
     got = pochhammer(PochhammerFactor(sm(1, 2), 5), 9)
     # (1-q^2)(1-q^7) to order 9
     assert got.coeffs == (1, 0, -1, 0, 0, 0, 0, -1, 0, 1)
+
+
+def test_pochhammer_negative_argument_matches_factor_product():
+    # (-q^r; q^m) = prod_n (1 + q^(r+nm)), multiplied out here with the
+    # schoolbook oracle, outside the in-place loop pochhammer shares with
+    # jtp_product.  r = 0 gives the factor (1 + 1) = 2.
+    order = 40
+    for m in range(1, 7):
+        for r in range(0, 2 * m + 1):
+            want = TruncatedSeries.one(order)
+            for e in range(r, order + 1, m):
+                want = schoolbook_mul(
+                    want, TruncatedSeries.one(order) + TruncatedSeries.monomial(e, order))
+            assert pochhammer(PochhammerFactor(sm(-1, r), m), order) == want, (r, m)
 
 
 def test_phi_psi_values():
