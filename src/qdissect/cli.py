@@ -19,7 +19,7 @@ import sys
 from .combinatorics import count_partitions, parse_spec, scan_signs
 from .identities import load_records, verify_all
 from .qexpr import evaluate, parse
-from .series import NonUnitConstantTerm, dissect
+from .series import NonUnitConstantTerm, check_progression, dissect
 from .theta import InvalidParameters, InvalidThetaArgument, NegativeExponent, ZeroProduct
 
 _EVAL_ERRORS = (
@@ -55,12 +55,6 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _check_res(args: argparse.Namespace) -> None:
-    if not 0 <= args.res < args.mod:
-        raise ValueError(f"--res must satisfy 0 <= res < mod, got res={args.res} "
-                         f"mod={args.mod}")
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
     expr = parse(args.expr)
     series = evaluate(expr, args.order)
@@ -76,7 +70,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_dissect(args: argparse.Namespace) -> int:
-    _check_res(args)
+    check_progression(args.mod, args.res)
     expr = parse(args.expr)
     series = evaluate(expr, args.order)
     selected = dissect(series, args.mod, args.res)
@@ -115,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    _check_res(args)
+    check_progression(args.mod, args.res)
     expr = parse(args.expr)
     result = scan_signs(expr, args.mod, args.res, args.up_to)
     if args.format == "json":

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 import string
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -283,6 +284,18 @@ class _Parser:
             node, depth = Neg(node), self.nest(pos, depth)
         return node, depth
 
+    def integer(self, t: _Token) -> int:
+        """The value of int token t.  A token longer than the interpreter's
+        int-string conversion limit is a ParseError at its position."""
+        try:
+            return int(t.text)
+        except ValueError:
+            raise ParseError(
+                t.pos,
+                f"an integer of at most {sys.get_int_max_str_digits()} digits",
+                f"{len(t.text)} digits",
+            ) from None
+
     def signed_int(self) -> int:
         neg = False
         if self.at_sym("-"):
@@ -292,7 +305,7 @@ class _Parser:
         if t.kind != "int":
             raise self.fail("an integer")
         self.advance()
-        v = int(t.text)
+        v = self.integer(t)
         return -v if neg else v
 
     def uint(self) -> int:
@@ -300,7 +313,7 @@ class _Parser:
         if t.kind != "int":
             raise self.fail("an unsigned integer")
         self.advance()
-        return int(t.text)
+        return self.integer(t)
 
     def monomial_exponent(self) -> int:
         t = self.peek()
@@ -327,7 +340,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "int":
             self.advance()
-            return IntLit(int(t.text)), 1
+            return IntLit(self.integer(t)), 1
         if t.kind == "name":
             if t.text == "q":
                 return Monomial(1, self.monomial_exponent()), 1

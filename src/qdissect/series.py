@@ -4,14 +4,18 @@ A series is a dense coefficient vector c[0..N] representing
 c[0] + c[1] q + ... + c[N] q^N; N is the order (highest retained
 exponent).  All arithmetic is exact.  Binary operations truncate the
 result to the smaller of the two input orders, so a coefficient is
-never reported unless it is fully determined.  Multiplication is one
-signed Kronecker substitution: both operands are packed into big
-integers and multiplied once.
+never reported unless it is fully determined.  Multiplication takes
+one of two exact paths, chosen by the operands' nonzero counts kx and
+ky against the output length n: when kx * ky <= n it sums the products
+of nonzero term pairs, otherwise it is one signed Kronecker
+substitution, both operands packed into big integers and multiplied
+once.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 
@@ -19,23 +23,51 @@ class NonUnitConstantTerm(ValueError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
 
 
+def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
+               iy: Sequence[int], n: int) -> list[int]:
+    """out[i + j] += xs[i] * ys[j] over the nonzero positions i in ix and j
+    in iy (both ascending) with i + j < n."""
+    out = [0] * n
+    xt = [(i, xs[i]) for i in ix]
+    for j in iy:
+        b = ys[j]
+        for i, a in xt:
+            if i + j >= n:
+                break
+            out[i + j] += a * b
+    return out
+
+
 def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     """Exact truncated convolution of two integer sequences.
 
-    Signed Kronecker substitution: each operand is packed into one big
-    integer with `width` bytes per coefficient, the two are multiplied
-    once, and the product's first n_out + 1 digits are read back as
-    balanced digits in (-half, half).  The width bounds every product
-    coefficient by half, so no digit overflows into its neighbour.  The
-    result equals schoolbook convolution coefficient by coefficient
-    (that equality is a tested property).
+    With kx and ky nonzero terms and n = n_out + 1 output digits, the
+    product takes one of two paths:
+
+    - kx * ky <= n: the products of nonzero term pairs are summed
+      directly (`_mul_terms`).  That loop takes no more Python steps than
+      there are output digits, while the packing below takes several per
+      digit, so the rule needs no tuning constant.  An all-zero operand
+      has kx * ky = 0 and lands here.
+    - otherwise, signed Kronecker substitution: each operand is packed
+      into one big integer with `width` bytes per coefficient, the two
+      are multiplied once, and the product's first n digits are read
+      back as balanced digits in (-half, half).  The width bounds every
+      product coefficient by half, so no digit overflows into its
+      neighbour.
+
+    Both equal schoolbook convolution coefficient by coefficient (that
+    equality is a tested property).
     """
-    xs = xs[: n_out + 1]
-    ys = ys[: n_out + 1]
-    mx = max((abs(c) for c in xs), default=0)
-    my = max((abs(c) for c in ys), default=0)
-    if mx == 0 or my == 0:
-        return [0] * (n_out + 1)
+    n = n_out + 1
+    xs = xs[:n]
+    ys = ys[:n]
+    ix = list(compress(range(len(xs)), xs))
+    iy = list(compress(range(len(ys)), ys))
+    if len(ix) * len(iy) <= n:
+        return _mul_terms(xs, ys, ix, iy, n)
+    mx = max(max(xs), -min(xs))
+    my = max(max(ys), -min(ys))
     bound = mx * my * min(len(xs), len(ys))
     width = (bound.bit_length() + 8) // 8
     half = 1 << (8 * width - 1)
@@ -44,20 +76,19 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     def pack(cs: Sequence[int]) -> int:
         # Digits c + half are nonnegative; subtracting half per digit
         # leaves sum(c_i * 2^(8*width*i)).
-        raw = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        digits = map(operator.add, cs, repeat(half))
+        raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
         return int.from_bytes(raw, "little") - int.from_bytes(offset * len(cs), "little")
 
-    # Adding half per digit and keeping n_out + 1 digits turns the low
-    # digits of the product, each in (-half, half), into plain bytes.
-    # The digits are kept with a mask: CPython's % by a power of two is a
-    # general long division, quadratic in the operand size.
-    n = n_out + 1
+    # Adding half per digit and keeping n digits turns the low digits of
+    # the product, each in (-half, half), into plain bytes.  The digits
+    # are kept with a mask: CPython's % by a power of two is a general
+    # long division, quadratic in the operand size.
+    size = width * n
     low = pack(xs) * pack(ys) + int.from_bytes(offset * n, "little")
-    raw = (low & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little") - half
-        for i in range(n)
-    ]
+    raw = (low & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    chunks = map(raw.__getitem__, map(slice, range(0, size, width), range(width, size + 1, width)))
+    return list(map(operator.sub, map(int.from_bytes, chunks, repeat("little")), repeat(half)))
 
 
 class TruncatedSeries:

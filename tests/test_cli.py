@@ -72,6 +72,19 @@ def test_expand_deep_or_non_ascii_input_exit_2(capsys, expr):
     assert out == "" and err.startswith("error: at position ")
 
 
+@pytest.mark.parametrize("prefix", ["", "q^"], ids=["literal", "exponent"])
+def test_expand_long_integer_literal_exit_2(capsys, prefix):
+    # Past the interpreter's int-string digit limit: a ParseError at the
+    # integer's position, not the bare conversion error.
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 700)
+    code, out, err = run(capsys, "expand", "--order", "5", prefix + digits)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: at position {len(prefix)}: expected an integer")
+    assert f"found {len(digits)} digits" in err
+
+
 def test_expand_rejects_nonpositive_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "q", "--order", "0"])
@@ -125,7 +138,7 @@ def test_dissect_json_keys(capsys):
 def test_res_out_of_range(capsys, command):
     code, _, err = run(capsys, command, "psi(q)", "--mod", "5", "--res", "5")
     assert code == 2
-    assert "--res must satisfy" in err
+    assert "dissection needs 0 <= l < k, got k=5, l=5" in err
 
 
 # --- verify ---------------------------------------------------------------------

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from qdissect.qexpr import evaluate_text
 from qdissect.series import (
     _mul_lists,
+    _mul_terms,
     NonUnitConstantTerm,
     TruncatedSeries,
     dissect,
@@ -133,6 +135,86 @@ def test_mul_matches_schoolbook_random():
         n_out = rng.randint(0, min(len(xs), len(ys)) - 2)
         a, b = TruncatedSeries(xs[: n_out + 1]), TruncatedSeries(ys[: n_out + 1])
         assert _mul_lists(xs, ys, n_out) == list(schoolbook_mul(a, b).coeffs)
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """(kx, ky, n) of every product that takes the term-pair path."""
+    import qdissect.series as series
+
+    calls = []
+
+    def counting(xs, ys, ix, iy, n):
+        calls.append((len(ix), len(iy), n))
+        return _mul_terms(xs, ys, ix, iy, n)
+
+    monkeypatch.setattr(series, "_mul_terms", counting)
+    return calls
+
+
+def _oracle(xs, ys, n_out):
+    """schoolbook_mul on both operands zero-padded or cut to n_out + 1 terms."""
+    def fit(cs):
+        return TruncatedSeries((list(cs) + [0] * (n_out + 1))[: n_out + 1])
+
+    return list(schoolbook_mul(fit(xs), fit(ys)).coeffs)
+
+
+def _sparse(rng, length, positions):
+    """Zeros except at `positions`: signed values from 1 up to past 64 bits."""
+    cs = [0] * length
+    for i in positions:
+        cs[i] = rng.choice((-1, 1)) * rng.randint(1, rng.choice((9, 2**40, 2**100)))
+    return cs
+
+
+def test_mul_paths_match_schoolbook(pair_calls):
+    rng = random.Random(5)
+    for _ in range(CASES):
+        kx, ky = rng.randint(2, 9), rng.randint(2, 9)
+        # kx * ky equal to n takes the pairs, kx * ky = n + 1 packs
+        for n, pairs in ((kx * ky, True), (kx * ky - 1, False)):
+            xs = _sparse(rng, n, rng.sample(range(n), kx))
+            ys = _sparse(rng, n, rng.sample(range(n), ky))
+            pair_calls.clear()
+            assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
+            assert pair_calls == ([(kx, ky, n)] if pairs else []), (kx, ky, n)
+        # an operand shorter than n_out + 1, as in invert's Newton rounds
+        n = rng.randint(2, 60)
+        xs = _sparse(rng, n, rng.sample(range(n), rng.randint(1, n)))
+        m = rng.randint(1, n - 1)
+        ys = _sparse(rng, m, rng.sample(range(m), rng.randint(1, m)))
+        assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
+        assert _mul_lists(ys, xs, n - 1) == _oracle(ys, xs, n - 1)
+        # terms near the top, so many pairs have i + j past n_out
+        n = rng.randint(8, 60)
+        top = range(n // 2, n)
+        xs = _sparse(rng, n, rng.sample(top, rng.randint(1, 3)))
+        ys = _sparse(rng, n, [0] + rng.sample(top, rng.randint(1, 3)))
+        assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
+        # an all-zero operand: no pairs, a zero product of full length
+        pair_calls.clear()
+        assert _mul_lists([0] * n, ys, n - 1) == [0] * n
+        assert _mul_lists(xs, [0] * (n // 2), n - 1) == [0] * n
+        assert len(pair_calls) == 2
+
+
+@pytest.mark.parametrize(
+    "left, right, order, kx, ky, pairs",
+    [
+        ("phi(q^5)", "psi(q^10)", 6000, 35, 35, True),
+        ("f(q,q^2)", "f(q^2,q^3)", 6000, 127, 98, False),
+        ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False),
+    ],
+)
+def test_mul_path_dispatch(pair_calls, left, right, order, kx, ky, pairs):
+    # The term-pair path runs exactly when kx * ky <= n = order + 1.
+    a, b = evaluate_text(left, order), evaluate_text(right, order)
+    assert (sum(map(bool, a.coeffs)), sum(map(bool, b.coeffs))) == (kx, ky)
+    pair_calls.clear()
+    product = a * b
+    assert pair_calls == ([(kx, ky, order + 1)] if pairs else [])
+    assert product == schoolbook_mul(b, a)
 
 
 def test_mul_spot_values():
