@@ -5,9 +5,10 @@ arithmetic progression (dissect), verify the identity registry, scan
 coefficient signs along a progression, and count flavoured partitions.
 
 Exit codes: 0 all requested checks pass, 1 a check failed or evaluation
-hit a domain error, 2 usage or parse error.  JSON output keeps a stable
-key order and serializes coefficients as decimal strings, which survive
-any integer width.
+hit a domain error, 2 usage or parse error.  Every printed coefficient
+goes through series.coeff_text, which writes it in full whatever its
+width.  JSON output keeps a stable key order and serializes coefficients
+as decimal strings.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from .combinatorics import count_partitions, parse_spec, scan_signs
 from .identities import load_records, verify_all
 from .qexpr import evaluate, parse
-from .series import NonUnitConstantTerm, check_progression, dissect
+from .series import NonUnitConstantTerm, check_progression, coeff_text, dissect
 from .theta import InvalidParameters, InvalidThetaArgument, NegativeExponent, ZeroProduct
 
 _EVAL_ERRORS = (
@@ -38,7 +39,7 @@ def _emit_json(payload) -> None:
 
 
 def _coeff_strings(coeffs) -> list[str]:
-    return [str(c) for c in coeffs]
+    return list(map(coeff_text, coeffs))
 
 
 def _positive(text: str) -> int:
@@ -99,7 +100,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             line = f"{r.status.upper():5s} {r.id}  (order {r.checked_order}, {r.elapsed:.3f}s)"
             if r.first_failure is not None:
                 i, lhs, rhs = r.first_failure
-                line += f"  first failure at index {i}: {lhs} != {rhs}"
+                line += f"  first failure at index {i}: {coeff_text(lhs)} != {coeff_text(rhs)}"
             if r.detail:
                 line += f"  [{r.detail}]"
             print(line)
@@ -125,7 +126,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         })
     else:
         for n, (value, sign) in enumerate(zip(result.values, result.signs)):
-            print(f"{n:4d}  {_SIGN_CHAR[sign]}  {value}")
+            print(f"{n:4d}  {_SIGN_CHAR[sign]}  {coeff_text(value)}")
         print(f"zeros at n = {result.zeros}" if result.zeros else "no zeros")
         print(f"sign changes at n = {result.sign_changes}"
               if result.sign_changes else "no sign changes")
@@ -136,9 +137,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     value = count_partitions(spec, args.n)
     if args.format == "json":
-        _emit_json({"spec": args.spec, "n": args.n, "count": str(value)})
+        _emit_json({"spec": args.spec, "n": args.n, "count": coeff_text(value)})
     else:
-        print(value)
+        print(coeff_text(value))
     return 0
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import ne
 
-from .series import TruncatedSeries, dissect
+from .series import TruncatedSeries, dissect, first_index
 from .qexpr import QExpr, evaluate
 
 
@@ -111,15 +112,12 @@ def verify_interpretation(
     the counts come from the independent DP, so the two sides share no
     machinery.
     """
-    series = evaluate(expr, k * up_to + l)
-    selected = dissect(series, k, l)
-    counts = counting_series(spec, up_to)
-    for n in range(up_to + 1):
-        expected = sign_factor * multiplier * counts[n]
-        actual = selected[n]
-        if expected != actual:
-            return InterpretationReport(False, up_to, (n, expected, actual))
-    return InterpretationReport(True, up_to)
+    selected = dissect(evaluate(expr, k * up_to + l), k, l).coeffs
+    expected = counting_series(spec, up_to).scale(sign_factor * multiplier).coeffs
+    n = first_index(map(ne, expected, selected))
+    if n is None:
+        return InterpretationReport(True, up_to)
+    return InterpretationReport(False, up_to, (n, expected[n], selected[n]))
 
 
 @dataclass

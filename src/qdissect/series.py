@@ -15,7 +15,8 @@ once.
 from __future__ import annotations
 
 import operator
-from itertools import compress, repeat
+import sys
+from itertools import compress, count, repeat
 from typing import Iterable, Sequence
 
 
@@ -124,7 +125,7 @@ class TruncatedSeries:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        shown = ", ".join(str(c) for c in self._coeffs[:8])
+        shown = ", ".join(map(coeff_text, self._coeffs[:8]))
         tail = ", ..." if self.order > 7 else ""
         return f"TruncatedSeries([{shown}{tail}], order={self.order})"
 
@@ -205,7 +206,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(
-            f"cannot invert series with constant term {c0}; need +1 or -1"
+            f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1"
         )
     n = a.order
     inv = [c0]
@@ -239,6 +240,24 @@ def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
     if e < 0:
         raise ValueError("shift exponent must be nonnegative")
     return TruncatedSeries((0,) * e + a.coeffs)
+
+
+def first_index(flags: Iterable[object]) -> int | None:
+    """Position of the first truthy flag, or None; the scan runs at C speed."""
+    return next(compress(count(), flags), None)
+
+
+def coeff_text(c: int) -> str:
+    """c in decimal, in full.  str() stops at the interpreter's int-string
+    digit limit; past it the digits are split in two by one divmod and each
+    half is written the same way, so the limit itself is left as it is."""
+    limit = sys.get_int_max_str_digits()
+    bits = c.bit_length()
+    if not limit or bits < 3 * limit:  # at most 0.302 * bits + 1 digits
+        return str(c)
+    k = bits * 3 // 20  # about half the digits
+    high, low = divmod(abs(c), 10 ** k)
+    return ("-" if c < 0 else "") + coeff_text(high) + coeff_text(low).zfill(k)
 
 
 def check_progression(k: int, l: int) -> None:

@@ -1,25 +1,32 @@
 """The traced benchmark still runs against the package.
 
 bench/tracer.py wraps public names of the package from outside; a rename
-there breaks the benchmark, not the package's own tests.  Short traced
-passes of the theta-lemmas and expand-partitions workloads catch that.
-The traced multiply count of expand-partitions is a deterministic check
-on the work the evaluator does, free of timing noise.
+there breaks the benchmark, not the package's own tests.  One short traced
+pass of each workload catches that.  The traced multiply count of each
+pass is a deterministic check on the work the evaluator does, free of
+timing noise: it may not exceed the count the newest committed
+BENCH_*.json records for the change it measured.
 """
 
+import functools
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from qdissect import combinatorics
 
 ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ["verify-registry", "theta-lemmas", "expand-partitions"]
 
 
+@functools.cache
 def traced_pass(workload: str) -> dict:
     config = {
         "mode": "pass",
@@ -52,6 +59,36 @@ def test_traced_expand_partitions_pass():
     result = traced_pass("expand-partitions")
     items = workloads.partition_items(1)
     assert result["digests"] == workloads.partition_oracle(combinatorics, items, 200)
-    # Pochhammer lists and powers do only the multiplies they need; the
-    # count does not depend on the order.
-    assert result["layers"]["series.mul.calls"] <= 164
+
+
+def test_traced_verify_registry_pass():
+    result = traced_pass("verify-registry")
+    assert result["exit_code"] == 0
+    assert len(result["outcomes"]) >= 114
+    assert all(status == "pass" for _, status in result["outcomes"])
+
+
+def _label_key(path: Path) -> list:
+    # BENCH_pr10 sorts after BENCH_pr4: runs of digits compare as numbers.
+    return [int(t) if t.isdigit() else t for t in re.split(r"(\d+)", path.stem)]
+
+
+def committed_mul_calls(workload: str) -> float | None:
+    """series.mul.calls of the change measured by the newest BENCH_*.json
+    that traced this workload, or None if none did."""
+    for path in sorted(ROOT.glob("BENCH_*.json"), key=_label_key, reverse=True):
+        summary = json.loads(path.read_text()).get("summary", {})
+        traced = summary.get(workload, {}).get("traced", {})
+        if "series.mul.calls" in traced:
+            return traced["series.mul.calls"]["change"]
+    return None
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_mul_calls_within_committed_bench(workload):
+    # The multiply count does not depend on the order, so a short pass
+    # compares with the figure of the full benchmark run.
+    limit = committed_mul_calls(workload)
+    if limit is None:
+        pytest.skip(f"no committed BENCH_*.json traces {workload}")
+    assert traced_pass(workload)["layers"]["series.mul.calls"] <= limit

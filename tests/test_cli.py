@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,10 @@ H1_TEXT = "(-q^2,-q^3;q^5)_inf^2*(q^2,q^8;q^10)_inf"
 G2_TEXT = "(q,q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf"
 G0_RECIP = "(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1"
 COUNT_SPEC = "M=10;1x2,9x2,2x1,8x1,4x2,6x2"
+# (10^4000 - 1)^2 = 10^8000 - 2*10^4000 + 1, past the interpreter's
+# int-string digit limit, written out without str().
+NINES = "9" * 4000
+NINES_SQUARED = "9" * 3999 + "8" + "0" * 3999 + "1"
 
 
 def run(capsys, *argv):
@@ -83,6 +88,19 @@ def test_expand_long_integer_literal_exit_2(capsys, prefix):
     assert out == ""
     assert err.startswith(f"error: at position {len(prefix)}: expected an integer")
     assert f"found {len(digits)} digits" in err
+
+
+def test_expand_prints_coefficients_past_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "expand", f"{NINES}*{NINES}", "--order", "1")
+    assert code == 0
+    assert out == f"{NINES_SQUARED} 0\n"
+    code, out, _ = run(capsys, "expand", f"{NINES}*{NINES}", "--order", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coeffs"] == [NINES_SQUARED, "0"]
+    # printing leaves the interpreter-wide limit as it was
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_expand_rejects_nonpositive_order(capsys):
@@ -211,6 +229,18 @@ def test_verify_honours_record_order(tmp_path, capsys):
         assert [r["checkedOrder"] for r in json.loads(out)] == orders
 
 
+def test_verify_prints_failure_past_digit_limit(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text(f"big | equality | order=1 | {NINES}*{NINES} | 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--records", str(path))
+    assert code == 1
+    assert f"first failure at index 0: {NINES_SQUARED} != 1\n" in out
+    code, out, _ = run(capsys, "verify", "--records", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out)[0]["firstFailure"] == {
+        "index": 0, "lhs": NINES_SQUARED, "rhs": "1"}
+
+
 def test_verify_missing_records_file(capsys):
     code, _, err = run(capsys, "verify", "--records", "/no/such/file.txt")
     assert code == 2
@@ -241,6 +271,16 @@ def test_scan_json(capsys):
     assert payload["signs"][0] == "-"
     assert payload["zeros"] == [1]
     assert payload["signChanges"] == []
+
+
+def test_scan_prints_values_past_digit_limit(capsys):
+    argv = ("scan", f"{NINES}*{NINES}", "--mod", "1", "--res", "0", "--upTo", "0")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == f"   0  +  {NINES_SQUARED}"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["values"] == [NINES_SQUARED]
 
 
 def test_scan_parse_error_exit_2(capsys):
@@ -276,6 +316,71 @@ def test_count_malformed_spec_exit_2(capsys):
     code, _, err = run(capsys, "count", "M=10;oops", "--n", "3")
     assert code == 2
     assert "error" in err
+
+
+# --- fuzz -----------------------------------------------------------------------
+
+
+def _smono(rng: random.Random) -> str:
+    body = rng.choice(["1", "q", f"q^{rng.randint(0, 4)}"])
+    return "-" + body if rng.random() < 0.4 else body
+
+
+def _grammar_text(rng: random.Random, depth: int) -> str:
+    """A random expression of the documented grammar, small literals and
+    exponents only."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([
+            lambda: str(rng.randint(0, 9)),
+            lambda: rng.choice(["q", f"q^{rng.randint(0, 6)}"]),
+            lambda: f"({_smono(rng)},{_smono(rng)};q^{rng.randint(0, 4)})_inf",
+            lambda: f"f({_smono(rng)},{_smono(rng)})",
+            lambda: f"{rng.choice(['phi', 'psi'])}(q^{rng.randint(0, 3)})",
+            lambda: f"bsum({rng.randint(0, 4)},{rng.randint(-5, 5)})",
+        ])()
+    a = _grammar_text(rng, depth - 1)
+    op = rng.choice("+-*/^n(")
+    if op == "^":
+        return f"({a})^{rng.randint(-3, 5)}"
+    if op == "n":
+        return f"-{a}"
+    if op == "(":
+        return f"({a})"
+    return f"{a} {op} {_grammar_text(rng, depth - 1)}"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Up to three one-character deletions, insertions or replacements."""
+    alphabet = "q^()+-*/,;_inf0123456789 phsbu1"
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice("dir")
+        if edit == "d":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(alphabet) + text[i + (edit == "r"):]
+    return text
+
+
+def test_cli_fuzz_exit_codes(capsys):
+    # Any expression gives exit 0, 1 or 2 and no exception escapes main.
+    rng = random.Random(5150)
+    codes = set()
+    for _ in range(400):
+        text = _mutate(rng, _grammar_text(rng, rng.randint(0, 3)))
+        mod = rng.randint(1, 5)
+        res = rng.randrange(mod) if rng.random() < 0.9 else mod  # res == mod: usage error
+        command = rng.choice([
+            ["expand", "--order", str(rng.randint(1, 30))],
+            ["dissect", "--mod", str(mod), "--res", str(res),
+             "--order", str(rng.randint(1, 30))],
+            ["scan", "--mod", str(mod), "--res", str(res), "--upTo", str(rng.randint(0, 5))],
+        ])
+        code = main([*command, "--", text])
+        capsys.readouterr()
+        assert code in (0, 1, 2), (command, text)
+        codes.add(code)
+    assert codes == {0, 1, 2}
 
 
 # --- installed entry point --------------------------------------------------------

@@ -1,5 +1,6 @@
 """Registry integrity and the verification machinery itself."""
 
+import random
 import re
 
 import pytest
@@ -182,6 +183,99 @@ def test_sum_identities_difference_is_zero_series():
         rec = get_record(rid)
         diff = evaluate_text(f"({rec.kind.lhs}) - ({rec.kind.rhs})", 200)
         assert diff.is_zero()
+
+
+# --- the claim walk against a plain per-coefficient loop ----------------------------
+
+
+def _poly_text(coeffs) -> str:
+    return " + ".join(f"{c}*q^{e}" for e, c in enumerate(coeffs) if c) or "0"
+
+
+def _walk_oracle(kind, order):
+    """(first failure, detail) of a claim, by one loop over each column."""
+    def column(text, k=1, l=0):
+        return evaluate_text(text, order).coeffs[l::k]
+
+    if isinstance(kind, (SeriesEquality, DissectionRelation)):
+        if isinstance(kind, SeriesEquality):
+            a, b = column(kind.lhs), column(kind.rhs)
+        else:
+            a = column(kind.lhs, kind.k1, kind.l1)
+            b = [kind.sign_factor * c for c in column(kind.rhs, kind.k2, kind.l2)]
+        for i in range(min(len(a), len(b))):
+            if a[i] != b[i]:
+                return (i, a[i], b[i]), ""
+        return None, ""
+    notes = []
+    for n, c in enumerate(column(kind.expr, kind.k, kind.l)):
+        if isinstance(kind, VanishingProgression) and c != 0:
+            return (n, c, 0), ""
+        if isinstance(kind, Congruence) and c % kind.modulus != 0:
+            return (n, c, 0), f"expected 0 mod {kind.modulus}"
+        if isinstance(kind, SignPattern):
+            if n in kind.exceptions:
+                notes.append(f"n={n}: value {c}")
+            elif c * kind.expected_sign <= 0:
+                return (n, c, kind.expected_sign), (
+                    "expected > 0" if kind.expected_sign > 0 else "expected < 0")
+    return None, "; ".join(notes)
+
+
+def _random_claim(rng, order):
+    """A claim of a random kind over short polynomials, built to hold up to
+    at most one planted fault (at any index, 0 included)."""
+    k, k2 = rng.randint(1, 4), rng.randint(1, 4)
+    l, l2 = rng.randrange(k), rng.randrange(k2)
+    cs = [rng.randint(-9, 9) for _ in range(order + 1)]
+    on = range(l, order + 1, k)  # positions of the progression k*n + l
+    width = len(on)
+    fault = rng.randrange(width + 2)  # past the column: no fault
+    kind_name = rng.choice(["eq", "diss", "vanish", "cong", "sign"])
+    if kind_name == "eq":
+        rhs = list(cs)
+        if fault <= order:
+            rhs[fault] += rng.choice((-1, 1))
+        return SeriesEquality(_poly_text(cs), _poly_text(rhs))
+    if kind_name == "diss":
+        sign = rng.choice((1, -1))
+        rhs = [rng.randint(-9, 9) for _ in range(order + 1)]
+        # columns of unequal length: only the shorter one is compared
+        for n, j in enumerate(range(l2, order + 1, k2)):
+            if n < width:
+                rhs[j] = sign * cs[on[n]] + (n == fault)
+        return DissectionRelation(_poly_text(cs), k, l, _poly_text(rhs), k2, l2, sign)
+    if kind_name == "vanish":
+        for n, i in enumerate(on):
+            cs[i] = rng.randint(1, 3) if n == fault else 0
+        return VanishingProgression(_poly_text(cs), k, l)
+    if kind_name == "cong":
+        m = rng.randint(2, 4)
+        for n, i in enumerate(on):
+            # negative multiples of m too, which c % m maps to 0
+            cs[i] = m * rng.randint(-3, 3) + (n == fault)
+        return Congruence(_poly_text(cs), k, l, m)
+    sign = rng.choice((1, -1))
+    for n, i in enumerate(on):
+        cs[i] = sign * rng.randint(1, 9) if n != fault else rng.choice((0, -sign))
+    # exceptions inside the column, at the fault, and beyond the column end
+    exceptions = frozenset(rng.sample(range(width + 3), rng.randint(0, 3)))
+    return SignPattern(_poly_text(cs), k, l, sign, exceptions)
+
+
+def test_claim_walk_matches_plain_loop():
+    rng = random.Random(60311)
+    seen = set()
+    for case in range(300):
+        order = rng.randint(4, 16)
+        kind = _random_claim(rng, order)
+        miss, detail = _walk_oracle(kind, order)
+        report = verify(IdentityRecord(f"walk.{case}", "test", kind, order))
+        assert (report.status, report.first_failure, report.detail) == (
+            "pass" if miss is None else "fail", miss, detail), kind
+        seen.add((type(kind).__name__, None if miss is None else min(miss[0], 1)))
+    # every kind both held and failed, at index 0 and later
+    assert len(seen) == 5 * 3
 
 
 # --- file load path --------------------------------------------------------------

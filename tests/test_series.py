@@ -1,6 +1,7 @@
 """Exact truncated series arithmetic: unit checks and randomized laws."""
 
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,9 @@ from qdissect.series import (
     _mul_terms,
     NonUnitConstantTerm,
     TruncatedSeries,
+    coeff_text,
     dissect,
+    first_index,
     invert,
     schoolbook_mul,
     shift,
@@ -343,3 +346,29 @@ def test_substitute_power_composes():
         a = rand_series(rng, rng.randint(0, 20))
         j, k = rng.randint(1, 4), rng.randint(1, 4)
         assert substitute_power(substitute_power(a, j), k) == substitute_power(a, j * k)
+
+
+# --- printing and scanning ---------------------------------------------------
+
+
+def test_coeff_text_writes_any_width():
+    # Widths on both sides of the interpreter's int-string digit limit,
+    # checked against digit patterns built without str().
+    limit = sys.get_int_max_str_digits()
+    for digits in (1, 7, limit - 1, limit, limit + 1, 3 * limit + 5):
+        nines = 10 ** digits - 1
+        assert coeff_text(nines) == "9" * digits
+        assert coeff_text(-nines) == "-" + "9" * digits
+        assert coeff_text(nines + 1) == "1" + "0" * digits
+        assert coeff_text(10 ** (2 * digits) + 7) == "1" + "0" * (2 * digits - 1) + "7"
+    assert coeff_text(0) == "0"
+    big = TruncatedSeries([10 ** limit, 0])
+    assert repr(big) == f"TruncatedSeries([1{'0' * limit}, 0], order=1)"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_first_index():
+    assert first_index([]) is None
+    assert first_index([0, 0, False]) is None
+    assert first_index([3, 0]) == 0
+    assert first_index(iter([0, 0, -1, 1])) == 2
