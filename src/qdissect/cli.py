@@ -20,7 +20,7 @@ import sys
 from .combinatorics import count_partitions, parse_spec, scan_signs
 from .identities import load_records, verify_all
 from .qexpr import evaluate, parse
-from .series import NonUnitConstantTerm, check_progression, coeff_text, dissect
+from .series import LimitExceeded, NonUnitConstantTerm, check_progression, coeff_text, dissect
 from .theta import InvalidParameters, InvalidThetaArgument, NegativeExponent, ZeroProduct
 
 _EVAL_ERRORS = (
@@ -29,6 +29,7 @@ _EVAL_ERRORS = (
     InvalidThetaArgument,
     InvalidParameters,
     NonUnitConstantTerm,
+    LimitExceeded,
 )
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}

@@ -31,7 +31,10 @@ from operator import ge, le, ne
 
 from .series import check_progression, coeff_text, dissect, first_index
 from .theta import SignedMonomial
-from .qexpr import Add, Monomial, Mul, Sub, ThetaF, evaluate_text, family_g, family_h, parse, render
+from .qexpr import (
+    Add, Monomial, Mul, Sub, ThetaF, cross_multiplied, evaluate, evaluate_text, family_g,
+    family_h, parse, render,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,8 @@ class VerificationReport:
 
 
 # Claim texts are evaluated through this one name (the benchmark wraps it
-# to count repeated texts).
+# to count repeated texts), except an equality's two sides: they are parsed
+# once and checked by qexpr.cross_multiplied.
 _series_of = evaluate_text
 
 
@@ -134,8 +138,11 @@ def _check(kind: ClaimKind, order: int) -> tuple[tuple[int, int, int] | None, st
     """(first failure, detail) of one claim at one order, in one scan."""
     if isinstance(kind, (SeriesEquality, DissectionRelation)):
         if isinstance(kind, SeriesEquality):
-            a = _series_of(kind.lhs, order).coeffs
-            b = _series_of(kind.rhs, order).coeffs
+            lhs, rhs = parse(kind.lhs), parse(kind.rhs)
+            a, b = cross_multiplied(lhs, rhs, order)
+            if a == b:
+                return None, ""
+            a, b = evaluate(lhs, order).coeffs, evaluate(rhs, order).coeffs
         else:
             a = dissect(_series_of(kind.lhs, order), kind.k1, kind.l1).coeffs
             rhs = dissect(_series_of(kind.rhs, order), kind.k2, kind.l2)

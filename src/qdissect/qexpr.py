@@ -16,6 +16,13 @@ Grammar (whitespace-insensitive):
 A smono written as "1" or "-1" is the zero-exponent monomial, so theta
 arguments like f(1, q^40) are expressible.  Rendering is canonical and
 reparses to a structurally equal tree.
+
+evaluate() lowers each product to a theta normal form (see the section of
+that name below) and cross_multiplied() checks an equality as lhs * D ==
+rhs * D, D the common denominator, whose constant term is +-1 because
+only bases with constant term +-1 take negative powers.  evaluate_direct()
+evaluates node by node, every Pochhammer factor expanded and every
+quotient inverted: the oracle for both.
 """
 
 from __future__ import annotations
@@ -490,6 +497,204 @@ def render(e: QExpr) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Theta normal form
+#
+# A product-shaped node (Mul, Div, Pow, Neg, Poch) lowers to an exponent
+# vector: sign * q^shift * product of base^power over integer powers.  A
+# base is a theta f(a, b) (a canonical ThetaF node), a Pochhammer factor
+# (+-q^r; q^m) that no rule below lowers (a one-argument Poch node), an
+# integer literal other than +-1, or an opaque node (a sum, or a power the
+# vector may not take), evaluated term by term.  The rules, by the triple
+# product f(a, b) = (-a; ab)(-b; ab)(ab; ab):
+#
+#   (s q^r, s q^(m-r); q^m) = f(-s q^r, -s q^(m-r)) / (q^m; q^m), 0 < r < m
+#   (q^m; q^m)              = f(-q^m, -q^(2m))   (the pentagonal theorem)
+#   (q^(m/2); q^m)          = (q^(m/2); q^(m/2)) / (q^m; q^m)
+#   phi(q^k), psi(q^k), bsum(A, B) = f(q^k, q^k), f(q^k, q^(3k)),
+#                                    f(q^(A+B), q^(A-B))
+#
+# A negative power is taken only of a vector whose every base has constant
+# term +-1, with no shift, so its series is a unit and the term-by-term path
+# could invert it too; otherwise the power stays an opaque node and raises
+# there exactly as the term-by-term path does.  Thetas are sparse, so a
+# vector is evaluated sparse factors first, with one inverse for all its
+# negative powers.
+
+
+def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
+    # f(a, b) = f(b, a): one key for both orders.
+    return ThetaF(a, b) if (a.exponent, a.sign) <= (b.exponent, b.sign) else ThetaF(b, a)
+
+
+def _eta(m: int) -> ThetaF:
+    """(q^m; q^m)_inf as the theta f(-q^m, -q^(2m))."""
+    return ThetaF(SignedMonomial(-1, m), SignedMonomial(-1, 2 * m))
+
+
+def _unit_base(base: QExpr) -> bool:
+    """Whether a base's series has constant term +-1.  A theta or a
+    Pochhammer factor none of whose arguments is +-1 has constant term 1;
+    an argument 1 or -1 makes it 2 or 0.  Literals and opaque bases are
+    not taken to be units."""
+    if isinstance(base, ThetaF):
+        return min(base.a.exponent, base.b.exponent) > 0
+    return isinstance(base, Poch) and base.args[0].exponent > 0
+
+
+class _Product:
+    """sign * q^shift * product of base^power; powers keep first-occurrence
+    order, so opaque bases are evaluated, and raise, left to right."""
+
+    __slots__ = ("sign", "shift", "powers")
+
+    def __init__(self, sign: int = 1, shift: int = 0, powers: dict[QExpr, int] | None = None):
+        self.sign = sign
+        self.shift = shift
+        self.powers = {} if powers is None else powers
+
+    def add(self, base: QExpr, k: int) -> None:
+        self.powers[base] = self.powers.get(base, 0) + k
+
+    def times(self, other: "_Product") -> "_Product":
+        out = _Product(self.sign * other.sign, self.shift + other.shift, dict(self.powers))
+        for base, k in other.powers.items():
+            out.add(base, k)
+        return out
+
+    def power(self, k: int) -> "_Product":
+        sign = -1 if self.sign < 0 and k & 1 else 1
+        return _Product(sign, self.shift * k, {b: p * k for b, p in self.powers.items()})
+
+    def is_unit(self) -> bool:
+        return self.shift == 0 and all(map(_unit_base, self.powers))
+
+    def series(self, order: int) -> TruncatedSeries:
+        num: list[TruncatedSeries] = []
+        den: list[TruncatedSeries] = []
+        for base, k in self.powers.items():
+            if k:
+                s = _eval(base if abs(k) == 1 else Pow(base, abs(k)), order)
+                (num if k > 0 else den).append(s)
+        if den:
+            num.append(_sparse_first_product(den) ** -1)
+        result = _sparse_first_product(num) if num else TruncatedSeries.one(order)
+        if self.shift:
+            cs = result.coeffs
+            result = TruncatedSeries(((0,) * min(self.shift, order + 1) + cs)[: order + 1])
+        return -result if self.sign < 0 else result
+
+
+def _sparse_first_product(factors: list[TruncatedSeries]) -> TruncatedSeries:
+    # Sparse operands first, so that products of thetas stay on the
+    # term-pair path of the multiply as long as they can.
+    factors.sort(key=lambda s: s.order + 1 - s.coeffs.count(0))
+    return reduce(operator.mul, factors)
+
+
+def _collect(e: QExpr) -> _Product:
+    """The exponent vector of a node, before the Pochhammer rules."""
+    if isinstance(e, IntLit):
+        return _Product(e.value) if e.value in (1, -1) else _Product(powers={e: 1})
+    if isinstance(e, Monomial):
+        return _Product(shift=e.exponent).times(_collect(IntLit(e.coefficient)))
+    if isinstance(e, Poch):
+        out = _Product()
+        for a in e.args:
+            out.add(Poch((a,), e.modulus), 1)
+        return out
+    if isinstance(e, ThetaF) and e.a.exponent + e.b.exponent >= 1:
+        return _Product(powers={_theta(e.a, e.b): 1})
+    if isinstance(e, (Phi, Psi)) and e.scale >= 1:
+        q_k = SignedMonomial(1, e.scale)
+        other = q_k if isinstance(e, Phi) else SignedMonomial(1, 3 * e.scale)
+        return _Product(powers={_theta(q_k, other): 1})
+    if isinstance(e, BSum) and e.quad >= max(1, abs(e.lin)):
+        a, b = SignedMonomial(1, e.quad + e.lin), SignedMonomial(1, e.quad - e.lin)
+        return _Product(powers={_theta(a, b): 1})
+    if isinstance(e, Mul):
+        return _collect(e.left).times(_collect(e.right))
+    if isinstance(e, Div):
+        return _collect(e.left).times(_collect(Pow(e.right, -1)))
+    if isinstance(e, Neg):
+        return _Product(-1).times(_collect(e.operand))
+    if isinstance(e, Pow) and e.exponent != 0:
+        base = _collect(e.base)
+        if e.exponent > 0 or base.is_unit():
+            return base.power(e.exponent)
+    return _Product(powers={e: 1})
+
+
+def _lower(e: QExpr) -> _Product:
+    """The theta normal form of a node: its exponent vector with every
+    Pochhammer rule applied."""
+    p = _collect(e)
+    poch: dict[tuple[int, int, int], int] = {}
+    out = _Product(p.sign, p.shift)
+    for base, k in p.powers.items():
+        if isinstance(base, Poch):
+            poch[(base.args[0].sign, base.args[0].exponent, base.modulus)] = k
+        else:
+            out.add(base, k)
+    for (s, r, m), k in poch.items():
+        if not k:
+            continue
+        if s == 1 and (r == m or 2 * r == m):  # (q^m; q^m), or the lone q^(m/2)
+            out.add(_eta(r), k)
+            if r < m:
+                out.add(_eta(m), -k)
+            poch[(s, r, m)] = 0
+        elif 0 < r < m:  # a complementary pair, or (-q^(m/2); q^m)^2
+            partner = (s, m - r, m)
+            j = poch[partner] if partner in poch else 0
+            c = min(abs(k), abs(j)) if k * j > 0 else 0
+            if 2 * r == m:
+                c = abs(k) // 2
+            if c:
+                c = c if k > 0 else -c
+                out.add(_theta(SignedMonomial(-s, r), SignedMonomial(-s, m - r)), c)
+                out.add(_eta(m), -c)
+                poch[(s, r, m)] -= c
+                poch[partner] -= c
+    for (s, r, m), k in poch.items():
+        if k:
+            out.add(Poch((SignedMonomial(s, r),), m), k)
+    return out
+
+
+def _terms(e: QExpr) -> list[_Product]:
+    """e as a sum of theta normal forms."""
+    if isinstance(e, (Add, Sub)):
+        right = _terms(e.right)
+        if isinstance(e, Sub):
+            right = [_Product(-1).times(t) for t in right]
+        return _terms(e.left) + right
+    return [_lower(e)]
+
+
+def cross_multiplied(lhs: QExpr, rhs: QExpr, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """lhs * D and rhs * D, D the common denominator of every term of both
+    sides (each base to the largest negative power any term gives it).
+
+    Every term times D has only nonnegative powers, so neither side is
+    inverted.  Only bases with constant term +-1 take negative powers, so
+    D's constant term is +-1: D is a unit, and lhs * D == rhs * D to the
+    order exactly when lhs == rhs to the order.  With no negative power
+    anywhere, D = 1 and the sides are evaluated whole, through the cache.
+    """
+    sides = _terms(lhs), _terms(rhs)
+    d = _Product()
+    for term in sides[0] + sides[1]:
+        for base, k in term.powers.items():
+            if k < 0 and -k > d.powers.get(base, 0):
+                d.powers[base] = -k
+    if not d.powers:
+        return _eval(lhs, order), _eval(rhs, order)
+    return tuple(
+        reduce(operator.add, (t.times(d).series(order) for t in side)) for side in sides
+    )
+
+
+# ---------------------------------------------------------------------------
 # Evaluator
 
 
@@ -501,11 +706,9 @@ def _power(base: TruncatedSeries, k: int) -> TruncatedSeries:
     return base ** k
 
 
-@lru_cache(maxsize=4096)
-def _eval(e: QExpr, order: int) -> TruncatedSeries:
-    """Series of a node, memoized per (node, order).  Products are formed
-    only from the factors themselves (no unit seed), and quotients and
-    negative powers share _power."""
+def _direct(e: QExpr, order: int, sub) -> TruncatedSeries:
+    """One node by the term-by-term rules, its children through sub:
+    Pochhammer factors expanded, quotients and negative powers inverted."""
     if isinstance(e, IntLit):
         return TruncatedSeries.monomial(0, order, e.value)
     if isinstance(e, Monomial):
@@ -522,18 +725,35 @@ def _eval(e: QExpr, order: int) -> TruncatedSeries:
     if isinstance(e, BSum):
         return bsum(e.quad, e.lin, order)
     if isinstance(e, Add):
-        return _eval(e.left, order) + _eval(e.right, order)
+        return sub(e.left, order) + sub(e.right, order)
     if isinstance(e, Sub):
-        return _eval(e.left, order) - _eval(e.right, order)
+        return sub(e.left, order) - sub(e.right, order)
     if isinstance(e, Mul):
-        return _eval(e.left, order) * _eval(e.right, order)
+        return sub(e.left, order) * sub(e.right, order)
     if isinstance(e, Div):
-        return _eval(e.left, order) * _power(_eval(e.right, order), -1)
+        return sub(e.left, order) * _power(sub(e.right, order), -1)
     if isinstance(e, Neg):
-        return -_eval(e.operand, order)
+        return -sub(e.operand, order)
     if isinstance(e, Pow):
-        return _power(_eval(e.base, order), e.exponent)
+        return _power(sub(e.base, order), e.exponent)
     raise TypeError(f"not a QExpr node: {e!r}")
+
+
+_PRODUCT_NODES = (Mul, Div, Pow, Neg, Poch)
+
+
+@lru_cache(maxsize=4096)
+def _eval(e: QExpr, order: int) -> TruncatedSeries:
+    """Series of a node, memoized per (node, order).  A product-shaped node
+    is evaluated from its theta normal form, unless that form is the node
+    itself (an opaque node, or one base to one power, which the normal
+    form's series asks for); every other node by _direct."""
+    if isinstance(e, _PRODUCT_NODES):
+        product = _lower(e)
+        own = [{e: 1}, {e.base: e.exponent}] if isinstance(e, Pow) else [{e: 1}]
+        if product.sign != 1 or product.shift or product.powers not in own:
+            return product.series(order)
+    return _direct(e, order, _eval)
 
 
 def evaluate(e: QExpr, order: int) -> TruncatedSeries:
@@ -541,6 +761,12 @@ def evaluate(e: QExpr, order: int) -> TruncatedSeries:
     if order < 0:
         raise InvalidParameters(f"order must be nonnegative, got {order}")
     return _eval(e, order)
+
+
+def evaluate_direct(e: QExpr, order: int) -> TruncatedSeries:
+    """e by the term-by-term rules alone, no normal form and no cache: the
+    oracle the theta normal form is tested against."""
+    return _direct(e, order, evaluate_direct)
 
 
 def evaluate_text(text: str, order: int) -> TruncatedSeries:

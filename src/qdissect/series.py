@@ -10,6 +10,10 @@ ky against the output length n: when kx * ky <= n it sums the products
 of nonzero term pairs, otherwise it is one signed Kronecker
 substitution, both operands packed into big integers and multiplied
 once.
+
+A power refuses, before any multiply, to build coefficients past
+MAX_COEFF_BITS bits (LimitExceeded); inversion of a series supported on
+multiples of g runs at order N // g.
 """
 
 from __future__ import annotations
@@ -17,11 +21,24 @@ from __future__ import annotations
 import operator
 import sys
 from itertools import compress, count, repeat
+from math import gcd
 from typing import Iterable, Sequence
 
 
 class NonUnitConstantTerm(ValueError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
+
+
+class LimitExceeded(ValueError):
+    """A power whose coefficients could pass MAX_COEFF_BITS bits."""
+
+
+# Widest coefficient, in bits, a power may build: power_bits must not pass
+# it.  The widest coefficient the registry builds is 167 bits at order 1000
+# and 242 at order 2000, the benchmark's 167, so the cap sits more than 250
+# times above them.  It keeps a power like (1+q)^(10^300), whose coefficients
+# near order 300 have 300k bits, from running for minutes.
+MAX_COEFF_BITS = 1 << 16
 
 
 def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
@@ -168,11 +185,19 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         """self^k by left-to-right binary powering: bit_length(k) - 1
         squarings and popcount(k) - 1 products by self, with no unit seed.
-        A negative k powers the inverse."""
+        A negative k powers the inverse.  Raises LimitExceeded, before the
+        first multiply, when power_bits(self, k) passes MAX_COEFF_BITS."""
         if exponent < 0:
             return invert(self) ** -exponent
         if exponent == 0:
             return TruncatedSeries.one(self.order)
+        bits = power_bits(self, exponent)
+        if bits > MAX_COEFF_BITS:
+            raise LimitExceeded(
+                f"a power {coeff_text(exponent)} of a series at order {self.order} "
+                f"could need {coeff_text(bits)}-bit coefficients; the limit is "
+                f"{MAX_COEFF_BITS} bits"
+            )
         result = self
         for bit in bin(exponent)[3:]:
             result = result * result
@@ -182,6 +207,30 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not any(self._coeffs)
+
+
+def power_bits(a: TruncatedSeries, k: int) -> int:
+    """Bound on the coefficient width, in bits, of a**k for k >= 1, read
+    from a alone: k * (B + log2(n + 1)), with B the bit length of a's widest
+    coefficient and n its order, since no coefficient of a**k exceeds the
+    k-th power of the sum of |a_i|.  It is 0 when the power cannot grow:
+    when a**k vanishes to order n (k times a's lowest exponent passes n),
+    or when a is +-q^v.
+
+    For n < k <= MAX_COEFF_BITS, with constant term c != 0, the truncation
+    bounds it too: a**k takes at most n factors of a - c, so no coefficient
+    exceeds |c|^k (n + 1) (k * sum of |a_i|)^n.  Past MAX_COEFF_BITS the
+    first bound alone keeps binary powering to a few squarings."""
+    cs = a.coeffs
+    n = a.order
+    low = first_index(cs)
+    if low is None or low * k > n or (cs.count(0) == n and abs(cs[low]) == 1):
+        return 0
+    width = max(max(cs), -min(cs)).bit_length() + (n + 1).bit_length()
+    if low == 0 and n < k <= MAX_COEFF_BITS:
+        truncated = (abs(cs[0]) - 1).bit_length() * k + (width + k.bit_length()) * n
+        return min(k * width, truncated + (n + 1).bit_length())
+    return k * width
 
 
 def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -197,29 +246,41 @@ def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
+def _newton_inverse(cs: Sequence[int]) -> list[int]:
+    # Newton iteration doubling the correct prefix each round, so every
+    # retained coefficient is exact; cs[0] is +1 or -1.
+    n = len(cs) - 1
+    inv = [cs[0]]
+    prec = 1
+    while prec <= n:
+        prec = min(2 * prec, n + 1)
+        # inv <- inv*(2 - a*inv) computed modulo q^prec
+        t = _mul_lists(cs[:prec], inv, prec - 1)
+        t[0] = 2 - t[0]
+        for i in range(1, prec):
+            t[i] = -t[i]
+        inv = _mul_lists(inv, t, prec - 1)
+    return inv
+
+
 def invert(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse; requires constant term +1 or -1.
 
-    Newton iteration doubling the correct prefix each round, so every
-    retained coefficient is exact.
+    When every exponent of a nonzero term is a multiple of some g > 1,
+    a(q) = b(q^g), and 1/a is 1/b, found at order N // g, spread back to
+    every g-th coefficient.
     """
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(
             f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1"
         )
-    n = a.order
-    inv = [c0]
-    prec = 1
-    while prec <= n:
-        prec = min(2 * prec, n + 1)
-        # inv <- inv*(2 - a*inv) computed modulo q^prec
-        t = _mul_lists(a.coeffs[:prec], inv, prec - 1)
-        t[0] = 2 - t[0]
-        for i in range(1, prec):
-            t[i] = -t[i]
-        inv = _mul_lists(inv, t, prec - 1)
-    return TruncatedSeries(inv)
+    g = gcd(*compress(range(a.order + 1), a.coeffs))
+    if g < 2:
+        return TruncatedSeries(_newton_inverse(a.coeffs))
+    out = [0] * (a.order + 1)
+    out[::g] = _newton_inverse(a.coeffs[::g])
+    return TruncatedSeries(out)
 
 
 def substitute_power(a: TruncatedSeries, k: int) -> TruncatedSeries:

@@ -10,6 +10,18 @@ Its product form (the triple product) is f(a, b) = (-a; ab) (-b; ab) (ab; ab),
 each factor an infinite product expanded lazily to the truncation order.
 phi, psi and the bilateral sums bsum are special values of f and are
 built by theta_f.
+
+The expression evaluator (qexpr) uses four consequences to replace
+Pochhammer products by sparse theta series:
+
+    (s q^r, s q^(m-r); q^m) = f(-s q^r, -s q^(m-r)) / (q^m; q^m),  0 < r < m
+    (q^m; q^m)              = f(-q^m, -q^(2m))   (the pentagonal theorem)
+    (q^(m/2); q^m)          = (q^(m/2); q^(m/2)) / (q^m; q^m)
+    phi(q^k), psi(q^k), bsum(A, B) = f(q^k, q^k), f(q^k, q^(3k)),
+                                     f(q^(A+B), q^(A-B))
+
+Each f with r, s >= 1 has constant term 1, so it may be inverted;
+pochhammer stays for the factors no rule covers, and as the oracle.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -66,6 +67,14 @@ def test_expand_eval_error_exit_1(capsys):
     code, _, err = run(capsys, "expand", "1/(1 - 1)", "-N", "5")
     assert code == 1
     assert "error" in err
+
+
+def test_expand_power_past_coefficient_limit_exit_1(capsys):
+    # (1+q)^70000 could reach 4 * 70000 bits by the bound; refused before
+    # any multiply (unbounded, it would finish quickly at this order).
+    code, out, err = run(capsys, "expand", "(1+q)^70000", "-N", "5")
+    assert code == 1
+    assert out == "" and err.startswith("error: a power 70000 of a series at order 5")
 
 
 @pytest.mark.parametrize("expr", [
@@ -168,6 +177,18 @@ def test_verify_filter_passes(capsys):
     lines = [l for l in out.splitlines() if l.startswith("PASS")]
     assert len(lines) == 4
     assert "4/4 records pass" in out
+
+
+def test_verify_json_output_hash(capsys):
+    # The whole registry's verdicts and failure data at order 300, timing
+    # left out: any change to a verdict, a coefficient or a note shows.
+    code, out, _ = run(capsys, "verify", "--order", "300", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    for report in reports:
+        del report["elapsed"]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "1825a2c8ca0e0fc85bbdb4c8a907e0431312eb4990d5fdf5746451bf40e4dd8a"
 
 
 def test_verify_empty_filter_warns_exit_zero(capsys):
@@ -327,8 +348,8 @@ def _smono(rng: random.Random) -> str:
 
 
 def _grammar_text(rng: random.Random, depth: int) -> str:
-    """A random expression of the documented grammar, small literals and
-    exponents only."""
+    """A random expression of the documented grammar: small literals,
+    exponents mostly small, one in five up to 10^300 in size."""
     if depth == 0 or rng.random() < 0.3:
         return rng.choice([
             lambda: str(rng.randint(0, 9)),
@@ -341,6 +362,9 @@ def _grammar_text(rng: random.Random, depth: int) -> str:
     a = _grammar_text(rng, depth - 1)
     op = rng.choice("+-*/^n(")
     if op == "^":
+        if rng.random() < 0.2:  # up to 10^300: refused or cheap, never slow
+            bound = 10 ** rng.randint(1, 300)
+            return f"({a})^{rng.randint(-bound, bound)}"
         return f"({a})^{rng.randint(-3, 5)}"
     if op == "n":
         return f"-{a}"

@@ -7,14 +7,17 @@ import pytest
 
 from qdissect.qexpr import evaluate_text
 from qdissect.series import (
+    MAX_COEFF_BITS,
     _mul_lists,
     _mul_terms,
+    LimitExceeded,
     NonUnitConstantTerm,
     TruncatedSeries,
     coeff_text,
     dissect,
     first_index,
     invert,
+    power_bits,
     schoolbook_mul,
     shift,
     substitute_power,
@@ -267,6 +270,55 @@ def test_pow_multiply_count(monkeypatch):
         assert len(calls) == k.bit_length() - 1 + bin(k).count("1") - 1, k
 
 
+def test_power_bits():
+    # k * (bit length of the widest coefficient + bit length of order + 1)
+    one_plus_q = TruncatedSeries.monomial(0, 300) + TruncatedSeries.monomial(1, 300)
+    assert power_bits(one_plus_q, 7) == 7 * (1 + 9)
+    assert power_bits(TruncatedSeries([3, -200, 5, 0]), 3) == 3 * (8 + 3)
+    assert power_bits(one_plus_q, 10**300) > MAX_COEFF_BITS
+    # a power that cannot grow: +-q^v, zero, or vanishing to the order
+    assert power_bits(TruncatedSeries([-1, 0, 0]), 10**300) == 0
+    assert power_bits(TruncatedSeries.monomial(2, 30), 10**300) == 0
+    assert power_bits(TruncatedSeries.zero(30), 10**300) == 0
+    assert power_bits(TruncatedSeries([0, 0, 5, 7]), 2) == 0
+    assert power_bits(TruncatedSeries([0, 0, 5, 7, 0]), 2) == 2 * (3 + 3)
+    # past the order the truncation bounds it: (1+q)^20000 to order 30
+    # has coefficients of at most 321 bits, bounded by 30*(1+5+15) + 5
+    assert power_bits(TruncatedSeries([1, 1] + [0] * 29), 20000) == 30 * (1 + 5 + 15) + 5
+    assert power_bits(TruncatedSeries([3, 1, 0]), 40) == 40 * 2 + 2 * (2 + 2 + 6) + 2
+    # the registry's widest coefficient is 242 bits at order 2000
+    assert MAX_COEFF_BITS >= 100 * 242
+
+
+def test_power_bits_bounds_the_power():
+    rng = random.Random(2024)
+    for _ in range(300):
+        a = rand_series(rng, rng.randint(0, 6), bound=rng.choice((1, 3, 40)))
+        k = rng.choice((rng.randint(1, 12), rng.randint(1, 300)))
+        bits = power_bits(a, k)
+        got = a**k
+        assert max(max(got.coeffs), -min(got.coeffs)).bit_length() <= bits or (
+            bits == 0 and set(map(abs, got.coeffs)) <= {0, 1}), (a, k)
+
+
+def test_pow_refuses_past_the_limit_before_multiplying(monkeypatch):
+    import qdissect.series as series
+
+    def no_multiply(*args):
+        raise AssertionError("multiplied before checking the limit")
+
+    monkeypatch.setattr(series, "_mul_lists", no_multiply)
+    with pytest.raises(LimitExceeded):
+        TruncatedSeries([1, 1] + [0] * 299) ** (10**300)
+    with pytest.raises(LimitExceeded):
+        TruncatedSeries([2, 0]) ** (10**300)
+    wide = TruncatedSeries([1, 2**6600] + [0] * 9)  # 9 * 6605 bits fit, 10 * 6605 do not
+    with pytest.raises(LimitExceeded):
+        wide**10
+    monkeypatch.undo()
+    assert (wide**9)[9] == 2 ** (6600 * 9)
+
+
 # --- inversion ---------------------------------------------------------------
 
 
@@ -275,6 +327,19 @@ def test_invert_random():
     for _ in range(CASES):
         a = rand_unit(rng, rng.randint(0, 80))
         assert a * invert(a) == TruncatedSeries.one(a.order)
+
+
+def test_invert_of_series_in_q_to_the_g():
+    # a(q^g) inverts at order N // g; the result is spread back.
+    rng = random.Random(4321)
+    for _ in range(40):
+        g = rng.randint(2, 7)
+        a = rand_unit(rng, rng.randint(0, 20), bound=9)
+        n = g * a.order + rng.randint(0, g - 1)
+        spread = TruncatedSeries(list(substitute_power(a, g).coeffs) + [0] * (n - g * a.order))
+        got = invert(spread)
+        assert spread * got == TruncatedSeries.one(n)
+        assert dissect(got, g, 0) == invert(a)
 
 
 def test_invert_requires_unit_constant():
