@@ -1,6 +1,9 @@
 """Expression language: lexer, parser, renderer, evaluator, families."""
 
+import hashlib
+import json
 import random
+import sys
 
 import pytest
 
@@ -210,6 +213,85 @@ def test_render_round_trip_random():
         again = parse(text)
         assert render(again) == text
         assert parse(render(again)) == again
+
+
+# --- front-end corpus -------------------------------------------------------------
+
+
+def _corpus_smono(rng: random.Random) -> str:
+    body = rng.choice(["1", "q", f"q^{rng.randint(0, 12)}"])
+    return "-" + body if rng.random() < 0.4 else body
+
+
+def _corpus_int(rng: random.Random) -> str:
+    return str(rng.choice([rng.randint(0, 9), rng.randint(10, 99), rng.randint(0, 10**30)]))
+
+
+def _corpus_text(rng: random.Random, depth: int) -> str:
+    """A random text of the documented grammar, every atom and operator,
+    with random spacing."""
+    sp = lambda: rng.choice(["", "", " ", "  "])
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([
+            lambda: _corpus_int(rng),
+            lambda: rng.choice(["q", f"q^{rng.randint(0, 12)}"]),
+            lambda: "(" + ",".join(_corpus_smono(rng) for _ in range(rng.randint(1, 3)))
+                    + f";{rng.choice(['q', f'q^{rng.randint(0, 12)}'])})_inf",
+            lambda: f"f({_corpus_smono(rng)},{sp()}{_corpus_smono(rng)})",
+            lambda: f"{rng.choice(['phi', 'psi'])}({rng.choice(['q', f'q^{rng.randint(0, 4)}'])})",
+            lambda: f"bsum({rng.randint(-9, 20)},{rng.randint(-9, 9)})",
+        ])()
+    a = _corpus_text(rng, depth - 1)
+    op = rng.choice("+-*/^n(")
+    if op == "^":
+        return f"{a}^{rng.choice([str(rng.randint(-5, 5)), _corpus_int(rng)])}"
+    if op == "n":
+        return "-" * rng.randint(1, 3) + a
+    if op == "(":
+        return f"({sp()}{a}{sp()})"
+    return f"{a}{sp()}{op}{sp()}{_corpus_text(rng, depth - 1)}"
+
+
+def _corpus_mutate(rng: random.Random, text: str) -> str:
+    """Up to three one-character deletions, insertions or replacements."""
+    alphabet = "q^()+-*/,;_inf0123456789 phsbu1x!\u00b2"
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice("dir")
+        if edit == "d":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(alphabet) + text[i + (edit == "r"):]
+    return text
+
+
+def front_end_corpus() -> list[str]:
+    rng = random.Random(20261018)
+    texts = [_corpus_mutate(rng, _corpus_text(rng, rng.randint(0, 4))) for _ in range(6000)]
+    for shape in DEPTH_SHAPES.values():
+        texts += [shape(MAX_DEPTH), shape(MAX_DEPTH + 1)]
+    digits = "7" * (sys.get_int_max_str_digits() + 700)
+    texts += [digits, f"q^{digits}", f"bsum(-{digits},1)", ""]
+    return texts
+
+
+def front_end_outcome(text: str) -> list[str]:
+    try:
+        node = parse(text)
+    except (ParseError, InvalidFactor) as exc:
+        return [type(exc).__name__, str(exc)]
+    return [repr(node), render(node)]
+
+
+def test_front_end_corpus_digest():
+    # Every AST, rendered text, error type and error message of a fixed
+    # corpus, pinned as one digest: any change in what the parser builds,
+    # where it fails and what it says, or how a tree renders, shows.
+    outcomes = [front_end_outcome(text) for text in front_end_corpus()]
+    kinds = {o[0] if o[0] in ("ParseError", "InvalidFactor") else "ok" for o in outcomes}
+    assert kinds == {"ok", "ParseError", "InvalidFactor"}
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == "7f9429a6b076e420193ee086d4db78aa7e92e01b79b4b0945fb194cc915e4103"
 
 
 # --- evaluation ----------------------------------------------------------------
