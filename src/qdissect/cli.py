@@ -20,17 +20,7 @@ import sys
 from .combinatorics import count_partitions, parse_spec, scan_signs
 from .identities import load_records, verify_all
 from .qexpr import evaluate, parse
-from .series import LimitExceeded, NonUnitConstantTerm, check_progression, coeff_text, dissect
-from .theta import InvalidParameters, InvalidThetaArgument, NegativeExponent, ZeroProduct
-
-_EVAL_ERRORS = (
-    NegativeExponent,
-    ZeroProduct,
-    InvalidThetaArgument,
-    InvalidParameters,
-    NonUnitConstantTerm,
-    LimitExceeded,
-)
+from .series import EvaluationError, check_progression, coeff_text, dissect
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 
@@ -206,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _EVAL_ERRORS as exc:
+    except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # parse, spec, records and usage errors

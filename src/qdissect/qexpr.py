@@ -212,6 +212,11 @@ def _lex(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 # Parser (recursive descent with backtracking at the poch/group fork)
 
+# Binary operators: node class and precedence.  A higher precedence binds
+# tighter; every operator is left-associative.
+_BINARY = {"+": (Add, 1), "-": (Sub, 1), "*": (Mul, 2), "/": (Div, 2)}
+_TIGHTEST = max(prec for _, prec in _BINARY.values())
+
 # Deepest expression parse() accepts.  Each binary operator, unary minus,
 # power and parenthesised group adds one level above the atoms.  The
 # evaluator, the renderer and node hashing recurse once per level, so the
@@ -239,12 +244,17 @@ class _Parser:
         found = repr(t.text) if t.kind != "end" else "end of input"
         return ParseError(t.pos, expected, found)
 
-    def eat_sym(self, s: str) -> None:
-        t = self.peek()
+    def accept(self, s: str) -> bool:
+        """Consume symbol s if it is the next token."""
+        t = self.tokens[self.i]
         if t.kind == "sym" and t.text == s:
-            self.advance()
-            return
-        raise self.fail(f"'{s}'")
+            self.i += 1
+            return True
+        return False
+
+    def eat_sym(self, s: str) -> None:
+        if not self.accept(s):
+            raise self.fail(f"'{s}'")
 
     def at_sym(self, s: str) -> bool:
         t = self.peek()
@@ -257,25 +267,20 @@ class _Parser:
             raise ParseError(pos, f"nesting depth at most {MAX_DEPTH}", f"depth {depth}")
         return depth
 
-    # expr, term, factor and atom return (node, depth).
+    # expr, factor and atom return (node, depth).
 
-    def expr(self) -> tuple[QExpr, int]:
-        node, depth = self.term()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.advance()
-            rhs, rhs_depth = self.term()
-            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
-            depth = self.nest(op.pos, depth, rhs_depth)
-        return node, depth
-
-    def term(self) -> tuple[QExpr, int]:
+    def expr(self, level: int = 1) -> tuple[QExpr, int]:
+        """Factors joined by binary operators of precedence level or
+        tighter.  Only symbol tokens carry an operator's text."""
         node, depth = self.factor()
-        while self.at_sym("*") or self.at_sym("/"):
-            op = self.advance()
-            rhs, rhs_depth = self.factor()
-            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
-            depth = self.nest(op.pos, depth, rhs_depth)
-        return node, depth
+        while True:
+            op = self.peek()
+            cls, prec = _BINARY.get(op.text, (None, 0))
+            if prec < level:
+                return node, depth
+            self.advance()
+            rhs, rhs_depth = self.factor() if prec == _TIGHTEST else self.expr(prec + 1)
+            node, depth = cls(node, rhs), self.nest(op.pos, depth, rhs_depth)
 
     def factor(self) -> tuple[QExpr, int]:
         # Leading minus signs are collected in a loop, not by recursion,
@@ -291,9 +296,14 @@ class _Parser:
             node, depth = Neg(node), self.nest(pos, depth)
         return node, depth
 
-    def integer(self, t: _Token) -> int:
-        """The value of int token t.  A token longer than the interpreter's
-        int-string conversion limit is a ParseError at its position."""
+    def integer(self, expected: str = "an integer") -> int:
+        """The value of the int token at the cursor, consumed.  A token
+        longer than the interpreter's int-string conversion limit is a
+        ParseError at its position."""
+        t = self.peek()
+        if t.kind != "int":
+            raise self.fail(expected)
+        self.advance()
         try:
             return int(t.text)
         except ValueError:
@@ -304,78 +314,53 @@ class _Parser:
             ) from None
 
     def signed_int(self) -> int:
-        neg = False
-        if self.at_sym("-"):
-            self.advance()
-            neg = True
-        t = self.peek()
-        if t.kind != "int":
-            raise self.fail("an integer")
-        self.advance()
-        v = self.integer(t)
-        return -v if neg else v
-
-    def uint(self) -> int:
-        t = self.peek()
-        if t.kind != "int":
-            raise self.fail("an unsigned integer")
-        self.advance()
-        return self.integer(t)
+        return -self.integer() if self.accept("-") else self.integer()
 
     def monomial_exponent(self) -> int:
         t = self.peek()
         if not (t.kind == "name" and t.text == "q"):
             raise self.fail("'q'")
         self.advance()
-        if self.at_sym("^"):
-            self.advance()
-            return self.uint()
-        return 1
+        return self.integer("an unsigned integer") if self.accept("^") else 1
 
     def smono(self) -> SignedMonomial:
-        sign = 1
-        if self.at_sym("-"):
-            self.advance()
-            sign = -1
+        sign = -1 if self.accept("-") else 1
         t = self.peek()
         if t.kind == "int" and t.text == "1":
             self.advance()
             return SignedMonomial(sign, 0)
         return SignedMonomial(sign, self.monomial_exponent())
 
+    # Call atoms: name -> (node class, argument reader, two arguments?).
+    CALLS = {
+        "f": (ThetaF, smono, True),
+        "phi": (Phi, monomial_exponent, False),
+        "psi": (Psi, monomial_exponent, False),
+        "bsum": (BSum, signed_int, True),
+    }
+
     def atom(self) -> tuple[QExpr, int]:
         t = self.peek()
         if t.kind == "int":
-            self.advance()
-            return IntLit(self.integer(t)), 1
+            return IntLit(self.integer()), 1
         if t.kind == "name":
             if t.text == "q":
                 return Monomial(1, self.monomial_exponent()), 1
-            if t.text == "f":
-                self.advance()
-                self.eat_sym("(")
-                a = self.smono()
+            call = self.CALLS.get(t.text)
+            if call is None:
+                raise self.fail("'q', 'f', 'phi', 'psi', or 'bsum'")
+            cls, read, pair = call
+            self.advance()
+            self.eat_sym("(")
+            args = [read(self)]
+            if pair:
                 self.eat_sym(",")
-                b = self.smono()
-                self.eat_sym(")")
-                return ThetaF(a, b), 1
-            if t.text in ("phi", "psi"):
-                self.advance()
-                self.eat_sym("(")
-                scale = self.monomial_exponent()
-                self.eat_sym(")")
-                if scale < 1:
-                    raise InvalidFactor(f"{t.text} needs a positive power of q")
-                return (Phi(scale) if t.text == "phi" else Psi(scale)), 1
-            if t.text == "bsum":
-                self.advance()
-                self.eat_sym("(")
-                a = self.signed_int()
-                self.eat_sym(",")
-                b = self.signed_int()
-                self.eat_sym(")")
-                return BSum(a, b), 1
-            raise self.fail("'q', 'f', 'phi', 'psi', or 'bsum'")
+                args.append(read(self))
+            self.eat_sym(")")
+            # Checked after the ")", so a missing ")" stays a ParseError.
+            if cls in (Phi, Psi) and args[0] < 1:
+                raise InvalidFactor(f"{t.text} needs a positive power of q")
+            return cls(*args), 1
         if self.at_sym("("):
             mark = self.i
             try:
@@ -393,8 +378,7 @@ class _Parser:
     def poch(self) -> Poch:
         self.eat_sym("(")
         args = [self.smono()]
-        while self.at_sym(","):
-            self.advance()
+        while self.accept(","):
             args.append(self.smono())
         self.eat_sym(";")
         modulus = self.monomial_exponent()
@@ -420,11 +404,9 @@ def parse(text: str) -> QExpr:
 # ---------------------------------------------------------------------------
 # Renderer
 
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
+_PREC = {cls: prec for cls, prec in _BINARY.values()} | {Neg: 3, Pow: 4}
 _PREC_ATOM = 5
+_SYMBOL = {cls: sym for sym, (cls, _) in _BINARY.items()}
 
 
 def _mono_text(exponent: int) -> str:
@@ -440,19 +422,11 @@ def _prec(e: QExpr) -> int:
     """Precedence of a node's rendered text, judged by the text's
     outermost operator: a scaled monomial prints as a product and a
     negative literal prints with a leading minus, whatever the node is."""
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
     if isinstance(e, Monomial) and e.coefficient != 1:
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
+        return _PREC[Mul]
     if isinstance(e, IntLit) and e.value < 0:
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+        return _PREC[Neg]
+    return _PREC.get(type(e), _PREC_ATOM)
 
 
 def _wrap(e: QExpr, minimum: int) -> str:
@@ -481,16 +455,13 @@ def render(e: QExpr) -> str:
         return f"psi({_mono_text(e.scale)})"
     if isinstance(e, BSum):
         return f"bsum({e.quad},{e.lin})"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
+    if type(e) in _SYMBOL:
+        sym, prec = _SYMBOL[type(e)], _PREC[type(e)]
+        if prec < _TIGHTEST:  # sums and differences print spaced
+            sym = f" {sym} "
+        return f"{_wrap(e.left, prec)}{sym}{_wrap(e.right, prec + 1)}"
     if isinstance(e, Neg):
-        return f"-{_wrap(e.operand, _PREC_NEG)}"
+        return f"-{_wrap(e.operand, _PREC[Neg])}"
     if isinstance(e, Pow):
         return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
     raise TypeError(f"not a QExpr node: {e!r}")

@@ -25,11 +25,16 @@ from math import gcd
 from typing import Iterable, Sequence
 
 
-class NonUnitConstantTerm(ValueError):
+class EvaluationError(ValueError):
+    """An input that parses but has no value as a truncated series, or
+    whose value is too large to build: the command line's exit 1."""
+
+
+class NonUnitConstantTerm(EvaluationError):
     """Raised when inverting a series whose constant term is not +1 or -1."""
 
 
-class LimitExceeded(ValueError):
+class LimitExceeded(EvaluationError):
     """A power whose coefficients could pass MAX_COEFF_BITS bits."""
 
 
@@ -186,17 +191,26 @@ class TruncatedSeries:
         """self^k by left-to-right binary powering: bit_length(k) - 1
         squarings and popcount(k) - 1 products by self, with no unit seed.
         A negative k powers the inverse.  Raises LimitExceeded, before the
-        first multiply, when power_bits(self, k) passes MAX_COEFF_BITS."""
+        first multiply, when power_bits(self, k) passes MAX_COEFF_BITS, or,
+        for k past MAX_COEFF_BITS, when power_bits(self, k) times
+        bit_length(k), a bound on the work of the powering steps, does."""
         if exponent < 0:
             return invert(self) ** -exponent
         if exponent == 0:
             return TruncatedSeries.one(self.order)
         bits = power_bits(self, exponent)
+        steps = exponent.bit_length()
+        need = None
         if bits > MAX_COEFF_BITS:
+            need = f"{coeff_text(bits)}-bit coefficients; the limit is {MAX_COEFF_BITS} bits"
+        elif exponent > MAX_COEFF_BITS and bits * steps > MAX_COEFF_BITS:
+            need = (f"{steps} powering steps of up to {bits}-bit coefficients "
+                    f"({bits * steps} bits in all); past exponent {MAX_COEFF_BITS} "
+                    f"the limit is {MAX_COEFF_BITS} bits in all")
+        if need:
             raise LimitExceeded(
                 f"a power {coeff_text(exponent)} of a series at order {self.order} "
-                f"could need {coeff_text(bits)}-bit coefficients; the limit is "
-                f"{MAX_COEFF_BITS} bits"
+                f"could need {need}"
             )
         result = self
         for bit in bin(exponent)[3:]:
@@ -217,17 +231,18 @@ def power_bits(a: TruncatedSeries, k: int) -> int:
     when a**k vanishes to order n (k times a's lowest exponent passes n),
     or when a is +-q^v.
 
-    For n < k <= MAX_COEFF_BITS, with constant term c != 0, the truncation
-    bounds it too: a**k takes at most n factors of a - c, so no coefficient
-    exceeds |c|^k (n + 1) (k * sum of |a_i|)^n.  Past MAX_COEFF_BITS the
-    first bound alone keeps binary powering to a few squarings."""
+    For k > n, with constant term c != 0, the truncation bounds it too:
+    a**k takes at most n factors of a - c, so no coefficient exceeds
+    |c|^k (n + 1) (k * sum of |a_i|)^n.  For |c| = 1 its width grows with
+    log2(k), not k, so it can stay small for a huge k; __pow__ then also
+    bounds the number of powering steps."""
     cs = a.coeffs
     n = a.order
     low = first_index(cs)
     if low is None or low * k > n or (cs.count(0) == n and abs(cs[low]) == 1):
         return 0
     width = max(max(cs), -min(cs)).bit_length() + (n + 1).bit_length()
-    if low == 0 and n < k <= MAX_COEFF_BITS:
+    if low == 0 and k > n:
         truncated = (abs(cs[0]) - 1).bit_length() * k + (width + k.bit_length()) * n
         return min(k * width, truncated + (n + 1).bit_length())
     return k * width

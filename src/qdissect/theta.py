@@ -11,17 +11,11 @@ each factor an infinite product expanded lazily to the truncation order.
 phi, psi and the bilateral sums bsum are special values of f and are
 built by theta_f.
 
-The expression evaluator (qexpr) uses four consequences to replace
-Pochhammer products by sparse theta series:
-
-    (s q^r, s q^(m-r); q^m) = f(-s q^r, -s q^(m-r)) / (q^m; q^m),  0 < r < m
-    (q^m; q^m)              = f(-q^m, -q^(2m))   (the pentagonal theorem)
-    (q^(m/2); q^m)          = (q^(m/2); q^(m/2)) / (q^m; q^m)
-    phi(q^k), psi(q^k), bsum(A, B) = f(q^k, q^k), f(q^k, q^(3k)),
-                                     f(q^(A+B), q^(A-B))
-
-Each f with r, s >= 1 has constant term 1, so it may be inverted;
-pochhammer stays for the factors no rule covers, and as the oracle.
+The expression evaluator replaces Pochhammer products by these sparse
+series through four consequences of the triple product, stated in the
+"Theta normal form" section of qexpr.  Each f with r, s >= 1 has
+constant term 1, so it may be inverted; pochhammer stays for the factors
+no rule covers, and as the oracle.
 """
 
 from __future__ import annotations
@@ -29,22 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .series import TruncatedSeries
+from .series import EvaluationError, TruncatedSeries
 
 
-class ZeroProduct(ValueError):
+class ZeroProduct(EvaluationError):
     """A Pochhammer factor (q^0; q^m) vanishes identically."""
 
 
-class InvalidThetaArgument(ValueError):
+class InvalidThetaArgument(EvaluationError):
     """Theta arguments must satisfy exponent(a) + exponent(b) >= 1."""
 
 
-class NegativeExponent(ValueError):
+class NegativeExponent(EvaluationError):
     """An operation produced a term with a negative q-exponent."""
 
 
-class InvalidParameters(ValueError):
+class InvalidParameters(EvaluationError):
     """Parameters outside the documented domain."""
 
 

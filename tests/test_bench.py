@@ -68,6 +68,18 @@ def test_traced_verify_registry_pass():
     assert all(status == "pass" for _, status in result["outcomes"])
 
 
+def test_bench_selftest():
+    # Each of the benchmark's correctness gates passes a true result and
+    # trips on a corrupted one.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "all checks pass"
+
+
 def _label_key(path: Path) -> list:
     # BENCH_pr10 sorts after BENCH_pr4: runs of digits compare as numbers.
     return [int(t) if t.isdigit() else t for t in re.split(r"(\d+)", path.stem)]

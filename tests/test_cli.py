@@ -3,8 +3,11 @@
 import hashlib
 import json
 import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,18 +66,40 @@ def test_expand_parse_error_exit_2(capsys):
     assert "error" in err
 
 
-def test_expand_eval_error_exit_1(capsys):
-    code, _, err = run(capsys, "expand", "1/(1 - 1)", "-N", "5")
-    assert code == 1
-    assert "error" in err
+@pytest.mark.parametrize("expr,code", [
+    ("1/(1 - 1)", 1),
+    ("bsum(1,3)", 1),
+    ("f(1,1)", 1),
+    ("1/q", 1),
+    ("1/(2+q)", 1),
+    ("(1+q)^" + "9" * 300, 1),
+    ("(q^0;q)_inf", 2),
+    ("phi(q^0)", 2),
+], ids=[
+    "NegativeExponent", "InvalidParameters", "InvalidThetaArgument", "NegativeExponent-q",
+    "NonUnitConstantTerm", "LimitExceeded", "InvalidFactor-zero", "InvalidFactor-phi",
+])
+def test_expand_eval_error_exit_1(capsys, expr, code):
+    # One text per error class the command line can reach.  A vanishing
+    # Pochhammer factor or phi(q^0) is caught by the parser (exit 2), so
+    # ZeroProduct and a zero theta scale never reach evaluation.
+    got, out, err = run(capsys, "expand", expr, "-N", "5")
+    assert got == code
+    assert out == "" and err.startswith("error: ")
 
 
 def test_expand_power_past_coefficient_limit_exit_1(capsys):
-    # (1+q)^70000 could reach 4 * 70000 bits by the bound; refused before
-    # any multiply (unbounded, it would finish quickly at this order).
-    code, out, err = run(capsys, "expand", "(1+q)^70000", "-N", "5")
+    # Past MAX_COEFF_BITS the exponent is bounded through the truncation:
+    # (1+q)^70000 to order 5 needs few bits and prints at once, while to
+    # order 300 its 8109-bit bound over 17 powering steps is refused
+    # before any multiply.
+    code, out, _ = run(capsys, "expand", "(1+q)^70000", "-N", "5")
+    assert code == 0
+    assert out == "1 70000 2449965000 57164216690000 1000330918912482500 14003832600039625014000\n"
+    code, out, err = run(capsys, "expand", "(1+q)^70000", "-N", "300")
     assert code == 1
-    assert out == "" and err.startswith("error: a power 70000 of a series at order 5")
+    assert out == "" and err.startswith("error: a power 70000 of a series at order 300 "
+                                        "could need 17 powering steps of up to 8109-bit")
 
 
 @pytest.mark.parametrize("expr", [
@@ -405,6 +430,47 @@ def test_cli_fuzz_exit_codes(capsys):
         assert code in (0, 1, 2), (command, text)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# --- README examples ----------------------------------------------------------------
+
+
+def readme_examples() -> list[tuple[list[str], list[str]]]:
+    """(argv, shown output lines) of each `$ qdissect` line in the README's
+    Command line block that shows output."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, current = [], None
+    for line in block.splitlines():
+        if line.startswith("$ qdissect "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif line and not line.startswith("#") and current:
+            current[1].append(line)
+        else:
+            current = None
+    return [example for example in examples if example[1]]
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv,shown", README_EXAMPLES,
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_command_line_example(capsys, argv, shown):
+    # Timings are masked, and a "..." line skips to the final lines.
+    def masked(lines):
+        return [re.sub(r"\d+\.\d{3}s", "T", line) for line in lines]
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    got, want = masked(out.splitlines()), masked(shown)
+    if "..." in want:
+        i = want.index("...")
+        head, tail = want[:i], want[i + 1:]
+        assert got[:i] == head and got[len(got) - len(tail):] == tail
+    else:
+        assert got == want
 
 
 # --- installed entry point --------------------------------------------------------

@@ -286,6 +286,8 @@ def test_power_bits():
     # has coefficients of at most 321 bits, bounded by 30*(1+5+15) + 5
     assert power_bits(TruncatedSeries([1, 1] + [0] * 29), 20000) == 30 * (1 + 5 + 15) + 5
     assert power_bits(TruncatedSeries([3, 1, 0]), 40) == 40 * 2 + 2 * (2 + 2 + 6) + 2
+    # also past MAX_COEFF_BITS: (1+q)^70000 to order 5
+    assert power_bits(TruncatedSeries([1, 1, 0, 0, 0, 0]), 70000) == 5 * (1 + 3 + 17) + 3
     # the registry's widest coefficient is 242 bits at order 2000
     assert MAX_COEFF_BITS >= 100 * 242
 
@@ -312,6 +314,8 @@ def test_pow_refuses_past_the_limit_before_multiplying(monkeypatch):
         TruncatedSeries([1, 1] + [0] * 299) ** (10**300)
     with pytest.raises(LimitExceeded):
         TruncatedSeries([2, 0]) ** (10**300)
+    with pytest.raises(LimitExceeded, match="17 powering steps of up to 8109-bit"):
+        TruncatedSeries([1, 1] + [0] * 299) ** 70000  # 8109 bits fit, 17 * 8109 do not
     wide = TruncatedSeries([1, 2**6600] + [0] * 9)  # 9 * 6605 bits fit, 10 * 6605 do not
     with pytest.raises(LimitExceeded):
         wide**10
