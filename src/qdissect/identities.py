@@ -4,7 +4,7 @@ Each record states one verifiable claim about exact series coefficients:
 a series equality, an arithmetic-progression (dissection) relation, a
 vanishing progression, a congruence along a progression, or a strict
 sign pattern.  verify() evaluates the claim at a truncation order; a
-claim is never simplified first, so the check is mechanical.
+claim is never simplified by hand first, so the check is mechanical.
 
 The five kinds come in two shapes, checked by the same first-failure
 scan (series.first_index):
@@ -16,6 +16,19 @@ scan (series.first_index):
   (vanishing), 0 mod m (congruence), or of the expected strict sign,
   entries at the listed exceptions skipped (sign pattern).  A failure is
   (index, entry, 0 or the expected sign).
+
+Every column is taken by qexpr.cross_multiplied, an equality being the
+progression n + 0: each term's factors that live in q^k are pulled out
+of the extraction, dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q),
+with B(q) evaluated at order N // k, not at N.  The columns of a claim
+are multiplied by the common denominator of their B parts, so no side is
+inverted; a single one-term column whose B is a unit (never a literal) is
+not multiplied at all.  Neither changes an equality, a vanishing or a
+congruence.  A sign pattern takes the exact column.  When that check
+does not hold, raises, or a residue passes the order, the claim is
+checked again on the plain path, each text expanded at the order and
+dissected, so every failure and error is reported from the claim's own
+coefficients.
 
 Expressions are stored as text in the expression language of qexpr and
 parsed on use.  verify_all() runs records in id order, so output is
@@ -32,8 +45,8 @@ from operator import ge, le, ne
 from .series import check_progression, coeff_text, dissect, first_index
 from .theta import SignedMonomial
 from .qexpr import (
-    Add, Monomial, Mul, Sub, ThetaF, cross_multiplied, evaluate, evaluate_text, family_g,
-    family_h, parse, render,
+    Add, Monomial, Mul, Sub, ThetaF, cross_multiplied, evaluate_text, family_g, family_h,
+    parse, render,
 )
 
 
@@ -128,30 +141,32 @@ class VerificationReport:
 # Verification
 
 
-# Claim texts are evaluated through this one name (the benchmark wraps it
-# to count repeated texts), except an equality's two sides: they are parsed
-# once and checked by qexpr.cross_multiplied.
+# The plain path evaluates claim texts through this one name (the benchmark
+# wraps it to count repeated texts).
 _series_of = evaluate_text
 
 
-def _check(kind: ClaimKind, order: int) -> tuple[tuple[int, int, int] | None, str]:
-    """(first failure, detail) of one claim at one order, in one scan."""
-    if isinstance(kind, (SeriesEquality, DissectionRelation)):
-        if isinstance(kind, SeriesEquality):
-            lhs, rhs = parse(kind.lhs), parse(kind.rhs)
-            a, b = cross_multiplied(lhs, rhs, order)
-            if a == b:
-                return None, ""
-            a, b = evaluate(lhs, order).coeffs, evaluate(rhs, order).coeffs
-        else:
-            a = dissect(_series_of(kind.lhs, order), kind.k1, kind.l1).coeffs
-            rhs = dissect(_series_of(kind.rhs, order), kind.k2, kind.l2)
-            b = (rhs if kind.sign_factor == 1 else rhs.scale(kind.sign_factor)).coeffs
+def _parts(kind: ClaimKind) -> list[tuple[str, int, int]]:
+    """The claim's texts, each with the progression k*n + l it is read on."""
+    if isinstance(kind, SeriesEquality):
+        return [(kind.lhs, 1, 0), (kind.rhs, 1, 0)]
+    if isinstance(kind, DissectionRelation):
+        return [(kind.lhs, kind.k1, kind.l1), (kind.rhs, kind.k2, kind.l2)]
+    if isinstance(kind, (VanishingProgression, Congruence, SignPattern)):
+        return [(kind.expr, kind.k, kind.l)]
+    raise TypeError(f"unknown claim kind: {kind!r}")
+
+
+def _scan(kind: ClaimKind, columns: list[tuple[int, ...]]
+          ) -> tuple[tuple[int, int, int] | None, str]:
+    """(first failure, detail) of a claim on its columns, in one scan."""
+    if len(columns) == 2:
+        a, b = columns
+        if isinstance(kind, DissectionRelation) and kind.sign_factor != 1:
+            b = [kind.sign_factor * x for x in b]
         i = first_index(map(ne, a, b))
         return (None if i is None else (i, a[i], b[i])), ""
-    if not isinstance(kind, (VanishingProgression, Congruence, SignPattern)):
-        raise TypeError(f"unknown claim kind: {kind!r}")
-    column = dissect(_series_of(kind.expr, order), kind.k, kind.l).coeffs
+    (column,) = columns
     flags, want, failed, passed = column, 0, "", ""
     if isinstance(kind, Congruence):
         flags, failed = map(kind.modulus.__rmod__, column), f"expected 0 mod {kind.modulus}"
@@ -165,6 +180,23 @@ def _check(kind: ClaimKind, order: int) -> tuple[tuple[int, int, int] | None, st
         passed = "; ".join(f"n={n}: value {coeff_text(column[n])}" for n in skipped)
     i = first_index(flags)
     return (None, passed) if i is None else ((i, column[i], want), failed)
+
+
+def _check(kind: ClaimKind, order: int) -> tuple[tuple[int, int, int] | None, str]:
+    """(first failure, detail) of one claim at one order: on the columns
+    of qexpr.cross_multiplied when the claim holds there, otherwise on the
+    plain path (see the module docstring)."""
+    parts = _parts(kind)
+    if all(l <= order for _, _, l in parts):
+        try:
+            columns = cross_multiplied(
+                [(parse(text), k, l) for text, k, l in parts], order, isinstance(kind, SignPattern))
+            found = _scan(kind, [c.coeffs for c in columns])
+            if found[0] is None:
+                return found
+        except ValueError:  # any error is reported as the plain path meets it
+            pass
+    return _scan(kind, [dissect(_series_of(text, order), k, l).coeffs for text, k, l in parts])
 
 
 def verify(record: IdentityRecord, order: int | None = None) -> VerificationReport:

@@ -18,11 +18,14 @@ arguments like f(1, q^40) are expressible.  Rendering is canonical and
 reparses to a structurally equal tree.
 
 evaluate() lowers each product to a theta normal form (see the section of
-that name below) and cross_multiplied() checks an equality as lhs * D ==
-rhs * D, D the common denominator, whose constant term is +-1 because
-only bases with constant term +-1 take negative powers.  evaluate_direct()
-evaluates node by node, every Pochhammer factor expanded and every
-quotient inverted: the oracle for both.
+that name below).  cross_multiplied() takes the columns dissect(e, k, l)
+that every claim compares, dissecting before it multiplies: each term's
+factors in q^k are evaluated at order N // k, and the columns are
+multiplied by the common denominator D, whose constant term is +-1
+because only bases with constant term +-1 take negative powers, so no
+side is inverted.  evaluate_direct() evaluates node by node, every
+Pochhammer factor expanded and every quotient inverted: the oracle for
+both.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import operator
 import string
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .series import TruncatedSeries
@@ -164,11 +167,15 @@ QExpr = (
 _SYMBOLS = "+-*/^(),;"
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "int", "name", "sym", "inf", "end"
-    text: str
-    pos: int
+    # A plain class: a frozen dataclass pays object.__setattr__ per field,
+    # and the lexer builds one token per symbol of every claim text.
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # "int", "name", "sym", "inf", "end"
+        self.text = text
+        self.pos = pos
 
 
 def _lex(text: str) -> list[_Token]:
@@ -490,6 +497,24 @@ def render(e: QExpr) -> str:
 # there exactly as the term-by-term path does.  Thetas are sparse, so a
 # vector is evaluated sparse factors first, with one inverse for all its
 # negative powers.
+#
+# Columns.  A claim read on the progression k*n + l needs dissect(e, k, l)
+# only to order m = (N - l) // k.  Each term of e splits as A * B(q^k),
+# where B holds every theta whose two exponents, and every Pochhammer base
+# whose exponent and modulus, are multiples of k (for k = 1, every base).
+# Then dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q): A is evaluated
+# at the claim's order through the cache, so every residue and claim that
+# shares it shares one series, and B(q) at order N // k.  When A is +-q^s
+# the column is B(q) shifted, with no product; a literal scales it.  The
+# columns of a claim are multiplied by the common denominator D of all B
+# parts, so no side is inverted.  A single one-term column whose B is a
+# unit is not multiplied at all, since a unit with integer coefficients
+# changes neither "= 0" nor "= 0 mod m" (a literal is never taken for a
+# unit: 2 * column is always 0 mod 2).  A sign pattern needs the exact
+# column, so it keeps B's inverse, at order N // k.  identities falls back
+# to the plain path, every text expanded at N and then dissected, whenever
+# this check does not hold, so every failure and error is reported from
+# the claim's own coefficients.
 
 
 def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
@@ -642,27 +667,109 @@ def _terms(e: QExpr) -> list[_Product]:
     return [_lower(e)]
 
 
-def cross_multiplied(lhs: QExpr, rhs: QExpr, order: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """lhs * D and rhs * D, D the common denominator of every term of both
-    sides (each base to the largest negative power any term gives it).
+def _reduced(base: QExpr, k: int) -> QExpr | None:
+    """The base B with base(q) = B(q^k), or None.  For k = 1 every base is
+    its own B.  For k > 1 only a theta whose two exponents, or a Pochhammer
+    factor whose exponent and modulus, are multiples of k has one: the
+    same base with those exponents divided by k."""
+    if k == 1:
+        return base
+    if isinstance(base, ThetaF):
+        a, b = base.a, base.b
+        if a.exponent % k == 0 == b.exponent % k:
+            return _theta(SignedMonomial(a.sign, a.exponent // k),
+                          SignedMonomial(b.sign, b.exponent // k))
+    elif isinstance(base, Poch):
+        (a,) = base.args
+        if a.exponent % k == 0 == base.modulus % k:
+            return Poch((SignedMonomial(a.sign, a.exponent // k),), base.modulus // k)
+    return None
 
-    Every term times D has only nonnegative powers, so neither side is
-    inverted.  Only bases with constant term +-1 take negative powers, so
-    D's constant term is +-1: D is a unit, and lhs * D == rhs * D to the
-    order exactly when lhs == rhs to the order.  With no negative power
-    anywhere, D = 1 and the sides are evaluated whole, through the cache.
+
+def _split(term: _Product, k: int) -> tuple[_Product, _Product]:
+    """term = A * B(q^k): A keeps the sign, the shift and every base that
+    is not a series in q^k; B(q) holds the others, as _reduced gives them.
+    A literal to the first power joins A's sign, an integer factor that
+    scales the column instead of multiplying it."""
+    a, b = _Product(term.sign, term.shift), _Product()
+    for base, p in term.powers.items():
+        if isinstance(base, IntLit) and p == 1:
+            a.sign *= base.value
+        elif p:
+            reduced = _reduced(base, k)
+            if reduced is None:
+                a.add(base, p)
+            else:
+                b.add(reduced, p)
+    return a, b
+
+
+def _node(powers: dict[QExpr, int]) -> QExpr:
+    """A node whose normal form is these powers, so _eval caches its series."""
+    return reduce(Mul, [base if p == 1 else Pow(base, p) for base, p in powers.items()])
+
+
+def _column(a: _Product, b: _Product, k: int, l: int, order: int, m: int,
+            m_b: int) -> TruncatedSeries:
+    """dissect(A, k, l) * B(q) to order m, A taken at the claim's order
+    (at m when k = 1, where the extraction is the identity) and B at
+    m_b >= m, one order for every residue, so they share B's series."""
+    b_powers = {base: p for base, p in b.powers.items() if p}
+    bq = _eval(_node(b_powers), m_b) if b_powers else TruncatedSeries.one(m)
+    # Entry n is A's coefficient at k*n + l: that of A's powers at
+    # k*n + l - shift, so the entries below n0 are 0.
+    n0 = max(0, -((l - a.shift) // k))
+    if a.powers:
+        x = _eval(_node(a.powers), order if k > 1 else m).coeffs
+        column = TruncatedSeries(((0,) * n0 + x[l + k * n0 - a.shift::k])[: m + 1])
+        if b_powers:
+            column = column * bq
+    elif (a.shift - l) % k or n0 > m:  # A = +-q^shift misses the progression
+        column = TruncatedSeries.zero(m)
+    else:  # A = +-q^(k*n0 + l): B(q) shifted, not a product
+        column = TruncatedSeries(((0,) * n0 + bq.coeffs)[: m + 1])
+    return column if a.sign == 1 else column.scale(a.sign)
+
+
+def cross_multiplied(
+    parts: list[tuple[QExpr, int, int]], order: int, exact: bool = False
+) -> tuple[TruncatedSeries, ...]:
+    """The columns dissect(e, k, l) of the parts (e, k, l) at the order,
+    cut to the common order m = min((order - l) // k), all times one unit
+    U, with U = 1 when exact.
+
+    Each term of e is split as A * B(q^k) (_split), and its column is
+    dissect(A, k, l) * B(q): B is evaluated at order // k, the largest k of
+    the parts, not at the claim's order, and so is shared by every residue.
+    U is D, the common denominator of the B parts of every term of
+    every part, each base to the largest negative power any term gives it,
+    so no side is inverted; D is a unit, since only bases with constant
+    term +-1 take negative powers.  A single part of a single term whose B
+    is a unit is not multiplied at all (U = 1/B).  A part with k = 1 and
+    D = 1 is evaluated whole, through the cache.  Multiplying by a unit
+    with integer coefficients changes neither an equality of columns nor
+    their vanishing or congruence; an exact column keeps B's inverse.
     """
-    sides = _terms(lhs), _terms(rhs)
+    m = min((order - l) // k for _, k, l in parts)
+    m_b = order // max(k for _, k, _ in parts)
+    split = [[_split(t, k) for t in _terms(e)] for e, k, _ in parts]
     d = _Product()
-    for term in sides[0] + sides[1]:
-        for base, k in term.powers.items():
-            if k < 0 and -k > d.powers.get(base, 0):
-                d.powers[base] = -k
-    if not d.powers:
-        return _eval(lhs, order), _eval(rhs, order)
-    return tuple(
-        reduce(operator.add, (t.times(d).series(order) for t in side)) for side in sides
-    )
+    if not exact:
+        if len(split) == 1 == len(split[0]) and all(map(_unit_base, split[0][0][1].powers)):
+            split[0][0][1].powers.clear()
+        for terms in split:
+            for _, b in terms:
+                for base, p in b.powers.items():
+                    if -p > d.powers.get(base, 0):
+                        d.powers[base] = -p
+    out = []
+    for (e, k, l), terms in zip(parts, split):
+        if k == 1 and not d.powers:
+            out.append(_eval(e, m))
+        else:
+            out.append(reduce(operator.add, (_column(a, b.times(d), k, l, order, m, m_b)
+                                             for a, b in terms)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

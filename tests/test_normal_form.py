@@ -1,22 +1,27 @@
 """Theta normal form against the term-by-term path.
 
-evaluate() lowers products to theta/eta exponent vectors and identities
-checks equalities cross-multiplied by their common denominator;
-evaluate_direct() expands every Pochhammer factor and inverts every
-quotient.  The direct path is the oracle: both must give the same series,
-or raise the same error with the same message.
+evaluate() lowers products to theta/eta exponent vectors, and identities
+checks every claim on columns that cross_multiplied dissects before it
+multiplies; evaluate_direct() expands every Pochhammer factor and inverts
+every quotient.  The direct path is the oracle: both must give the same
+series, or raise the same error with the same message.
 """
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 import qdissect.qexpr as qexpr
 import qdissect.series as series
-from qdissect.identities import IdentityRecord, SeriesEquality, registry, verify
+import qdissect.identities as identities
+from qdissect.identities import (
+    Congruence, DissectionRelation, IdentityRecord, SeriesEquality, SignPattern,
+    VanishingProgression, registry, verify,
+)
 from qdissect.qexpr import cross_multiplied, evaluate, evaluate_direct, parse
-from qdissect.series import TruncatedSeries
+from qdissect.series import TruncatedSeries, dissect, substitute_power
 
 
 def outcome(evaluator, text, order):
@@ -127,20 +132,106 @@ def test_errors_match_direct_path():
                      "InvalidThetaArgument"}
 
 
-# --- cross-multiplied equalities --------------------------------------------------
+# --- columns dissected before multiplying -----------------------------------------
+
+
+def _column_parts(kind):
+    if isinstance(kind, DissectionRelation):
+        return [(kind.lhs, kind.k1), (kind.rhs, kind.k2)]
+    return [(kind.expr, kind.k)]
+
+
+def test_dissected_columns_match_plain_dissect():
+    # Every text of a registry claim read on a progression, on every
+    # residue of its modulus: the exact column is the direct series,
+    # dissected.
+    order = 120
+    parts = {part for r in registry() for kind in (r.kind, *r.alternates)
+             if not isinstance(kind, SeriesEquality) for part in _column_parts(kind)}
+    assert len(parts) >= 40
+    for text, k in sorted(parts):
+        whole = evaluate_direct(parse(text), order)
+        for l in range(k):
+            (got,) = cross_multiplied([(parse(text), k, l)], order, exact=True)
+            assert got == dissect(whole, k, l), (text, k, l)
+
+
+def _in_q_to_the(text, k):
+    """text(q^k): every exponent of q times k."""
+    return re.sub(r"q(\^(\d+))?", lambda m: _mono(k * int(m.group(2) or 1)), text)
+
+
+def _poly(coeffs):
+    return " + ".join(f"{c}*q^{e}" for e, c in enumerate(coeffs) if c) or "0"
+
+
+def test_random_dissected_products_match_substituted_series():
+    # A * B(q^k) on each residue l: dissect(A, k, l) * B(q), with B(q^k)
+    # built by substitute_power and B raised to negative powers too.  The
+    # exact column equals it; cross-multiplied, it equals the same column
+    # written out as a polynomial.
+    rng = random.Random(5309)
+    for _ in range(60):
+        k, order = rng.randint(2, 5), rng.randint(0, 45)
+        # moduli from 2 on: a modulus 1 can give the non-unit (-q,-1;q)
+        a = _product(rng, lambda rng: _factor(rng, rng.randint(2, 12)))
+        a = rng.choice(("", "2*", "-3*", f"q^{rng.randint(1, 9)}*", "(1 + q^2)*")) + a
+        b = _product(rng, lambda rng: rng.choice((
+            _factor(rng, rng.randint(2, 6)), "f(-q,-q^2)", "phi(q)", "psi(q)")))
+        b += rng.choice(("", "*f(1,q^2)"))  # constant term 2: positive powers only
+        text = f"{a}*({_in_q_to_the(b, k)})"
+        b_of_q_k = substitute_power(evaluate_direct(parse(b), -(-order // k)), k)
+        whole = evaluate_direct(parse(a), order) * b_of_q_k
+        for l in range(min(k, order + 1)):
+            want = dissect(whole, k, l)
+            (got,) = cross_multiplied([(parse(text), k, l)], order, exact=True)
+            assert got == want, (text, l)
+            lhs, rhs = cross_multiplied([(parse(text), k, l), (parse(_poly(want.coeffs)), 1, 0)],
+                                        order)
+            assert lhs == rhs, (text, l)
+
+
+# --- claims checked on cross-multiplied columns ---------------------------------
 
 
 def _direct_check(kind, order):
-    """status and first failure of an equality by the direct path."""
+    """status, first failure and detail of a claim by one loop over the
+    coefficients of each text, each text expanded by the direct path."""
+    if isinstance(kind, SeriesEquality):
+        parts = [(kind.lhs, 1, 0), (kind.rhs, 1, 0)]
+    elif isinstance(kind, DissectionRelation):
+        parts = [(kind.lhs, kind.k1, kind.l1), (kind.rhs, kind.k2, kind.l2)]
+    else:
+        parts = [(kind.expr, kind.k, kind.l)]
+    columns = []
     try:
-        a = evaluate_direct(parse(kind.lhs), order).coeffs
-        b = evaluate_direct(parse(kind.rhs), order).coeffs
+        for text, k, l in parts:
+            cs = evaluate_direct(parse(text), order).coeffs
+            if l > order:
+                raise ValueError(f"residue {l} exceeds series order {order}")
+            columns.append(cs[l::k])
     except ValueError as exc:
         return "error", None, f"{type(exc).__name__}: {exc}"
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return "fail", (i, x, y), ""
-    return "pass", None, ""
+    if len(columns) == 2:
+        a, b = columns
+        sign = getattr(kind, "sign_factor", 1)
+        for i in range(min(len(a), len(b))):
+            if a[i] != sign * b[i]:
+                return "fail", (i, a[i], sign * b[i]), ""
+        return "pass", None, ""
+    notes = []
+    for n, c in enumerate(columns[0]):
+        if isinstance(kind, VanishingProgression) and c != 0:
+            return "fail", (n, c, 0), ""
+        if isinstance(kind, Congruence) and c % kind.modulus:
+            return "fail", (n, c, 0), f"expected 0 mod {kind.modulus}"
+        if isinstance(kind, SignPattern):
+            if n in kind.exceptions:
+                notes.append(f"n={n}: value {c}")
+            elif c * kind.expected_sign <= 0:
+                return "fail", (n, c, kind.expected_sign), (
+                    "expected > 0" if kind.expected_sign > 0 else "expected < 0")
+    return "pass", None, "; ".join(notes)
 
 
 def _planted(rng, kind, order):
@@ -157,21 +248,94 @@ def _planted(rng, kind, order):
     return dataclasses.replace(kind, **{side: text})
 
 
-def test_cross_multiplied_verify_matches_direct():
-    rng = random.Random(2718)
-    equalities = [r.kind for r in registry() if isinstance(r.kind, SeriesEquality)]
+def _planted_column(rng, kind, order):
+    """A dissection, vanishing, congruence or sign claim with a fault at
+    entry 0 or later of its (first) column: an extra term on that entry,
+    the sign factor flipped, or a residue past the order."""
+    text_field, k, l = (("lhs", kind.k1, kind.l1) if isinstance(kind, DissectionRelation)
+                        else ("expr", kind.k, kind.l))
+    how = rng.choice(("term", "term", "flip", "residue"))
+    if how == "flip" and isinstance(kind, DissectionRelation):
+        return dataclasses.replace(kind, sign_factor=-kind.sign_factor)
+    if how == "residue":
+        field = "l1" if isinstance(kind, DissectionRelation) else "l"
+        return dataclasses.replace(kind, **{field: k - 1}), k - 2
+    n = rng.choice((0, rng.randint(1, (order - l) // k)))
+    c = rng.choice((-1, 1)) * (10**6 if isinstance(kind, SignPattern) else rng.randint(1, 3))
+    text = f"{getattr(kind, text_field)} + {c}*q^{k * n + l}"
+    return dataclasses.replace(kind, **{text_field: text})
+
+
+def _claim_cases(rng, order):
+    """Registry claims of every kind, planted faults in each, and claims
+    with a non-unit f(1, q^k) or literal factor inside the part in q^k."""
+    kinds = [r.kind for r in registry()]
+    equalities = [k for k in kinds if isinstance(k, SeriesEquality)]
     with_denominators = [k for k in equalities if "/" in k.lhs + k.rhs or "^-" in k.lhs + k.rhs]
     assert len(with_denominators) >= 15
-    cases = [(k, 60) for k in equalities]
-    cases += [(_planted(rng, k, 60), 60) for k in with_denominators for _ in range(3)]
-    cases += [(SeriesEquality("f(1,q)/f(1,q)", "1"), 20), (SeriesEquality("1/(q;q)_inf", "1/q"), 20)]
-    statuses = set()
-    for n, (kind, order) in enumerate(cases):
+    columns = [k for k in kinds if not isinstance(k, SeriesEquality)]
+    cases = [(k, order, True) for k in kinds]
+    cases += [(_planted(rng, k, order), order, False) for k in with_denominators for _ in range(3)]
+    for k in columns:
+        for _ in range(2):
+            planted = _planted_column(rng, k, order)
+            case = planted if isinstance(planted, tuple) else (planted, order)
+            cases.append((*case, False))
+    g1, h2 = "(-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf", "(q^2,q^3;q^5)_inf^2*(q^2,q^8;q^10)_inf"
+    cases += [(kind, order, False) for kind in (
+        SeriesEquality("f(1,q)/f(1,q)", "1"),
+        SeriesEquality("1/(q;q)_inf", "1/q"),
+        SeriesEquality("(q^2,q^8;q^10)_inf^-1", "(bsum(20,2) - q^4*bsum(20,18))/(q^2;q^2)_inf + 1"),
+        VanishingProgression(f"f(1,q^5)*{g1}", 5, 3),
+        VanishingProgression(f"f(1,q^5)*{g1}", 5, 2),
+        Congruence(f"f(1,q^5)*(q,q^4;q^5)_inf^-1", 5, 2, 2),
+        Congruence(f"f(1,q^5)*(q,q^4;q^5)_inf^-1 + q^7", 5, 2, 2),
+        Congruence("2*(q;q)_inf^-1*(q^2,q^3;q^5)_inf", 1, 0, 2),
+        Congruence("2*(q;q)_inf^-1*(q^2,q^3;q^5)_inf", 1, 0, 4),
+        Congruence(f"2*{h2}", 5, 2, 2),
+        Congruence(f"2*{h2}", 5, 4, 4),
+        Congruence(f"3*f(1,q^10)*{h2}", 5, 4, 2),
+        SignPattern(f"f(1,q^5)*{g1}", 5, 0, 1),
+        SignPattern(f"-2*f(1,q^5)*{g1}", 5, 1, -1),
+        DissectionRelation(f"f(1,q^5)*{g1}", 5, 0, "2*f(q^5,q^10)", 5, 0),
+        # a Pochhammer factor no rule lowers, in q^5 and in q
+        DissectionRelation(f"(q^5;q^15)_inf^-1*{g1}", 5, 0,
+                           "(q;q^3)_inf^-1*(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1", 1, 0),
+        VanishingProgression(f"(-q^10;q^15)_inf^3*{g1}", 5, 3),
+        SignPattern(f"(-q^5;q^15)_inf*{g1}", 5, 0, 1),
+        DissectionRelation(f"f(1,q^5)*(q^5;q^5)_inf^-1*{g1}", 5, 4, "f(1,q)/f(1,q)", 1, 0),
+    )]
+    return cases
+
+
+def test_cross_multiplied_verify_matches_direct(monkeypatch):
+    # Every claim kind: verify gives the verdict, failure and detail a
+    # plain loop over the direct path gives.  A claim that holds is decided
+    # on the columns alone: no text is expanded plainly, and a registry
+    # claim other than a sign pattern inverts nothing.
+    rng = random.Random(2718)
+    plain, inverted = [], []
+    real_series_of, real_invert = identities._series_of, series.invert
+    monkeypatch.setattr(identities, "_series_of",
+                        lambda *args: plain.append(args) or real_series_of(*args))
+    monkeypatch.setattr(series, "invert", lambda a: inverted.append(1) or real_invert(a))
+    seen = set()
+    for n, (kind, order, from_registry) in enumerate(_claim_cases(rng, 60)):
+        qexpr._eval.cache_clear()
+        del plain[:], inverted[:]
         report = verify(IdentityRecord(f"x.{n}", "test", kind, order))
+        if report.status == "pass":
+            assert plain == [], kind
+            if from_registry and not isinstance(kind, SignPattern):
+                assert inverted == [], kind
         want = _direct_check(kind, order)
         assert (report.status, report.first_failure, report.detail) == want, kind
-        statuses.add(report.status)
-    assert statuses == {"pass", "fail", "error"}
+        failure = report.first_failure
+        seen.add((type(kind).__name__, report.status, failure and min(failure[0], 1)))
+    for name in ("SeriesEquality", "DissectionRelation", "VanishingProgression",
+                 "Congruence", "SignPattern"):
+        assert {(name, "pass", None), (name, "fail", 0), (name, "fail", 1)} <= seen, name
+    assert {status for _, status, _ in seen} == {"pass", "fail", "error"}
 
 
 @pytest.mark.parametrize("lhs, rhs, d", [
@@ -191,7 +355,36 @@ def test_common_denominator(lhs, rhs, d):
     # more and no less.
     order = 80
     want = tuple(evaluate_direct(parse(f"({side})*{d}"), order) for side in (lhs, rhs))
-    assert cross_multiplied(parse(lhs), parse(rhs), order) == want
+    assert cross_multiplied([(parse(lhs), 1, 0), (parse(rhs), 1, 0)], order) == want
+
+
+G1 = "(-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf"
+
+
+def test_common_denominator_of_columns():
+    # T1.G0: G1's B part is 1/((q^5;q^5)^2 (q^10;q^10)), read in q as
+    # 1/((q;q)^2 (q^2;q^2)); the k = 1 side is all B.  D covers both.
+    order, m = 80, 16
+    rhs = "(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1"
+    d = "(q;q)_inf^2*(q^2;q^2)_inf*f(-q,-q^4)^2*f(-q^2,-q^8)"
+    want = (dissect(evaluate_direct(parse(G1), order), 5, 0) * evaluate_direct(parse(d), m),
+            evaluate_direct(parse(f"({rhs})*{d}"), m))
+    assert cross_multiplied([(parse(G1), 5, 0), (parse(rhs), 1, 0)], order) == want
+
+
+@pytest.mark.parametrize("text, column", [
+    # one term, B a unit: B is dropped, dissect(A) is the column
+    (G1, "f(q,q^4)^2*f(-q^4,-q^6)"),
+    # a literal stays in A: 2 * column is always 0 mod 2
+    (f"2*{G1}", "2*f(q,q^4)^2*f(-q^4,-q^6)"),
+    # f(1,q^5) has constant term 2: not a unit, so B stays, times D
+    (f"f(1,q^5)*{G1}", "f(q,q^4)^2*f(-q^4,-q^6)*f(1,q^5)"),
+])
+def test_unit_shortcut(text, column):
+    order = 90
+    for l in range(5):
+        want = dissect(evaluate_direct(parse(column), order), 5, l)
+        assert cross_multiplied([(parse(text), 5, l)], order) == (want,), l
 
 
 def test_cross_multiplied_equalities_invert_nothing(monkeypatch):
