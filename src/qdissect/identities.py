@@ -22,11 +22,11 @@ progression n + 0: each term's factors that live in q^k are pulled out
 of the extraction, dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q),
 with B(q) evaluated at order N // k, not at N.  The columns of a claim
 are multiplied by the common denominator of their B parts, so no side is
-inverted; a single one-term column whose B is a unit (never a literal) is
-not multiplied at all.  Neither changes an equality, a vanishing or a
-congruence.  A sign pattern takes the exact column.  When that check
-does not hold, raises, or a residue passes the order, the claim is
-checked again on the plain path, each text expanded at the order and
+inverted; that unit changes no equality, vanishing or congruence.  A
+sign pattern takes the exact column.  Powers are held to the power limit
+at the order N, on either path.  When that check does not hold, raises,
+or a progression is invalid or its residue passes the order, the claim
+is checked again on the plain path, each text expanded at the order and
 dissected, so every failure and error is reported from the claim's own
 coefficients.
 
@@ -189,6 +189,8 @@ def _check(kind: ClaimKind, order: int) -> tuple[tuple[int, int, int] | None, st
     parts = _parts(kind)
     if all(l <= order for _, _, l in parts):
         try:
+            for _, k, l in parts:
+                check_progression(k, l)
             columns = cross_multiplied(
                 [(parse(text), k, l) for text, k, l in parts], order, isinstance(kind, SignPattern))
             found = _scan(kind, [c.coeffs for c in columns])

@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, check_power
 from .theta import (
     InvalidParameters,
     NegativeExponent,
@@ -507,14 +507,15 @@ def render(e: QExpr) -> str:
 # shares it shares one series, and B(q) at order N // k.  When A is +-q^s
 # the column is B(q) shifted, with no product; a literal scales it.  The
 # columns of a claim are multiplied by the common denominator D of all B
-# parts, so no side is inverted.  A single one-term column whose B is a
-# unit is not multiplied at all, since a unit with integer coefficients
-# changes neither "= 0" nor "= 0 mod m" (a literal is never taken for a
-# unit: 2 * column is always 0 mod 2).  A sign pattern needs the exact
-# column, so it keeps B's inverse, at order N // k.  identities falls back
-# to the plain path, every text expanded at N and then dissected, whenever
-# this check does not hold, so every failure and error is reported from
-# the claim's own coefficients.
+# parts, so no side is inverted; D is a unit with integer coefficients, so
+# it changes neither "=", "= 0" nor "= 0 mod m".  A sign pattern needs the
+# exact column, so it keeps B's inverse, at order N // k.  Every power a
+# B part holds, also inside a sum, is checked against the power limit at
+# N first, as the plain path would check it, so a power limit does not
+# depend on the path.  identities falls back to the plain path, every
+# text expanded at N and then dissected, whenever this check does not
+# hold, so every failure and error is reported from the claim's own
+# coefficients.
 
 
 def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
@@ -686,11 +687,12 @@ def _reduced(base: QExpr, k: int) -> QExpr | None:
     return None
 
 
-def _split(term: _Product, k: int) -> tuple[_Product, _Product]:
+def _split(term: _Product, k: int, order: int) -> tuple[_Product, _Product]:
     """term = A * B(q^k): A keeps the sign, the shift and every base that
     is not a series in q^k; B(q) holds the others, as _reduced gives them.
     A literal to the first power joins A's sign, an integer factor that
-    scales the column instead of multiplying it."""
+    scales the column instead of multiplying it.  B(q) is evaluated below
+    the order, so its powers are checked at the order first (_check_powers)."""
     a, b = _Product(term.sign, term.shift), _Product()
     for base, p in term.powers.items():
         if isinstance(base, IntLit) and p == 1:
@@ -700,8 +702,23 @@ def _split(term: _Product, k: int) -> tuple[_Product, _Product]:
             if reduced is None:
                 a.add(base, p)
             else:
+                _check_powers({base: p}, order)
                 b.add(reduced, p)
     return a, b
+
+
+def _check_powers(powers: dict[QExpr, int], order: int) -> None:
+    """Raise LimitExceeded where evaluating these powers at the order
+    would: at each base to a power other than +-1, and at the powers
+    inside a sum or an opaque power; a quotient's inverse is not bounded."""
+    for base, p in powers.items():
+        if abs(p) > 1 or isinstance(base, Pow) and base.exponent < -1:
+            s = _eval(base, order)
+            if abs(p) > 1:
+                check_power(s, abs(p))
+        elif isinstance(base, (Add, Sub, Pow)):
+            for term in _terms(base.base if isinstance(base, Pow) else base):
+                _check_powers(term.powers, order)
 
 
 def _node(powers: dict[QExpr, int]) -> QExpr:
@@ -744,19 +761,18 @@ def cross_multiplied(
     U is D, the common denominator of the B parts of every term of
     every part, each base to the largest negative power any term gives it,
     so no side is inverted; D is a unit, since only bases with constant
-    term +-1 take negative powers.  A single part of a single term whose B
-    is a unit is not multiplied at all (U = 1/B).  A part with k = 1 and
-    D = 1 is evaluated whole, through the cache.  Multiplying by a unit
-    with integer coefficients changes neither an equality of columns nor
-    their vanishing or congruence; an exact column keeps B's inverse.
+    term +-1 take negative powers.  A part with k = 1 and D = 1 is
+    evaluated whole, through the cache.  Multiplying by a unit with
+    integer coefficients changes neither an equality of columns nor their
+    vanishing or congruence; an exact column keeps B's inverse.  Raises
+    LimitExceeded where evaluating a part whole at the order would raise
+    it for a power.
     """
     m = min((order - l) // k for _, k, l in parts)
     m_b = order // max(k for _, k, _ in parts)
-    split = [[_split(t, k) for t in _terms(e)] for e, k, _ in parts]
+    split = [[_split(t, k, order) for t in _terms(e)] for e, k, _ in parts]
     d = _Product()
     if not exact:
-        if len(split) == 1 == len(split[0]) and all(map(_unit_base, split[0][0][1].powers)):
-            split[0][0][1].powers.clear()
         for terms in split:
             for _, b in terms:
                 for base, p in b.powers.items():

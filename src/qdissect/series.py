@@ -191,27 +191,12 @@ class TruncatedSeries:
         """self^k by left-to-right binary powering: bit_length(k) - 1
         squarings and popcount(k) - 1 products by self, with no unit seed.
         A negative k powers the inverse.  Raises LimitExceeded, before the
-        first multiply, when power_bits(self, k) passes MAX_COEFF_BITS, or,
-        for k past MAX_COEFF_BITS, when power_bits(self, k) times
-        bit_length(k), a bound on the work of the powering steps, does."""
+        first multiply, as check_power does."""
         if exponent < 0:
             return invert(self) ** -exponent
         if exponent == 0:
             return TruncatedSeries.one(self.order)
-        bits = power_bits(self, exponent)
-        steps = exponent.bit_length()
-        need = None
-        if bits > MAX_COEFF_BITS:
-            need = f"{coeff_text(bits)}-bit coefficients; the limit is {MAX_COEFF_BITS} bits"
-        elif exponent > MAX_COEFF_BITS and bits * steps > MAX_COEFF_BITS:
-            need = (f"{steps} powering steps of up to {bits}-bit coefficients "
-                    f"({bits * steps} bits in all); past exponent {MAX_COEFF_BITS} "
-                    f"the limit is {MAX_COEFF_BITS} bits in all")
-        if need:
-            raise LimitExceeded(
-                f"a power {coeff_text(exponent)} of a series at order {self.order} "
-                f"could need {need}"
-            )
+        check_power(self, exponent)
         result = self
         for bit in bin(exponent)[3:]:
             result = result * result
@@ -221,6 +206,24 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not any(self._coeffs)
+
+
+def check_power(a: TruncatedSeries, k: int) -> None:
+    """Raise LimitExceeded when power_bits(a, k), k >= 1, passes
+    MAX_COEFF_BITS, or, for k past MAX_COEFF_BITS, when power_bits(a, k)
+    times bit_length(k), a bound on the work of the powering steps, does."""
+    bits = power_bits(a, k)
+    steps = k.bit_length()
+    need = None
+    if bits > MAX_COEFF_BITS:
+        need = f"{coeff_text(bits)}-bit coefficients; the limit is {MAX_COEFF_BITS} bits"
+    elif k > MAX_COEFF_BITS and bits * steps > MAX_COEFF_BITS:
+        need = (f"{steps} powering steps of up to {bits}-bit coefficients "
+                f"({bits * steps} bits in all); past exponent {MAX_COEFF_BITS} "
+                f"the limit is {MAX_COEFF_BITS} bits in all")
+    if need:
+        raise LimitExceeded(
+            f"a power {coeff_text(k)} of a series at order {a.order} could need {need}")
 
 
 def power_bits(a: TruncatedSeries, k: int) -> int:

@@ -207,6 +207,7 @@ def _direct_check(kind, order):
     try:
         for text, k, l in parts:
             cs = evaluate_direct(parse(text), order).coeffs
+            series.check_progression(k, l)
             if l > order:
                 raise ValueError(f"residue {l} exceeds series order {order}")
             columns.append(cs[l::k])
@@ -304,6 +305,11 @@ def _claim_cases(rng, order):
         VanishingProgression(f"(-q^10;q^15)_inf^3*{g1}", 5, 3),
         SignPattern(f"(-q^5;q^15)_inf*{g1}", 5, 0, 1),
         DissectionRelation(f"f(1,q^5)*(q^5;q^5)_inf^-1*{g1}", 5, 4, "f(1,q)/f(1,q)", 1, 0),
+        # progressions dissect refuses: a[2n+2] = eta[n+1], not eta[n]
+        DissectionRelation("f(-q^2,-q^4)", 2, 2, "f(-q,-q^2)", 1, 0),
+        DissectionRelation("f(-q^2,-q^4)", 0, 0, "f(-q,-q^2)", 1, 0),
+        VanishingProgression("q*(q^5;q^5)_inf", 5, 6),
+        SignPattern("1/(q;q)_inf", 1, -1, 1),
     )]
     return cases
 
@@ -372,19 +378,36 @@ def test_common_denominator_of_columns():
     assert cross_multiplied([(parse(G1), 5, 0), (parse(rhs), 1, 0)], order) == want
 
 
-@pytest.mark.parametrize("text, column", [
-    # one term, B a unit: B is dropped, dissect(A) is the column
-    (G1, "f(q,q^4)^2*f(-q^4,-q^6)"),
-    # a literal stays in A: 2 * column is always 0 mod 2
-    (f"2*{G1}", "2*f(q,q^4)^2*f(-q^4,-q^6)"),
-    # f(1,q^5) has constant term 2: not a unit, so B stays, times D
-    (f"f(1,q^5)*{G1}", "f(q,q^4)^2*f(-q^4,-q^6)*f(1,q^5)"),
+P = "(1+q)^70000"
+
+
+@pytest.mark.parametrize("kind", [
+    # B holds (q;q)^69998 / (q^2;q^2), cancelled by D: never built
+    VanishingProgression(f"(q^5;q^5)_inf^70000*{G1}", 5, 3),
+    VanishingProgression(f"(q^5;q^5)_inf^-70000*{G1}", 5, 3),
+    # A = q misses the progression: the column is 0 without B
+    VanishingProgression("q*(q^5;q^5)_inf^70000", 5, 0),
+    # the k = 1 side is built at order // 5, its powers inside a sum
+    DissectionRelation(G1, 5, 0, f"(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1*(1 + {P} - {P})",
+                       1, 0),
+    DissectionRelation(G1, 5, 0, f"(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1"
+                       f"*(1 + (1 + q*{P})^-1 - (1 + q*{P})^-1)", 1, 0),
+    # D cancels the whole side
+    SeriesEquality("(q;q)_inf^-70000", "(q;q)_inf^-70000"),
 ])
-def test_unit_shortcut(text, column):
-    order = 90
-    for l in range(5):
-        want = dissect(evaluate_direct(parse(column), order), 5, l)
-        assert cross_multiplied([(parse(text), 5, l)], order) == (want,), l
+def test_power_limit_does_not_depend_on_the_path(kind):
+    # Each claim holds, and the columns need no power past the limit; the
+    # plain path, expanding its texts at the order, does.  The report is
+    # the plain path's error.
+    order = 300
+    for text, _, _ in identities._parts(kind):
+        try:
+            qexpr.evaluate_text(text, order)
+        except series.LimitExceeded as exc:
+            want = f"LimitExceeded: {exc}"
+            break
+    report = verify(IdentityRecord("x", "test", kind, order))
+    assert (report.status, report.detail) == ("error", want)
 
 
 def test_cross_multiplied_equalities_invert_nothing(monkeypatch):
