@@ -687,12 +687,11 @@ def _reduced(base: QExpr, k: int) -> QExpr | None:
     return None
 
 
-def _split(term: _Product, k: int, order: int) -> tuple[_Product, _Product]:
+def _split(term: _Product, k: int) -> tuple[_Product, _Product]:
     """term = A * B(q^k): A keeps the sign, the shift and every base that
     is not a series in q^k; B(q) holds the others, as _reduced gives them.
     A literal to the first power joins A's sign, an integer factor that
-    scales the column instead of multiplying it.  B(q) is evaluated below
-    the order, so its powers are checked at the order first (_check_powers)."""
+    scales the column instead of multiplying it."""
     a, b = _Product(term.sign, term.shift), _Product()
     for base, p in term.powers.items():
         if isinstance(base, IntLit) and p == 1:
@@ -702,7 +701,6 @@ def _split(term: _Product, k: int, order: int) -> tuple[_Product, _Product]:
             if reduced is None:
                 a.add(base, p)
             else:
-                _check_powers({base: p}, order)
                 b.add(reduced, p)
     return a, b
 
@@ -770,7 +768,8 @@ def cross_multiplied(
     """
     m = min((order - l) // k for _, k, l in parts)
     m_b = order // max(k for _, k, _ in parts)
-    split = [[_split(t, k, order) for t in _terms(e)] for e, k, _ in parts]
+    lowered = [_terms(e) for e, _, _ in parts]
+    split = [[_split(t, k) for t in terms] for terms, (_, k, _) in zip(lowered, parts)]
     d = _Product()
     if not exact:
         for terms in split:
@@ -779,12 +778,17 @@ def cross_multiplied(
                     if -p > d.powers.get(base, 0):
                         d.powers[base] = -p
     out = []
-    for (e, k, l), terms in zip(parts, split):
-        if k == 1 and not d.powers:
+    for (e, k, l), terms, halves in zip(parts, lowered, split):
+        whole = k == 1 and not d.powers
+        if not whole or m < order:  # not the plain evaluation at the order
+            for t in terms:
+                _check_powers({x: p for x, p in t.powers.items() if _reduced(x, k) is not None},
+                              order)
+        if whole:
             out.append(_eval(e, m))
         else:
             out.append(reduce(operator.add, (_column(a, b.times(d), k, l, order, m, m_b)
-                                             for a, b in terms)))
+                                             for a, b in halves)))
     return tuple(out)
 
 

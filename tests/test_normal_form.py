@@ -392,6 +392,8 @@ P = "(1+q)^70000"
                        1, 0),
     DissectionRelation(G1, 5, 0, f"(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1"
                        f"*(1 + (1 + q*{P})^-1 - (1 + q*{P})^-1)", 1, 0),
+    # D = 1, but the k = 1 side is evaluated whole at order // 5
+    DissectionRelation("1", 5, 0, f"{P} - {P} + 1", 1, 0),
     # D cancels the whole side
     SeriesEquality("(q;q)_inf^-70000", "(q;q)_inf^-70000"),
 ])
