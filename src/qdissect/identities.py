@@ -18,17 +18,13 @@ scan (series.first_index):
   (index, entry, 0 or the expected sign).
 
 Every column is taken by qexpr.cross_multiplied, an equality being the
-progression n + 0: each term's factors that live in q^k are pulled out
-of the extraction, dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q),
-with B(q) evaluated at order N // k, not at N.  The columns of a claim
-are multiplied by the common denominator of their B parts, so no side is
-inverted; that unit changes no equality, vanishing or congruence.  A
-sign pattern takes the exact column.  Powers are held to the power limit
-at the order N, on either path.  When that check does not hold, raises,
-or a progression is invalid or its residue passes the order, the claim
-is checked again on the plain path, each text expanded at the order and
-dissected, so every failure and error is reported from the claim's own
-coefficients.
+progression n + 0; the columns of a claim come times one unit, which
+changes no equality, vanishing or congruence, and a sign pattern takes
+the exact column (the rule is in qexpr's "Columns" section).  When that
+check does not hold, raises, or a progression is invalid or its residue
+passes the order, the claim is checked again on the plain path, each
+text expanded at the order and dissected, so every failure and error is
+reported from the claim's own coefficients.
 
 Expressions are stored as text in the expression language of qexpr and
 parsed on use.  verify_all() runs records in id order, so output is

@@ -19,13 +19,9 @@ reparses to a structurally equal tree.
 
 evaluate() lowers each product to a theta normal form (see the section of
 that name below).  cross_multiplied() takes the columns dissect(e, k, l)
-that every claim compares, dissecting before it multiplies: each term's
-factors in q^k are evaluated at order N // k, and the columns are
-multiplied by the common denominator D, whose constant term is +-1
-because only bases with constant term +-1 take negative powers, so no
-side is inverted.  evaluate_direct() evaluates node by node, every
-Pochhammer factor expanded and every quotient inverted: the oracle for
-both.
+that every claim compares, inverting no side (see "Columns" below).
+evaluate_direct() evaluates node by node, every Pochhammer factor
+expanded and every quotient inverted: the oracle for both.
 """
 
 from __future__ import annotations
@@ -38,11 +34,14 @@ from functools import lru_cache, reduce
 
 from .series import TruncatedSeries, check_power
 from .theta import (
+    InvalidFactor,
     InvalidParameters,
     NegativeExponent,
     SignedMonomial,
     PochhammerFactor,
     bsum,
+    check_factor,
+    check_scale,
     phi,
     pochhammer,
     psi,
@@ -58,10 +57,6 @@ class ParseError(ValueError):
         self.expected = expected
         self.found = found
         super().__init__(f"at position {position}: expected {expected}, found {found}")
-
-
-class InvalidFactor(ValueError):
-    """A Pochhammer argument that makes the product meaningless, e.g. q^0."""
 
 
 class InvalidFamilyParameters(ValueError):
@@ -91,11 +86,8 @@ class Poch:
     def __post_init__(self) -> None:
         if not self.args:
             raise InvalidFactor("empty Pochhammer argument list")
-        if self.modulus < 1:
-            raise InvalidFactor(f"modulus must be positive, got {self.modulus}")
         for a in self.args:
-            if a.sign == 1 and a.exponent == 0:
-                raise InvalidFactor("(q^0; q^m)_inf is identically zero")
+            check_factor(a, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -365,8 +357,8 @@ class _Parser:
                 args.append(read(self))
             self.eat_sym(")")
             # Checked after the ")", so a missing ")" stays a ParseError.
-            if cls in (Phi, Psi) and args[0] < 1:
-                raise InvalidFactor(f"{t.text} needs a positive power of q")
+            if cls in (Phi, Psi):
+                check_scale(t.text, args[0])
             return cls(*args), 1
         if self.at_sym("("):
             mark = self.i
@@ -504,18 +496,22 @@ def render(e: QExpr) -> str:
 # whose exponent and modulus, are multiples of k (for k = 1, every base).
 # Then dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q): A is evaluated
 # at the claim's order through the cache, so every residue and claim that
-# shares it shares one series, and B(q) at order N // k.  When A is +-q^s
-# the column is B(q) shifted, with no product; a literal scales it.  The
+# shares it shares one series, and B(q) at order N // k, k the largest of
+# the claim's moduli, so every residue shares it too.  When A is +-q^s the
+# column is B(q) shifted, with no product; a literal scales it.  The
 # columns of a claim are multiplied by the common denominator D of all B
-# parts, so no side is inverted; D is a unit with integer coefficients, so
-# it changes neither "=", "= 0" nor "= 0 mod m".  A sign pattern needs the
-# exact column, so it keeps B's inverse, at order N // k.  Every power a
-# B part holds, also inside a sum, is checked against the power limit at
-# N first, as the plain path would check it, so a power limit does not
-# depend on the path.  identities falls back to the plain path, every
-# text expanded at N and then dissected, whenever this check does not
-# hold, so every failure and error is reported from the claim's own
-# coefficients.
+# parts, each base to the largest negative power any term gives it, so no
+# side is inverted; D's constant term is +-1, since only bases with
+# constant term +-1 take negative powers, so D is a unit with integer
+# coefficients and changes neither "=", "= 0" nor "= 0 mod m".  A part
+# with k = 1 and D = 1 is evaluated whole, through the cache.  A sign
+# pattern needs the exact column, so it keeps B's inverse, at order
+# N // k.  Every power a B part holds, also inside a sum, is checked
+# against the power limit at N first, as the plain path would check it,
+# so a power limit does not depend on the path.  identities falls back to
+# the plain path, every text expanded at N and then dissected, whenever
+# this check does not hold, so every failure and error is reported from
+# the claim's own coefficients.
 
 
 def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
@@ -727,15 +723,15 @@ def _node(powers: dict[QExpr, int]) -> QExpr:
 def _column(a: _Product, b: _Product, k: int, l: int, order: int, m: int,
             m_b: int) -> TruncatedSeries:
     """dissect(A, k, l) * B(q) to order m, A taken at the claim's order
-    (at m when k = 1, where the extraction is the identity) and B at
-    m_b >= m, one order for every residue, so they share B's series."""
+    and B at m_b >= m, one order for every residue, so they share B's
+    series."""
     b_powers = {base: p for base, p in b.powers.items() if p}
     bq = _eval(_node(b_powers), m_b) if b_powers else TruncatedSeries.one(m)
     # Entry n is A's coefficient at k*n + l: that of A's powers at
     # k*n + l - shift, so the entries below n0 are 0.
     n0 = max(0, -((l - a.shift) // k))
     if a.powers:
-        x = _eval(_node(a.powers), order if k > 1 else m).coeffs
+        x = _eval(_node(a.powers), order).coeffs
         column = TruncatedSeries(((0,) * n0 + x[l + k * n0 - a.shift::k])[: m + 1])
         if b_powers:
             column = column * bq
@@ -751,20 +747,9 @@ def cross_multiplied(
 ) -> tuple[TruncatedSeries, ...]:
     """The columns dissect(e, k, l) of the parts (e, k, l) at the order,
     cut to the common order m = min((order - l) // k), all times one unit
-    U, with U = 1 when exact.
-
-    Each term of e is split as A * B(q^k) (_split), and its column is
-    dissect(A, k, l) * B(q): B is evaluated at order // k, the largest k of
-    the parts, not at the claim's order, and so is shared by every residue.
-    U is D, the common denominator of the B parts of every term of
-    every part, each base to the largest negative power any term gives it,
-    so no side is inverted; D is a unit, since only bases with constant
-    term +-1 take negative powers.  A part with k = 1 and D = 1 is
-    evaluated whole, through the cache.  Multiplying by a unit with
-    integer coefficients changes neither an equality of columns nor their
-    vanishing or congruence; an exact column keeps B's inverse.  Raises
-    LimitExceeded where evaluating a part whole at the order would raise
-    it for a power.
+    U with integer coefficients, so no side is inverted; U = 1 when exact.
+    Raises LimitExceeded where evaluating a part whole at the order would
+    raise it for a power.  How a column is built is in "Columns" above.
     """
     m = min((order - l) // k for _, k, l in parts)
     m_b = order // max(k for _, k, _ in parts)

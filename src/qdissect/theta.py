@@ -26,10 +26,6 @@ from functools import lru_cache
 from .series import EvaluationError, TruncatedSeries
 
 
-class ZeroProduct(EvaluationError):
-    """A Pochhammer factor (q^0; q^m) vanishes identically."""
-
-
 class InvalidThetaArgument(EvaluationError):
     """Theta arguments must satisfy exponent(a) + exponent(b) >= 1."""
 
@@ -40,6 +36,11 @@ class NegativeExponent(EvaluationError):
 
 class InvalidParameters(EvaluationError):
     """Parameters outside the documented domain."""
+
+
+class InvalidFactor(EvaluationError):
+    """A Pochhammer factor or a phi/psi argument outside its domain: a
+    modulus below 1, the vanishing factor (q^0; q^m), or a scale below 1."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,22 @@ class SignedMonomial:
         return SignedMonomial(-self.sign, self.exponent)
 
 
+def check_factor(arg: SignedMonomial, modulus: int) -> None:
+    """The domain of one Pochhammer factor (arg; q^modulus)_inf: the
+    modulus is positive and the factor is not (q^0; q^m), which vanishes
+    identically."""
+    if modulus < 1:
+        raise InvalidFactor(f"modulus must be positive, got {modulus}")
+    if arg.sign == 1 and arg.exponent == 0:
+        raise InvalidFactor("(q^0; q^m)_inf is identically zero")
+
+
+def check_scale(name: str, scale: int) -> None:
+    """The domain of phi(q^k) and psi(q^k), named by `name`: k >= 1."""
+    if scale < 1:
+        raise InvalidFactor(f"{name} needs a positive power of q")
+
+
 @dataclass(frozen=True)
 class PochhammerFactor:
     """One factor (+-q^r; q^m)_inf of an infinite product."""
@@ -76,10 +93,7 @@ class PochhammerFactor:
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise InvalidParameters(f"modulus must be positive, got {self.modulus}")
-        if self.arg.sign == 1 and self.arg.exponent == 0:
-            raise ZeroProduct("(q^0; q^m)_inf is identically zero")
+        check_factor(self.arg, self.modulus)
 
 
 def _apply_factor(cs: list[int], sign: int, e: int) -> None:
@@ -122,32 +136,26 @@ def theta_f(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries
 
     A zero-exponent argument with positive sign is allowed: f(1, b) is the
     documented doubling case f(1, b) = 2 f(b, b^3).  The term exponent
-    r*n(n+1)/2 + s*n(n-1)/2 grows in both directions once |n| >= 1, which
-    bounds the summation range.
+    r*n(n+1)/2 + s*n(n-1)/2 grows in both directions once |n| >= 1, so
+    the sum walks n = 0, 1, 2, ... and n = -1, -2, ... until it passes
+    the order.
     """
     _theta_validate(a, b)
     cs = [0] * (order + 1)
-
-    def accumulate(n: int) -> bool:
-        t1 = n * (n + 1) // 2
-        t2 = n * (n - 1) // 2
-        e = a.exponent * t1 + b.exponent * t2
-        if e > order:
-            return False
-        s = 1
-        if a.sign < 0 and t1 & 1:
-            s = -s
-        if b.sign < 0 and t2 & 1:
-            s = -s
-        cs[e] += s
-        return True
-
-    n = 0
-    while accumulate(n) or n < 1:
-        n += 1
-    n = -1
-    while accumulate(n) or n > -1:
-        n -= 1
+    for n, step in ((0, 1), (-1, -1)):
+        while True:
+            t1 = n * (n + 1) // 2
+            t2 = n * (n - 1) // 2
+            e = a.exponent * t1 + b.exponent * t2
+            if e > order:
+                break
+            s = 1
+            if a.sign < 0 and t1 & 1:
+                s = -s
+            if b.sign < 0 and t2 & 1:
+                s = -s
+            cs[e] += s
+            n += step
     return TruncatedSeries(cs)
 
 
@@ -188,16 +196,14 @@ def jtp_product(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSe
 def phi(scale: int, order: int) -> TruncatedSeries:
     """phi(q^k) = sum over all integers n of q^(k n^2), the theta value
     f(q^k, q^k)."""
-    if scale < 1:
-        raise InvalidParameters(f"phi needs a positive power of q, got {scale}")
+    check_scale("phi", scale)
     q_k = SignedMonomial(1, scale)
     return theta_f(q_k, q_k, order)
 
 
 def psi(scale: int, order: int) -> TruncatedSeries:
     """psi(q^k) = sum_{n>=0} q^(k n(n+1)/2), the theta value f(q^k, q^(3k))."""
-    if scale < 1:
-        raise InvalidParameters(f"psi needs a positive power of q, got {scale}")
+    check_scale("psi", scale)
     return theta_f(SignedMonomial(1, scale), SignedMonomial(1, 3 * scale), order)
 
 

@@ -66,25 +66,20 @@ def test_expand_parse_error_exit_2(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("expr,code", [
-    ("1/(1 - 1)", 1),
-    ("bsum(1,3)", 1),
-    ("f(1,1)", 1),
-    ("1/q", 1),
-    ("1/(2+q)", 1),
-    ("(1+q)^" + "9" * 300, 1),
-    ("(q^0;q)_inf", 2),
-    ("phi(q^0)", 2),
+@pytest.mark.parametrize("expr", [
+    "1/(1 - 1)", "bsum(1,3)", "f(1,1)", "1/q", "1/(2+q)", "(1+q)^" + "9" * 300,
+    "(q^0;q)_inf", "(q;q^0)_inf", "phi(q^0)", "psi(q^0)",
 ], ids=[
     "NegativeExponent", "InvalidParameters", "InvalidThetaArgument", "NegativeExponent-q",
-    "NonUnitConstantTerm", "LimitExceeded", "InvalidFactor-zero", "InvalidFactor-phi",
+    "NonUnitConstantTerm", "LimitExceeded", "InvalidFactor-zero", "InvalidFactor-modulus",
+    "InvalidFactor-phi", "InvalidFactor-psi",
 ])
-def test_expand_eval_error_exit_1(capsys, expr, code):
-    # One text per error class the command line can reach.  A vanishing
-    # Pochhammer factor or phi(q^0) is caught by the parser (exit 2), so
-    # ZeroProduct and a zero theta scale never reach evaluation.
+def test_expand_eval_error_exit_1(capsys, expr):
+    # One text per error class the command line can reach.  An argument
+    # outside its atom's domain exits 1 whether the parser or the
+    # evaluator finds it.
     got, out, err = run(capsys, "expand", expr, "-N", "5")
-    assert got == code
+    assert got == 1
     assert out == "" and err.startswith("error: ")
 
 
@@ -207,7 +202,8 @@ def test_verify_filter_passes(capsys):
 @pytest.mark.parametrize("order, want", [
     ("300", "1825a2c8ca0e0fc85bbdb4c8a907e0431312eb4990d5fdf5746451bf40e4dd8a"),
     ("1000", "dc6e8749e6c72dd9251c98268d84c9cbf1f06ee9be3bb5c0b632124585c9556d"),
-], ids=["300", "1000"])
+    ("2000", "d35937df4f6da57fb1d2418c41bf538860353cffccea3a71b23c86242e59d354"),
+], ids=["300", "1000", "2000"])
 def test_verify_json_output_hash(capsys, order, want):
     # The whole registry's verdicts and failure data, timing left out: any
     # change to a verdict, a coefficient or a note shows.
@@ -289,6 +285,17 @@ def test_verify_prints_failure_past_digit_limit(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)[0]["firstFailure"] == {
         "index": 0, "lhs": NINES_SQUARED, "rhs": "1"}
+
+
+def test_verify_records_file_with_invalid_factor(tmp_path, capsys):
+    # An atom outside its domain is an evaluation error, but in a records
+    # file it is a malformed line: exit 2, naming the file and line.
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# header\nu.z | equality | | (q^0;q)_inf | 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 2
+    assert out == ""
+    assert f"{bad}:2: (q^0; q^m)_inf is identically zero" in err
 
 
 def test_verify_missing_records_file(capsys):

@@ -194,47 +194,6 @@ def test_random_dissected_products_match_substituted_series():
 # --- claims checked on cross-multiplied columns ---------------------------------
 
 
-def _direct_check(kind, order):
-    """status, first failure and detail of a claim by one loop over the
-    coefficients of each text, each text expanded by the direct path."""
-    if isinstance(kind, SeriesEquality):
-        parts = [(kind.lhs, 1, 0), (kind.rhs, 1, 0)]
-    elif isinstance(kind, DissectionRelation):
-        parts = [(kind.lhs, kind.k1, kind.l1), (kind.rhs, kind.k2, kind.l2)]
-    else:
-        parts = [(kind.expr, kind.k, kind.l)]
-    columns = []
-    try:
-        for text, k, l in parts:
-            cs = evaluate_direct(parse(text), order).coeffs
-            series.check_progression(k, l)
-            if l > order:
-                raise ValueError(f"residue {l} exceeds series order {order}")
-            columns.append(cs[l::k])
-    except ValueError as exc:
-        return "error", None, f"{type(exc).__name__}: {exc}"
-    if len(columns) == 2:
-        a, b = columns
-        sign = getattr(kind, "sign_factor", 1)
-        for i in range(min(len(a), len(b))):
-            if a[i] != sign * b[i]:
-                return "fail", (i, a[i], sign * b[i]), ""
-        return "pass", None, ""
-    notes = []
-    for n, c in enumerate(columns[0]):
-        if isinstance(kind, VanishingProgression) and c != 0:
-            return "fail", (n, c, 0), ""
-        if isinstance(kind, Congruence) and c % kind.modulus:
-            return "fail", (n, c, 0), f"expected 0 mod {kind.modulus}"
-        if isinstance(kind, SignPattern):
-            if n in kind.exceptions:
-                notes.append(f"n={n}: value {c}")
-            elif c * kind.expected_sign <= 0:
-                return "fail", (n, c, kind.expected_sign), (
-                    "expected > 0" if kind.expected_sign > 0 else "expected < 0")
-    return "pass", None, "; ".join(notes)
-
-
 def _planted(rng, kind, order):
     """The equality with a fault planted on one side: an extra term, or one
     power in a denominator moved by one."""
@@ -314,7 +273,7 @@ def _claim_cases(rng, order):
     return cases
 
 
-def test_cross_multiplied_verify_matches_direct(monkeypatch):
+def test_cross_multiplied_verify_matches_direct(monkeypatch, claim_oracle):
     # Every claim kind: verify gives the verdict, failure and detail a
     # plain loop over the direct path gives.  A claim that holds is decided
     # on the columns alone: no text is expanded plainly, and a registry
@@ -334,7 +293,7 @@ def test_cross_multiplied_verify_matches_direct(monkeypatch):
             assert plain == [], kind
             if from_registry and not isinstance(kind, SignPattern):
                 assert inverted == [], kind
-        want = _direct_check(kind, order)
+        want = claim_oracle(kind, order)
         assert (report.status, report.first_failure, report.detail) == want, kind
         failure = report.first_failure
         seen.add((type(kind).__name__, report.status, failure and min(failure[0], 1)))

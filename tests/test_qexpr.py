@@ -39,7 +39,8 @@ from qdissect.qexpr import (
     parse,
     render,
 )
-from qdissect.theta import NegativeExponent, SignedMonomial
+from qdissect.series import EvaluationError
+from qdissect.theta import NegativeExponent, PochhammerFactor, SignedMonomial, phi, psi
 
 
 def sm(sign: int, e: int) -> SignedMonomial:
@@ -141,6 +142,26 @@ def test_invalid_factor_is_not_a_parse_error():
     # by the AST validation, not by backtracking into a group parse
     with pytest.raises(InvalidFactor):
         parse("(1;q^5)_inf")
+
+
+@pytest.mark.parametrize("text, builders, message", [
+    ("(q^0;q)_inf", [lambda: Poch((sm(1, 0),), 1), lambda: PochhammerFactor(sm(1, 0), 1)],
+     "(q^0; q^m)_inf is identically zero"),
+    ("(q;q^0)_inf", [lambda: Poch((sm(1, 1),), 0), lambda: PochhammerFactor(sm(1, 1), 0)],
+     "modulus must be positive, got 0"),
+    ("phi(q^0)", [lambda: phi(0, 5), lambda: evaluate(Phi(0), 5)],
+     "phi needs a positive power of q"),
+    ("psi(q^0)", [lambda: psi(0, 5), lambda: evaluate(Psi(0), 5)],
+     "psi needs a positive power of q"),
+], ids=["zero-factor", "zero-modulus", "phi", "psi"])
+def test_atom_domain_error_is_one_class(text, builders, message):
+    # An argument outside its atom's domain raises the same evaluation
+    # error with the same message, whichever layer meets it first.
+    for build in [lambda: parse(text), *builders]:
+        with pytest.raises(InvalidFactor) as info:
+            build()
+        assert isinstance(info.value, EvaluationError)
+        assert str(info.value) == message
 
 
 # --- rendering ----------------------------------------------------------------

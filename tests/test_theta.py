@@ -4,12 +4,12 @@ import pytest
 
 from qdissect.series import TruncatedSeries, schoolbook_mul
 from qdissect.theta import (
+    InvalidFactor,
     InvalidParameters,
     InvalidThetaArgument,
     NegativeExponent,
     PochhammerFactor,
     SignedMonomial,
-    ZeroProduct,
     bsum,
     jtp_product,
     phi,
@@ -40,9 +40,9 @@ def test_signed_monomial_algebra():
 
 
 def test_pochhammer_factor_validation():
-    with pytest.raises(ZeroProduct):
+    with pytest.raises(InvalidFactor):
         PochhammerFactor(sm(1, 0), 5)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidFactor):
         PochhammerFactor(sm(1, 1), 0)
     PochhammerFactor(sm(-1, 0), 5)  # (−q^0; q^5) = (1 − (−1)) · … is fine
 
@@ -80,9 +80,9 @@ def test_phi_psi_values():
     assert psi(1, 6).coeffs == (1, 1, 0, 1, 0, 0, 1)
     assert psi(2, 6).coeffs == (1, 0, 1, 0, 0, 0, 1)
     assert phi(2, 8) .coeffs == (1, 0, 2, 0, 0, 0, 0, 0, 2)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidFactor):
         phi(0, 5)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(InvalidFactor):
         psi(-1, 5)
 
 
