@@ -5,11 +5,11 @@ c[0] + c[1] q + ... + c[N] q^N; N is the order (highest retained
 exponent).  All arithmetic is exact.  Binary operations truncate the
 result to the smaller of the two input orders, so a coefficient is
 never reported unless it is fully determined.  Multiplication takes
-one of two exact paths, chosen by the operands' nonzero counts kx and
-ky against the output length n: when kx * ky <= n it sums the products
-of nonzero term pairs, otherwise it is one signed Kronecker
-substitution, both operands packed into big integers and multiplied
-once.
+one of three exact paths, chosen from the operands' supports: few
+nonzero term pairs are summed directly, an operand that is a series in
+q^g splits the product into g products by residue, and the rest is one
+signed Kronecker substitution, both operands packed into big integers
+and multiplied once (see _mul_lists).
 
 A power refuses, before any multiply, to build coefficients past
 MAX_COEFF_BITS bits (LimitExceeded); inversion of a series supported on
@@ -61,26 +61,38 @@ def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
     return out
 
 
+def _step(support: Iterable[int]) -> int:
+    """The largest g dividing every position in `support`, so a series with
+    that support is b(q^g); 0 when no position is positive."""
+    return gcd(*support)
+
+
 def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     """Exact truncated convolution of two integer sequences.
 
     With kx and ky nonzero terms and n = n_out + 1 output digits, the
-    product takes one of two paths:
+    product takes one of three paths:
 
     - kx * ky <= n: the products of nonzero term pairs are summed
       directly (`_mul_terms`).  That loop takes no more Python steps than
       there are output digits, while the packing below takes several per
       digit, so the rule needs no tuning constant.  An all-zero operand
       has kx * ky = 0 and lands here.
+    - otherwise, if an operand is a series in q^g for some g > 1 (the
+      larger g of the two is taken), out[r::g] = xs[::g] * ys[r::g] for
+      each residue r, each of the g products taken by this same rule.
+      Here kx, ky >= 2, so 1 < g < n.  The sub-products add up to the
+      same digits in shorter, narrower packings.
     - otherwise, signed Kronecker substitution: each operand is packed
       into one big integer with `width` bytes per coefficient, the two
       are multiplied once, and the product's first n digits are read
-      back as balanced digits in (-half, half).  The width bounds every
-      product coefficient by half, so no digit overflows into its
-      neighbour.
+      back as balanced digits in (-half, half).  An output coefficient
+      sums at most min(kx, ky) nonzero products, so the width bounds
+      every one of them by mx * my * min(kx, ky) < half, and no digit
+      overflows into its neighbour.
 
-    Both equal schoolbook convolution coefficient by coefficient (that
-    equality is a tested property).
+    Every path equals schoolbook convolution coefficient by coefficient
+    (that equality is a tested property).
     """
     n = n_out + 1
     xs = xs[:n]
@@ -89,9 +101,18 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     iy = list(compress(range(len(ys)), ys))
     if len(ix) * len(iy) <= n:
         return _mul_terms(xs, ys, ix, iy, n)
+    gx, gy = _step(ix), _step(iy)
+    if gy > gx:
+        xs, ys, ix, iy, gx = ys, xs, iy, ix, gy
+    if gx > 1:
+        out = [0] * n
+        sub = xs[::gx]
+        for r in range(gx):
+            out[r::gx] = _mul_lists(sub, ys[r::gx], (n - 1 - r) // gx)
+        return out
     mx = max(max(xs), -min(xs))
     my = max(max(ys), -min(ys))
-    bound = mx * my * min(len(xs), len(ys))
+    bound = mx * my * min(len(ix), len(iy))
     width = (bound.bit_length() + 8) // 8
     half = 1 << (8 * width - 1)
     offset = half.to_bytes(width, "little")
@@ -266,18 +287,17 @@ def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 def _newton_inverse(cs: Sequence[int]) -> list[int]:
     # Newton iteration doubling the correct prefix each round, so every
-    # retained coefficient is exact; cs[0] is +1 or -1.
+    # retained coefficient is exact; cs[0] is +1 or -1.  Once inv is right
+    # to h terms, a*inv = 1 + q^h*e, so inv - q^h*(inv*e) is right to
+    # prec = 2h terms: its first h terms are inv's, and the rest is
+    # -inv*e taken at length prec - h.
     n = len(cs) - 1
     inv = [cs[0]]
-    prec = 1
-    while prec <= n:
-        prec = min(2 * prec, n + 1)
-        # inv <- inv*(2 - a*inv) computed modulo q^prec
-        t = _mul_lists(cs[:prec], inv, prec - 1)
-        t[0] = 2 - t[0]
-        for i in range(1, prec):
-            t[i] = -t[i]
-        inv = _mul_lists(inv, t, prec - 1)
+    while len(inv) <= n:
+        h = len(inv)
+        prec = min(2 * h, n + 1)
+        e = _mul_lists(cs[:prec], inv, prec - 1)[h:]
+        inv += map(operator.neg, _mul_lists(inv, e, prec - h - 1))
     return inv
 
 
@@ -293,7 +313,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
         raise NonUnitConstantTerm(
             f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1"
         )
-    g = gcd(*compress(range(a.order + 1), a.coeffs))
+    g = _step(compress(range(a.order + 1), a.coeffs))
     if g < 2:
         return TruncatedSeries(_newton_inverse(a.coeffs))
     out = [0] * (a.order + 1)

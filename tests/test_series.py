@@ -2,6 +2,7 @@
 
 import random
 import sys
+from math import gcd
 
 import pytest
 
@@ -158,6 +159,21 @@ def pair_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """n_out of every _mul_lists call, the split's sub-products included."""
+    import qdissect.series as series
+
+    calls = []
+
+    def counting(xs, ys, n_out):
+        calls.append(n_out)
+        return _mul_lists(xs, ys, n_out)
+
+    monkeypatch.setattr(series, "_mul_lists", counting)
+    return calls
+
+
 def _oracle(xs, ys, n_out):
     """schoolbook_mul on both operands zero-padded or cut to n_out + 1 terms."""
     def fit(cs):
@@ -174,14 +190,24 @@ def _sparse(rng, length, positions):
     return cs
 
 
+def _positions(rng, n, k, coprime):
+    """k distinct positions below n; with `coprime` their gcd is 1, so no
+    q^g split applies."""
+    while True:
+        positions = rng.sample(range(n), k)
+        if not coprime or gcd(*positions) == 1:
+            return positions
+
+
 def test_mul_paths_match_schoolbook(pair_calls):
     rng = random.Random(5)
     for _ in range(CASES):
         kx, ky = rng.randint(2, 9), rng.randint(2, 9)
-        # kx * ky equal to n takes the pairs, kx * ky = n + 1 packs
+        # kx * ky equal to n takes the pairs, kx * ky = n + 1 packs (the
+        # packed case's supports have gcd 1, so it does not split)
         for n, pairs in ((kx * ky, True), (kx * ky - 1, False)):
-            xs = _sparse(rng, n, rng.sample(range(n), kx))
-            ys = _sparse(rng, n, rng.sample(range(n), ky))
+            xs = _sparse(rng, n, _positions(rng, n, kx, coprime=not pairs))
+            ys = _sparse(rng, n, _positions(rng, n, ky, coprime=not pairs))
             pair_calls.clear()
             assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
             assert pair_calls == ([(kx, ky, n)] if pairs else []), (kx, ky, n)
@@ -205,20 +231,73 @@ def test_mul_paths_match_schoolbook(pair_calls):
         assert len(pair_calls) == 2
 
 
-@pytest.mark.parametrize(
-    "left, right, order, kx, ky, pairs",
-    [
-        ("phi(q^5)", "psi(q^10)", 6000, 35, 35, True),
-        ("f(q,q^2)", "f(q^2,q^3)", 6000, 127, 98, False),
-        ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False),
-    ],
-)
-def test_mul_path_dispatch(pair_calls, left, right, order, kx, ky, pairs):
-    # The term-pair path runs exactly when kx * ky <= n = order + 1.
+def _spread(rng, g, length, bound):
+    """`length` random coefficients up to `bound` in size, zero off the
+    multiples of g: a series in q^g, spread by substitute_power."""
+    cs = list(substitute_power(rand_series(rng, (length - 1) // g, bound), g).coeffs)
+    return cs + [0] * (length - len(cs))
+
+
+def test_split_matches_schoolbook(mul_calls):
+    # Products with an operand in q^g, one or both, against the schoolbook
+    # oracle, which shares no code with the split.
+    rng = random.Random(1010)
+    seen = set()
+    for _ in range(4 * CASES):
+        n_out = rng.randint(4, 150)
+        g, h = rng.choice(((2, 1), (3, 1), (6, 1), (5, 5), (4, 6), (2, 3), (3, 7)))
+        bound = rng.choice((9, 2**70))  # both signs, past 64 bits
+        xs = _spread(rng, g, n_out + 1, bound)
+        # the other operand is often shorter than n_out + 1, as in Newton
+        ys = _spread(rng, h, rng.choice((n_out + 1, rng.randint(1, n_out))), bound)
+        for a, b in ((xs, ys), (ys, xs)):
+            mul_calls.clear()
+            assert _mul_lists(a, b, n_out) == _oracle(a, b, n_out), (g, h, n_out)
+        if mul_calls:  # the sub-products; the direct call is not recorded
+            seen.add("one in q^g" if h == 1 else "coprime steps" if gcd(g, h) == 1
+                     else "shared step")
+            seen.add("ragged" if (n_out + 1) % max(g, h) else "even")
+            seen.add("short" if len(ys) <= n_out else "full")
+    assert len(seen) == 7, seen
+    # All ones: each split product's coefficients reach 300, which needs the
+    # nonzero count in the width bound, not mx * my = 1 alone.
+    xs = [1, 0] * 300
+    ys = [1] * 600
+    mul_calls.clear()
+    assert _mul_lists(xs, ys, 599) == _oracle(xs, ys, 599)
+    assert mul_calls == [299, 299]
+
+
+# (left, right, order, kx, ky, pairs, calls): `pairs` is whether the
+# product takes the term-pair path, `calls` the n_out of every _mul_lists
+# call it makes, its sub-products included.
+DISPATCH = [
+    ("phi(q^5)", "psi(q^10)", 6000, 35, 35, True, [6000]),
+    # both supports have gcd 1: one packed product
+    ("f(q,q^2)", "f(q^2,q^3)", 6000, 127, 98, False, [6000]),
+    # right is in q^2: two packed products of 501 and 500 digits
+    ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False, [1000, 500, 499]),
+    # left is in q^8: eight packed products of 126 or 125 digits
+    ("(q^8;q^8)_inf^7", "(q;q)_inf^-1", 1000, 126, 1001, False, [1000, 125] + [124] * 7),
+    # right is in q^3, the larger step: residues 0 and 2 of left are
+    # again in q^2 and split once more, residue 1 packs
+    ("(q^2;q^2)_inf^-1", "(q^3;q^3)_inf^-1", 1000, 501, 334, False,
+     [1000, 333, 166, 166, 333, 332, 166, 165]),
+]
+
+
+@pytest.mark.parametrize("left, right, order, kx, ky, pairs, calls", DISPATCH,
+                         ids=["-".join(map(str, row[:6])) for row in DISPATCH])
+def test_mul_path_dispatch(pair_calls, mul_calls, left, right, order, kx, ky, pairs, calls):
+    # The term-pair path runs exactly when kx * ky <= n = order + 1; past
+    # it an operand in q^g splits into g sub-products by residue, each
+    # dispatched by the same rule.
     a, b = evaluate_text(left, order), evaluate_text(right, order)
     assert (sum(map(bool, a.coeffs)), sum(map(bool, b.coeffs))) == (kx, ky)
     pair_calls.clear()
+    mul_calls.clear()
     product = a * b
+    assert mul_calls == calls
     assert pair_calls == ([(kx, ky, order + 1)] if pairs else [])
     assert product == schoolbook_mul(b, a)
 
@@ -327,10 +406,32 @@ def test_pow_refuses_past_the_limit_before_multiplying(monkeypatch):
 
 
 def test_invert_random():
+    # a * invert(a) == 1, checked by the schoolbook oracle.  Newton doubles
+    # its precision each round, so orders at and next to powers of two
+    # end on a full or a one-term round.
     rng = random.Random(1234)
+    one = TruncatedSeries.one
     for _ in range(CASES):
         a = rand_unit(rng, rng.randint(0, 80))
-        assert a * invert(a) == TruncatedSeries.one(a.order)
+        assert schoolbook_mul(a, invert(a)) == one(a.order)
+    widest = 0
+    for order in (0, 1, 2, 3, 4, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025):
+        for c0 in (1, -1):
+            if order < 100:
+                cs = [rng.randint(-50, 50) for _ in range(order + 1)]
+            else:
+                # sparse, so the oracle's loop over a's nonzero terms is short
+                cs = [0] * (order + 1)
+                for i in rng.sample(range(2, order + 1), 8):
+                    cs[i] = rng.choice((-1, 1))
+            cs[0] = c0
+            if order:
+                cs[1] = 1  # gcd 1, so Newton runs at the full order
+            a = TruncatedSeries(cs)
+            inv = invert(a)
+            assert schoolbook_mul(a, inv) == one(order), (order, c0)
+            widest = max(widest, max(map(abs, inv.coeffs)).bit_length())
+    assert widest > 64
 
 
 def test_invert_of_series_in_q_to_the_g():
