@@ -216,7 +216,7 @@ def verify(record: IdentityRecord, order: int | None = None) -> VerificationRepo
                     miss = None
                     break
         status = "pass" if miss is None else "fail"
-    except Exception as exc:  # evaluation problems are reported, not raised
+    except ValueError as exc:  # evaluation errors are reported; faults are raised
         status, miss, notes = "error", None, [f"{type(exc).__name__}: {exc}"]
     return VerificationReport(
         record.id, status, n, miss, time.perf_counter() - start, "; ".join(filter(None, notes)))

@@ -573,7 +573,7 @@ class _Product:
         result = _sparse_first_product(num) if num else TruncatedSeries.one(order)
         if self.shift:
             cs = result.coeffs
-            result = TruncatedSeries(((0,) * min(self.shift, order + 1) + cs)[: order + 1])
+            result = TruncatedSeries._of(((0,) * min(self.shift, order + 1) + cs)[: order + 1])
         return -result if self.sign < 0 else result
 
 
@@ -732,13 +732,13 @@ def _column(a: _Product, b: _Product, k: int, l: int, order: int, m: int,
     n0 = max(0, -((l - a.shift) // k))
     if a.powers:
         x = _eval(_node(a.powers), order).coeffs
-        column = TruncatedSeries(((0,) * n0 + x[l + k * n0 - a.shift::k])[: m + 1])
+        column = TruncatedSeries._of(((0,) * n0 + x[l + k * n0 - a.shift::k])[: m + 1])
         if b_powers:
             column = column * bq
     elif (a.shift - l) % k or n0 > m:  # A = +-q^shift misses the progression
         column = TruncatedSeries.zero(m)
     else:  # A = +-q^(k*n0 + l): B(q) shifted, not a product
-        column = TruncatedSeries(((0,) * n0 + bq.coeffs)[: m + 1])
+        column = TruncatedSeries._of(((0,) * n0 + bq.coeffs)[: m + 1])
     return column if a.sign == 1 else column.scale(a.sign)
 
 

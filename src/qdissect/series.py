@@ -9,7 +9,14 @@ one of three exact paths, chosen from the operands' supports: few
 nonzero term pairs are summed directly, an operand that is a series in
 q^g splits the product into g products by residue, and the rest is one
 signed Kronecker substitution, both operands packed into big integers
-and multiplied once (see _mul_lists).
+and multiplied once (see _mul_lists); a digit of at most 8 bytes packs
+and unpacks through the stdlib array module, in C.
+
+The public constructor checks every coefficient with operator.index.
+Kernel results (+, -, *, scale, invert, dissect, shift, substitute_power,
+theta_f, pochhammer, the slices of qexpr) come from checked series and
+checked scalars, and are stored through TruncatedSeries._of without that
+check.  The oracles, schoolbook_mul among them, keep the public one.
 
 A power refuses, before any multiply, to build coefficients past
 MAX_COEFF_BITS bits (LimitExceeded); inversion of a series supported on
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from array import array
 from itertools import compress, count, repeat
 from math import gcd
 from typing import Iterable, Sequence
@@ -44,6 +52,11 @@ class LimitExceeded(EvaluationError):
 # times above them.  It keeps a power like (1+q)^(10^300), whose coefficients
 # near order 300 have 300k bits, from running for minutes.
 MAX_COEFF_BITS = 1 << 16
+
+# The unsigned array typecode of each item size in bytes, read from
+# array itself: the packed multiply's digits of 1, 2, 4 and 8 bytes.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
@@ -89,7 +102,9 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
       back as balanced digits in (-half, half).  An output coefficient
       sums at most min(kx, ky) nonzero products, so the width bounds
       every one of them by mx * my * min(kx, ky) < half, and no digit
-      overflows into its neighbour.
+      overflows into its neighbour.  A width of 3, 5, 6 or 7 bytes is
+      rounded up to 4 or 8, so every width up to 8 bytes is the item size
+      of an unsigned array typecode.
 
     Every path equals schoolbook convolution coefficient by coefficient
     (that equality is a tested property).
@@ -114,6 +129,9 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     my = max(max(ys), -min(ys))
     bound = mx * my * min(len(ix), len(iy))
     width = (bound.bit_length() + 8) // 8
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    code = _ARRAY_CODES.get(width)
     half = 1 << (8 * width - 1)
     offset = half.to_bytes(width, "little")
 
@@ -121,18 +139,35 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
         # Digits c + half are nonnegative; subtracting half per digit
         # leaves sum(c_i * 2^(8*width*i)).
         digits = map(operator.add, cs, repeat(half))
-        raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+        if code:
+            items = array(code, digits)
+            if _BIG_ENDIAN:
+                items.byteswap()
+            raw = items.tobytes()
+        else:
+            raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
         return int.from_bytes(raw, "little") - int.from_bytes(offset * len(cs), "little")
 
     # Adding half per digit and keeping n digits turns the low digits of
     # the product, each in (-half, half), into plain bytes.  The digits
     # are kept with a mask: CPython's % by a power of two is a general
-    # long division, quadratic in the operand size.
+    # long division, quadratic in the operand size.  A digit of 1, 2, 4
+    # or 8 bytes is one array item, so packing and unpacking run in C; a
+    # wider one takes one int.to_bytes or int.from_bytes call each.  The
+    # rounded-up width makes a longer multiply, yet on the benchmark's
+    # products of 3 and 5-7 byte digits it measured faster than the calls.
     size = width * n
     low = pack(xs) * pack(ys) + int.from_bytes(offset * n, "little")
     raw = (low & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    chunks = map(raw.__getitem__, map(slice, range(0, size, width), range(width, size + 1, width)))
-    return list(map(operator.sub, map(int.from_bytes, chunks, repeat("little")), repeat(half)))
+    if code:
+        digits = array(code, raw)
+        if _BIG_ENDIAN:
+            digits.byteswap()
+    else:
+        chunks = map(raw.__getitem__,
+                     map(slice, range(0, size, width), range(width, size + 1, width)))
+        digits = map(int.from_bytes, chunks, repeat("little"))
+    return list(map(operator.sub, digits, repeat(half)))
 
 
 class TruncatedSeries:
@@ -145,6 +180,15 @@ class TruncatedSeries:
         if not cs:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = cs
+
+    @classmethod
+    def _of(cls, cs: tuple[int, ...]) -> "TruncatedSeries":
+        """A kernel's result, stored as it is: a nonempty tuple of exact
+        ints, which the kernels build from checked series and checked
+        scalars alone, so it is not checked again."""
+        series = object.__new__(cls)
+        series._coeffs = cs
+        return series
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -174,39 +218,40 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([0] * (order + 1))
+        return cls.monomial(0, order, 0)
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1] + [0] * order)
+        return cls.monomial(0, order)
 
     @classmethod
     def monomial(cls, exponent: int, order: int, coeff: int = 1) -> "TruncatedSeries":
         """c * q^e truncated at `order`; zero series if e exceeds the order."""
+        coeff = operator.index(coeff)
+        if order < 0:
+            raise ValueError("a series needs at least its constant term")
         cs = [0] * (order + 1)
         if 0 <= exponent <= order:
             cs[exponent] = coeff
-        return cls(cs)
+        return cls._of(tuple(cs))
 
+    # Sums and differences stop at the shorter operand, as map does.
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries([a[i] + b[i] for i in range(n + 1)])
+        return TruncatedSeries._of(tuple(map(operator.add, self._coeffs, other._coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedSeries([a[i] - b[i] for i in range(n + 1)])
+        return TruncatedSeries._of(tuple(map(operator.sub, self._coeffs, other._coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
+        return TruncatedSeries._of(tuple(map(operator.neg, self._coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(self.order, other.order)
-        return TruncatedSeries(_mul_lists(self._coeffs, other._coeffs, n))
+        return TruncatedSeries._of(tuple(_mul_lists(self._coeffs, other._coeffs, n)))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries([c * x for x in self._coeffs])
+        c = operator.index(c)
+        return TruncatedSeries._of(tuple(map(operator.mul, self._coeffs, repeat(c))))
 
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         """self^k by left-to-right binary powering: bit_length(k) - 1
@@ -315,10 +360,10 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
         )
     g = _step(compress(range(a.order + 1), a.coeffs))
     if g < 2:
-        return TruncatedSeries(_newton_inverse(a.coeffs))
+        return TruncatedSeries._of(tuple(_newton_inverse(a.coeffs)))
     out = [0] * (a.order + 1)
     out[::g] = _newton_inverse(a.coeffs[::g])
-    return TruncatedSeries(out)
+    return TruncatedSeries._of(tuple(out))
 
 
 def substitute_power(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -329,16 +374,15 @@ def substitute_power(a: TruncatedSeries, k: int) -> TruncatedSeries:
     if k < 1:
         raise ValueError("substitution power must be a positive integer")
     out = [0] * (k * a.order + 1)
-    for i, c in enumerate(a.coeffs):
-        out[k * i] = c
-    return TruncatedSeries(out)
+    out[::k] = a.coeffs
+    return TruncatedSeries._of(tuple(out))
 
 
 def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
     """q^e * a(q); order grows to a.order + e."""
     if e < 0:
         raise ValueError("shift exponent must be nonnegative")
-    return TruncatedSeries((0,) * e + a.coeffs)
+    return TruncatedSeries._of((0,) * e + a.coeffs)
 
 
 def first_index(flags: Iterable[object]) -> int | None:
@@ -373,4 +417,4 @@ def dissect(a: TruncatedSeries, k: int, l: int) -> TruncatedSeries:
     check_progression(k, l)
     if l > a.order:
         raise ValueError(f"residue {l} exceeds series order {a.order}")
-    return TruncatedSeries(a.coeffs[l::k])
+    return TruncatedSeries._of(a.coeffs[l::k])

@@ -120,7 +120,7 @@ def pochhammer(factor: PochhammerFactor, order: int) -> TruncatedSeries:
     cs = [0] * (order + 1)
     cs[0] = 1
     _product_signed_base(cs, factor.arg, SignedMonomial(1, factor.modulus), order)
-    return TruncatedSeries(cs)
+    return TruncatedSeries._of(tuple(cs))
 
 
 def _theta_validate(a: SignedMonomial, b: SignedMonomial) -> None:
@@ -156,7 +156,7 @@ def theta_f(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries
                 s = -s
             cs[e] += s
             n += step
-    return TruncatedSeries(cs)
+    return TruncatedSeries._of(tuple(cs))
 
 
 def _product_signed_base(

@@ -5,7 +5,10 @@ there breaks the benchmark, not the package's own tests.  One short traced
 pass of each workload catches that.  The traced multiply count of each
 pass is a deterministic check on the work the evaluator does, free of
 timing noise: it may not exceed the count the newest committed
-BENCH_*.json records for the change it measured.
+BENCH_*.json records for the change it measured.  One untraced pass of
+each workload at its full order is the wall-clock check: its run time may
+not pass three times the median the newest committed BENCH_*.json that
+measured the workload records for its change.
 """
 
 import functools
@@ -26,14 +29,22 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ["verify-registry", "theta-lemmas", "expand-partitions"]
 
 
-@functools.cache
-def traced_pass(workload: str) -> dict:
+def bench_workloads():
+    """bench/workloads.py, which is not a package module."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def child_pass(workload: str, order: int, trace: int) -> dict:
+    """The result line of one bench/child.py pass in a fresh interpreter."""
     config = {
         "mode": "pass",
         "workload": workload,
         "seed": 1,
-        "order": 200,
-        "trace": 1,
+        "order": order,
+        "trace": trace,
         "t_spawn": time.clock_gettime(time.CLOCK_MONOTONIC),
     }
     proc = subprocess.run(
@@ -45,6 +56,11 @@ def traced_pass(workload: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@functools.cache
+def traced_pass(workload: str) -> dict:
+    return child_pass(workload, 200, 1)
+
+
 def test_traced_theta_lemmas_pass():
     result = traced_pass("theta-lemmas")
     statuses = [status for _, status in result["outcomes"]]
@@ -53,9 +69,7 @@ def test_traced_theta_lemmas_pass():
 
 
 def test_traced_expand_partitions_pass():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     result = traced_pass("expand-partitions")
     items = workloads.partition_items(1)
     assert result["digests"] == workloads.partition_oracle(combinatorics, items, 200)
@@ -85,15 +99,32 @@ def _label_key(path: Path) -> list:
     return [int(t) if t.isdigit() else t for t in re.split(r"(\d+)", path.stem)]
 
 
+def newest_committed(workload: str, read):
+    """read(the workload's summary) in the newest BENCH_*.json where it is
+    not None, or None if it is None in every file."""
+    for path in sorted(ROOT.glob("BENCH_*.json"), key=_label_key, reverse=True):
+        summary = json.loads(path.read_text()).get("summary", {})
+        found = read(summary.get(workload, {}))
+        if found is not None:
+            return found
+    return None
+
+
 def committed_mul_calls(workload: str) -> float | None:
     """series.mul.calls of the change measured by the newest BENCH_*.json
     that traced this workload, or None if none did."""
-    for path in sorted(ROOT.glob("BENCH_*.json"), key=_label_key, reverse=True):
-        summary = json.loads(path.read_text()).get("summary", {})
-        traced = summary.get(workload, {}).get("traced", {})
-        if "series.mul.calls" in traced:
-            return traced["series.mul.calls"]["change"]
-    return None
+    return newest_committed(
+        workload, lambda s: s.get("traced", {}).get("series.mul.calls", {}).get("change"))
+
+
+def committed_run_s(workload: str) -> float | None:
+    """The median run_s of the change measured by the newest BENCH_*.json
+    that measured this workload, or None if none did."""
+    def median(summary):
+        quartiles = summary.get("run_s", {}).get("change_q1_median_q3")
+        return quartiles[1] if quartiles else None
+
+    return newest_committed(workload, median)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -104,3 +135,14 @@ def test_mul_calls_within_committed_bench(workload):
     if limit is None:
         pytest.skip(f"no committed BENCH_*.json traces {workload}")
     assert traced_pass(workload)["layers"]["series.mul.calls"] <= limit
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_run_time_within_committed_bench(workload):
+    # The committed median is scaled to the benchmark's reference machine;
+    # three times it leaves room for a slower host and a noisy pass.
+    limit = committed_run_s(workload)
+    if limit is None:
+        pytest.skip(f"no committed BENCH_*.json measures {workload}")
+    result = child_pass(workload, bench_workloads().ORDERS[workload], 0)
+    assert result["run_s"] <= 3 * limit, (result["run_s"], limit)

@@ -128,6 +128,21 @@ def test_error_status_for_unevaluable_expression():
     assert "InvalidThetaArgument" in report.detail
 
 
+def test_kernel_fault_is_raised_not_reported(monkeypatch):
+    # Only evaluation errors (ValueError) become an "error" verdict; a fault
+    # in the kernels propagates, so the tests see it.
+    import qdissect.qexpr as qexpr
+    import qdissect.series as series
+
+    def broken(xs, ys, n_out):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr(series, "_mul_lists", broken)
+    qexpr._eval.cache_clear()  # so the record's products are built again
+    with pytest.raises(RuntimeError, match="kernel fault"):
+        verify(get_record("T1.G0"), 97)
+
+
 def test_alternate_reading_retried():
     rec = IdentityRecord(
         "alt.demo", "test",

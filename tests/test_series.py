@@ -2,11 +2,12 @@
 
 import random
 import sys
+from array import array
 from math import gcd
 
 import pytest
 
-from qdissect.qexpr import evaluate_text
+from qdissect.qexpr import cross_multiplied, evaluate_text, parse
 from qdissect.series import (
     MAX_COEFF_BITS,
     _mul_lists,
@@ -23,6 +24,7 @@ from qdissect.series import (
     shift,
     substitute_power,
 )
+from qdissect.theta import PochhammerFactor, SignedMonomial, bsum, phi, pochhammer, psi, theta_f
 
 CASES = 120
 ORDER = 64
@@ -56,6 +58,12 @@ def test_coefficients_must_be_integers():
     for bad in ([0.5, 2.9], "123", [1, "2"]):
         with pytest.raises(TypeError):
             TruncatedSeries(bad)
+    # Kernel results are not checked again, so the public scalars are
+    # checked where they enter.
+    with pytest.raises(TypeError):
+        TruncatedSeries([1, 2]).scale(0.5)
+    with pytest.raises(TypeError):
+        TruncatedSeries.monomial(2, 4, coeff=1.5)
 
 
 def test_constructors():
@@ -266,6 +274,89 @@ def test_split_matches_schoolbook(mul_calls):
     mul_calls.clear()
     assert _mul_lists(xs, ys, 599) == _oracle(xs, ys, 599)
     assert mul_calls == [299, 299]
+
+
+def _exact_ints(s: TruncatedSeries) -> bool:
+    return type(s.coeffs) is tuple and all(type(c) is int for c in s.coeffs)
+
+
+def test_results_are_exact_ints():
+    # Kernel results skip the constructor's check; each must still hold a
+    # tuple of plain ints.
+    rng = random.Random(611)
+    for _ in range(CASES // 4):
+        a, b = rand_series(rng, rng.randint(5, 40)), rand_series(rng, rng.randint(5, 40), 2**80)
+        u = rand_unit(rng, rng.randint(0, 40))
+        k = rng.randint(1, 5)
+        results = [a + b, a - b, -a, a * b, b * b, a.scale(rng.randint(-9, 9)), invert(u),
+                   invert(substitute_power(u, k)), dissect(b, k, rng.randrange(k)),
+                   shift(a, k), substitute_power(b, k), u**3, u**-2,
+                   TruncatedSeries.monomial(k, 40, -3), TruncatedSeries.zero(k),
+                   TruncatedSeries.one(k)]
+        for r in results:
+            assert _exact_ints(r), r
+    # the builders, and columns through qexpr's slices, shifts and signs
+    q, mq = SignedMonomial(1, 1), SignedMonomial(-1, 1)
+    built = [theta_f(mq, SignedMonomial(-1, 4), 90), theta_f(q, SignedMonomial(1, 2), 90),
+             phi(2, 90), psi(1, 90), bsum(2, 1, 90), pochhammer(PochhammerFactor(mq, 5), 90),
+             evaluate_text("-q^3*f(-q,-q^4)^2/(q^5;q^5)_inf", 90)]
+    parts = [("-q^2*(q;q)_inf^3*f(-q,-q^4)/(q^5;q^5)_inf", 5, 2),
+             ("q^7*(q^5;q^5)_inf^2 - 2*phi(q)*psi(q^5)", 5, 2), ("-q^2", 5, 2)]
+    columns = cross_multiplied([(parse(t), k, l) for t, k, l in parts], 90)
+    for r in built + list(columns):
+        assert _exact_ints(r), r
+
+
+# Widths in bytes of the packed digit on each side of a boundary 2^b: a
+# digit bound in [2^(b-1), 2^b) fits 8w = b + 1 bits; array items are 1, 2,
+# 4 and 8 bytes, so 3 and 5-7 round up, and 9 bytes and more take the join.
+WIDTH_BOUNDARIES = [7, 15, 23, 31, 63, 71]
+
+
+def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
+    # One packed product per case (gcd-1 supports, kx * ky > n) whose
+    # widest output digit is exactly the width bound mx * my * min(kx, ky),
+    # just below and just above each boundary, against the schoolbook oracle.
+    import qdissect.series as series
+
+    packed = []
+
+    def counting_array(code, items):
+        packed.append(code)
+        return array(code, items)
+
+    monkeypatch.setattr(series, "array", counting_array)
+    rng = random.Random(8)
+    for b in WIDTH_BOUNDARIES:
+        for my in (1, 3):
+            below = (2 ** (b - 2) - 1) // my
+            above = 2 ** (b - 2) // my + 1
+            for mx, wide in ((below, b), (above, b + 1)):
+                assert (4 * mx * my).bit_length() == wide
+                # supports 0..3 and 0..kx-1: output digit 3 sums four
+                # products, and kx * ky = 16 or 20 passes n = 8 or 9
+                for kx in (4, 5):
+                    n = kx + 4
+                    signs = [(1, 1), (-1, -1), (-1, 1), (1, -1), None]
+                    for sign in signs:
+                        if sign is None:
+                            xs = [rng.choice((mx, -mx)) for _ in range(kx)]
+                            ys = [rng.choice((my, -my)) for _ in range(4)]
+                        else:
+                            xs, ys = [sign[0] * mx] * kx, [sign[1] * my] * 4
+                        xs, ys = xs + [0] * (n - kx), ys + [0] * (n - 4)
+                        for left, right in ((xs, ys), (ys, xs)):
+                            pair_calls.clear()
+                            mul_calls.clear()
+                            packed.clear()
+                            got = _mul_lists(left, right, n - 1)
+                            assert got == _oracle(left, right, n - 1), (b, mx, my, kx, sign)
+                            assert pair_calls == [] and mul_calls == []
+                            # with aligned signs the digit reaches the
+                            # bound; narrow digits pack and unpack through
+                            # array, wide ones do not
+                            assert sign is None or max(map(abs, got)) == 4 * mx * my
+                            assert len(packed) == (3 if wide <= 63 else 0), (b, wide)
 
 
 # (left, right, order, kx, ky, pairs, calls): `pairs` is whether the
