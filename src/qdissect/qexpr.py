@@ -580,7 +580,7 @@ class _Product:
 def _sparse_first_product(factors: list[TruncatedSeries]) -> TruncatedSeries:
     # Sparse operands first, so that products of thetas stay on the
     # term-pair path of the multiply as long as they can.
-    factors.sort(key=lambda s: s.order + 1 - s.coeffs.count(0))
+    factors.sort(key=lambda s: s.profile.count)
     return reduce(operator.mul, factors)
 
 

@@ -12,6 +12,13 @@ signed Kronecker substitution, both operands packed into big integers
 and multiplied once (see _mul_lists); a digit of at most 8 bytes packs
 and unpacks through the stdlib array module, in C.
 
+Every series finds its support profile (Profile: nonzero count, step g,
+the nonzero positions of a sparse series, largest |c|) on first use and
+keeps it, so the multiply, power_bits and invert read a series that is
+used again without scanning it again.  A sparse operand packs in time
+proportional to its nonzero terms.  The profile is not part of a series'
+value: ==, hash and repr read the coefficients alone.
+
 The public constructor checks every coefficient with operator.index.
 Kernel results (+, -, *, scale, invert, dissect, shift, substitute_power,
 theta_f, pochhammer, the slices of qexpr) come from checked series and
@@ -28,6 +35,7 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
+from bisect import bisect_left
 from itertools import compress, count, repeat
 from math import gcd
 from typing import Iterable, Sequence
@@ -62,29 +70,100 @@ _BIG_ENDIAN = sys.byteorder == "big"
 def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
                iy: Sequence[int], n: int) -> list[int]:
     """out[i + j] += xs[i] * ys[j] over the nonzero positions i in ix and j
-    in iy (both ascending) with i + j < n."""
+    in iy (both ascending) with i + j < n.
+
+    The outer loop runs over the shorter support.  For each outer term j
+    the inner terms are cut once, at the first i with i + j >= n, so no
+    pair tests a bound; an outer coefficient of +-1, every theta's, adds
+    or subtracts the inner ones without a multiply."""
     out = [0] * n
-    xt = [(i, xs[i]) for i in ix]
+    if len(iy) > len(ix):
+        xs, ys, ix, iy = ys, xs, iy, ix
+    inner = list(zip(ix, map(xs.__getitem__, ix)))
     for j in iy:
         b = ys[j]
-        for i, a in xt:
-            if i + j >= n:
-                break
-            out[i + j] += a * b
+        terms = inner[:bisect_left(ix, n - j)]
+        if b == 1:
+            for i, a in terms:
+                out[i + j] += a
+        elif b == -1:
+            for i, a in terms:
+                out[i + j] -= a
+        else:
+            for i, a in terms:
+                out[i + j] += a * b
     return out
 
 
-def _step(support: Iterable[int]) -> int:
-    """The largest g dividing every position in `support`, so a series with
-    that support is b(q^g); 0 when no position is positive."""
-    return gcd(*support)
+class Profile:
+    """What the multiply reads of a coefficient sequence, found by one scan
+    of it: `count`, its number of nonzero terms; `step`, the largest g
+    dividing every nonzero position, so the sequence is b(q^g) (0 when no
+    nonzero position is positive); `positions`, the ascending nonzero
+    positions; and `peak`, the largest |c|, left None until it is first
+    asked for (`magnitude`).
+
+    The positions are kept only when 2 * count <= len + 1 (`keeps`).  A
+    denser sequence has two adjacent nonzero terms, so its step is 1 and no
+    list is stored: a dense series costs no more memory than its
+    coefficients.
+    """
+
+    __slots__ = ("count", "step", "positions", "peak")
+
+    def __init__(self, cs: Sequence[int]):
+        size = len(cs)
+        self.count = size - cs.count(0)
+        self.peak = None
+        if self.keeps(size):
+            self.positions = list(compress(range(size), cs))
+            self.step = gcd(*self.positions)
+        else:
+            self.positions = None
+            self.step = 1
+
+    def keeps(self, size: int) -> bool:
+        """Whether a sequence of `size` terms with this many nonzero terms
+        keeps its positions."""
+        return 2 * self.count <= size + 1
+
+    def support(self, cs: Sequence[int]) -> list[int]:
+        """The nonzero positions of cs, the sequence this profile is of."""
+        if self.positions is None:
+            return list(compress(range(len(cs)), cs))
+        return self.positions
+
+    def magnitude(self, cs: Sequence[int]) -> int:
+        """max |c| over cs, the sequence this profile is of; 0 if all zero."""
+        if self.peak is None:
+            if self.positions is None:
+                self.peak = max(max(cs), -min(cs))
+            else:
+                self.peak = max(map(abs, map(cs.__getitem__, self.positions)), default=0)
+        return self.peak
+
+    def every(self, g: int, cs: Sequence[int]) -> "Profile":
+        """The profile of cs[::g], read from this one, when g = step > 1:
+        the same count and peak, positions divided by g if the shorter
+        sequence keeps them, and step 1."""
+        sub = object.__new__(Profile)
+        sub.count = self.count
+        sub.peak = self.magnitude(cs)
+        sub.step = 1
+        keep = sub.keeps((len(cs) - 1) // g + 1)
+        sub.positions = [i // g for i in self.positions] if keep else None
+        return sub
 
 
-def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
+def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
+               px: Profile | None = None, py: Profile | None = None) -> list[int]:
     """Exact truncated convolution of two integer sequences.
 
-    With kx and ky nonzero terms and n = n_out + 1 output digits, the
-    product takes one of three paths:
+    px and py, when given, are the profiles of xs and ys, so a series
+    multiplied again is not scanned again.  An operand longer than
+    n = n_out + 1 is cut to n terms and profiled afresh, and so is one
+    given without a profile.  With kx and ky nonzero terms, the product
+    takes one of three paths:
 
     - kx * ky <= n: the products of nonzero term pairs are summed
       directly (`_mul_terms`).  That loop takes no more Python steps than
@@ -95,7 +174,8 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
       larger g of the two is taken), out[r::g] = xs[::g] * ys[r::g] for
       each residue r, each of the g products taken by this same rule.
       Here kx, ky >= 2, so 1 < g < n.  The sub-products add up to the
-      same digits in shorter, narrower packings.
+      same digits in shorter, narrower packings.  xs[::g] takes its
+      profile from xs's (`Profile.every`); each ys[r::g] profiles itself.
     - otherwise, signed Kronecker substitution: each operand is packed
       into one big integer with `width` bytes per coefficient, the two
       are multiplied once, and the product's first n digits are read
@@ -104,30 +184,33 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
       every one of them by mx * my * min(kx, ky) < half, and no digit
       overflows into its neighbour.  A width of 3, 5, 6 or 7 bytes is
       rounded up to 4 or 8, so every width up to 8 bytes is the item size
-      of an unsigned array typecode.
+      of an unsigned array typecode.  An operand whose profile keeps its
+      positions packs by setting its kx nonzero digits in an array of
+      offsets, not by mapping over all its digits.
 
     Every path equals schoolbook convolution coefficient by coefficient
     (that equality is a tested property).
     """
     n = n_out + 1
-    xs = xs[:n]
-    ys = ys[:n]
-    ix = list(compress(range(len(xs)), xs))
-    iy = list(compress(range(len(ys)), ys))
-    if len(ix) * len(iy) <= n:
-        return _mul_terms(xs, ys, ix, iy, n)
-    gx, gy = _step(ix), _step(iy)
-    if gy > gx:
-        xs, ys, ix, iy, gx = ys, xs, iy, ix, gy
-    if gx > 1:
+    if px is None or len(xs) > n:
+        xs = xs[:n]
+        px = Profile(xs)
+    if py is None or len(ys) > n:
+        ys = ys[:n]
+        py = Profile(ys)
+    kx, ky = px.count, py.count
+    if kx * ky <= n:
+        return _mul_terms(xs, ys, px.support(xs), py.support(ys), n)
+    if py.step > px.step:
+        xs, ys, px, py = ys, xs, py, px
+    g = px.step
+    if g > 1:
         out = [0] * n
-        sub = xs[::gx]
-        for r in range(gx):
-            out[r::gx] = _mul_lists(sub, ys[r::gx], (n - 1 - r) // gx)
+        sub, ps = xs[::g], px.every(g, xs)
+        for r in range(g):
+            out[r::g] = _mul_lists(sub, ys[r::g], (n - 1 - r) // g, ps)
         return out
-    mx = max(max(xs), -min(xs))
-    my = max(max(ys), -min(ys))
-    bound = mx * my * min(len(ix), len(iy))
+    bound = px.magnitude(xs) * py.magnitude(ys) * min(kx, ky)
     width = (bound.bit_length() + 8) // 8
     if width <= 8:
         width = 1 << (width - 1).bit_length()
@@ -135,17 +218,22 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     half = 1 << (8 * width - 1)
     offset = half.to_bytes(width, "little")
 
-    def pack(cs: Sequence[int]) -> int:
+    def pack(cs: Sequence[int], p: Profile) -> int:
         # Digits c + half are nonnegative; subtracting half per digit
         # leaves sum(c_i * 2^(8*width*i)).
-        digits = map(operator.add, cs, repeat(half))
-        if code:
-            items = array(code, digits)
+        if not code:
+            digits = map(operator.add, cs, repeat(half))
+            raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+        else:
+            if p.positions is None:
+                items = array(code, map(operator.add, cs, repeat(half)))
+            else:
+                items = array(code, (half,)) * len(cs)
+                for i in p.positions:
+                    items[i] = cs[i] + half
             if _BIG_ENDIAN:
                 items.byteswap()
             raw = items.tobytes()
-        else:
-            raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
         return int.from_bytes(raw, "little") - int.from_bytes(offset * len(cs), "little")
 
     # Adding half per digit and keeping n digits turns the low digits of
@@ -157,7 +245,7 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
     # rounded-up width makes a longer multiply, yet on the benchmark's
     # products of 3 and 5-7 byte digits it measured faster than the calls.
     size = width * n
-    low = pack(xs) * pack(ys) + int.from_bytes(offset * n, "little")
+    low = pack(xs, px) * pack(ys, py) + int.from_bytes(offset * n, "little")
     raw = (low & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
     if code:
         digits = array(code, raw)
@@ -173,13 +261,14 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int) -> list[int]:
 class TruncatedSeries:
     """Immutable dense series truncated at a fixed order."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_profile")
 
     def __init__(self, coeffs: Iterable[int]):
         cs = tuple(map(operator.index, coeffs))
         if not cs:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = cs
+        self._profile = None
 
     @classmethod
     def _of(cls, cs: tuple[int, ...]) -> "TruncatedSeries":
@@ -188,11 +277,20 @@ class TruncatedSeries:
         scalars alone, so it is not checked again."""
         series = object.__new__(cls)
         series._coeffs = cs
+        series._profile = None
         return series
 
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs
+
+    @property
+    def profile(self) -> Profile:
+        """The support profile of the coefficients, found on first use and
+        kept; it takes no part in ==, hash or repr."""
+        if self._profile is None:
+            self._profile = Profile(self._coeffs)
+        return self._profile
 
     @property
     def order(self) -> int:
@@ -246,8 +344,11 @@ class TruncatedSeries:
         return TruncatedSeries._of(tuple(map(operator.neg, self._coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        # A longer operand is cut, and profiled afresh, by _mul_lists.
         n = min(self.order, other.order)
-        return TruncatedSeries._of(tuple(_mul_lists(self._coeffs, other._coeffs, n)))
+        px = self.profile if self.order == n else None
+        py = other.profile if other.order == n else None
+        return TruncatedSeries._of(tuple(_mul_lists(self._coeffs, other._coeffs, n, px, py)))
 
     def scale(self, c: int) -> "TruncatedSeries":
         c = operator.index(c)
@@ -307,10 +408,11 @@ def power_bits(a: TruncatedSeries, k: int) -> int:
     bounds the number of powering steps."""
     cs = a.coeffs
     n = a.order
+    p = a.profile
     low = first_index(cs)
-    if low is None or low * k > n or (cs.count(0) == n and abs(cs[low]) == 1):
+    if low is None or low * k > n or (p.count == 1 and abs(cs[low]) == 1):
         return 0
-    width = max(max(cs), -min(cs)).bit_length() + (n + 1).bit_length()
+    width = p.magnitude(cs).bit_length() + (n + 1).bit_length()
     if low == 0 and k > n:
         truncated = (abs(cs[0]) - 1).bit_length() * k + (width + k.bit_length()) * n
         return min(k * width, truncated + (n + 1).bit_length())
@@ -358,7 +460,7 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
         raise NonUnitConstantTerm(
             f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1"
         )
-    g = _step(compress(range(a.order + 1), a.coeffs))
+    g = a.profile.step
     if g < 2:
         return TruncatedSeries._of(tuple(_newton_inverse(a.coeffs)))
     out = [0] * (a.order + 1)

@@ -134,7 +134,7 @@ def test_kernel_fault_is_raised_not_reported(monkeypatch):
     import qdissect.qexpr as qexpr
     import qdissect.series as series
 
-    def broken(xs, ys, n_out):
+    def broken(xs, ys, n_out, *profiles):
         raise RuntimeError("kernel fault")
 
     monkeypatch.setattr(series, "_mul_lists", broken)

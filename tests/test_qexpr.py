@@ -358,9 +358,9 @@ def test_pochhammer_list_multiply_count(monkeypatch):
     calls = []
     real = series._mul_lists
 
-    def counting(xs, ys, n_out):
+    def counting(xs, ys, n_out, *profiles):
         calls.append(n_out)
-        return real(xs, ys, n_out)
+        return real(xs, ys, n_out, *profiles)
 
     monkeypatch.setattr(series, "_mul_lists", counting)
     for j in range(1, 6):

@@ -14,6 +14,7 @@ from qdissect.series import (
     _mul_terms,
     LimitExceeded,
     NonUnitConstantTerm,
+    Profile,
     TruncatedSeries,
     coeff_text,
     dissect,
@@ -174,9 +175,9 @@ def mul_calls(monkeypatch):
 
     calls = []
 
-    def counting(xs, ys, n_out):
+    def counting(xs, ys, n_out, *profiles):
         calls.append(n_out)
-        return _mul_lists(xs, ys, n_out)
+        return _mul_lists(xs, ys, n_out, *profiles)
 
     monkeypatch.setattr(series, "_mul_lists", counting)
     return calls
@@ -359,6 +360,123 @@ def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
                             assert len(packed) == (3 if wide <= 63 else 0), (b, wide)
 
 
+# --- support profiles ------------------------------------------------------
+
+
+def _fields(p: Profile, cs) -> tuple:
+    return p.count, p.step, p.positions, p.magnitude(cs)
+
+
+def test_profile_invariants():
+    # A dense series keeps no position list; a theta keeps its positions.
+    dense = evaluate_text("(q;q)_inf^-1", 1000)
+    assert _fields(dense.profile, dense.coeffs)[:3] == (1001, 1, None)
+    theta = theta_f(SignedMonomial(-1, 1), SignedMonomial(-1, 4), 1000)
+    support = [i for i, c in enumerate(theta.coeffs) if c]
+    assert _fields(theta.profile, theta.coeffs) == (len(support), 1, support, 1)
+    assert theta.profile is theta.profile  # found once, then kept
+    rng = random.Random(1201)
+    for _ in range(CASES):
+        n = rng.randint(1, 60)
+        shape = rng.choice(("sparse", "dense", "zero", "spread"))
+        if shape == "spread":
+            cs = _spread(rng, rng.randint(2, 5), n, rng.choice((3, 2**70)))
+        else:
+            k = {"sparse": rng.randint(1, (n + 1) // 2), "dense": n, "zero": 0}[shape]
+            cs = _sparse(rng, n, rng.sample(range(n), k))
+        a, b = TruncatedSeries(cs), TruncatedSeries._of(tuple(cs))
+        text, key = repr(b), hash(b)  # before either profile exists
+        # the public constructor and _of give the same profile, and the
+        # profile takes no part in ==, hash or repr
+        assert _fields(a.profile, cs) == _fields(b.profile, cs) == _fields(Profile(cs), cs)
+        assert a == b and hash(a) == hash(b) == key and repr(a) == repr(b) == text
+        k = sum(map(bool, cs))
+        assert a.profile.count == k
+        assert (a.profile.positions is not None) == (2 * k <= n + 1), cs
+        g = a.profile.step
+        if g > 1:  # the profile of cs[::g] read from cs's is a fresh one's
+            assert _fields(a.profile.every(g, cs), cs[::g]) == _fields(Profile(cs[::g]), cs[::g])
+
+
+# Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
+# under and just over each of these powers of two: the edges of 1, 2, 4
+# and 8-byte digits.
+SPARSE_BOUNDARIES = [7, 15, 31, 63]
+
+
+def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
+    rng = random.Random(1202)
+    # One series multiplied several times: its profile is found once and
+    # read by every product, including products with longer operands,
+    # with series in q^g, and with itself.
+    for _ in range(CASES // 2):
+        n = rng.randint(12, 120)
+        a = TruncatedSeries(_sparse(rng, n, rng.sample(range(n), rng.randint(1, n // 3))))
+        profile = a.profile
+        others = [TruncatedSeries(_sparse(rng, n, rng.sample(range(n), rng.randint(1, n)))),
+                  TruncatedSeries(_spread(rng, rng.randint(2, 4), n, 2**70)),
+                  TruncatedSeries(_sparse(rng, rng.randint(1, n), [0])),
+                  TruncatedSeries(_sparse(rng, n + 2 + rng.randint(0, 9), [n - 1, n, n + 1])),
+                  TruncatedSeries(rand_series(rng, rng.randint(n, 2 * n)).coeffs),
+                  a]
+        for b in others:
+            b.profile  # a longer operand's profile exists, and must not be used
+            assert a * b == schoolbook_mul(a, b) and b * a == schoolbook_mul(b, a)
+        assert a.profile is profile
+    # Profiles handed to _mul_lists with operands longer than n_out + 1,
+    # nonzero up to and past the cut, and splits whose xs[::g] is longer
+    # than some of its residue products.
+    for _ in range(CASES):
+        n_out = rng.randint(2, 80)
+        g = rng.randint(2, 5)
+        size = n_out + 1 + rng.randint(1, 9)
+        xs = _sparse(rng, size, [0, n_out, n_out + 1] + rng.sample(range(size), rng.randint(1, 6)))
+        ys = _spread(rng, g, size, rng.choice((9, 2**70)))
+        ys[size - 1 - (size - 1) % g] = rng.choice((1, -1))
+        for left, right in ((xs, ys), (ys, xs), (ys, ys[:n_out + 1]), (xs, xs)):
+            got = _mul_lists(left, right, n_out, Profile(left), Profile(right))
+            assert got == _oracle(left, right, n_out), (left, right, n_out)
+    # Sparse narrow packing: supports 0..k-1 of operands whose profiles
+    # keep their positions, gcd 1 and kx * ky > n, so one packed product;
+    # the widest digit, at q^(min(kx, ky) - 1), reaches the width bound.
+    for b in SPARSE_BOUNDARIES:
+        for kx, ky, n in ((7, 7, 40), (6, 9, 50)):
+            k = min(kx, ky)
+            for my in (1, 5):
+                below = (2**b - 1) // (k * my)
+                above = 2**b // (k * my) + 1
+                for mx in (below, above):
+                    assert (mx * my * k < 2**b) == (mx == below)
+                    for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+                        xs = [sx * mx] * kx + [0] * (n - kx)
+                        ys = [sy * my] * ky + [0] * (n - ky)
+                        for left, right in ((xs, ys), (ys, xs)):
+                            pl, pr = Profile(left), Profile(right)
+                            assert pl.positions is not None and pr.positions is not None
+                            pair_calls.clear()
+                            mul_calls.clear()
+                            got = _mul_lists(left, right, n - 1, pl, pr)
+                            assert got == _oracle(left, right, n - 1), (b, mx, my, kx)
+                            assert pair_calls == [] and mul_calls == []
+                            assert max(map(abs, got)) == mx * my * k
+    # Term-pair products: an outer support (the shorter) with coefficients
+    # +-1 and others, against inner terms at n - 1 and, in an operand one
+    # longer than n, at n; pairs summing to n - 1 are kept, to n dropped.
+    for _ in range(CASES):
+        n = rng.randint(8, 80)
+        kx = rng.randint(1, 3)
+        outer = [0] * n
+        for i in [0] + rng.sample(range(1, n), kx - 1):
+            outer[i] = rng.choice((1, -1, 1, -1, rng.randint(-9, 9) or 2, -(2**70)))
+        inner = _sparse(rng, n + 1, [n - 1, n] + rng.sample(range(n), rng.randint(0, n // kx - 2)))
+        for left, right in ((outer, inner), (inner, outer)):
+            pair_calls.clear()
+            assert _mul_lists(left, right, n - 1) == _oracle(left, right, n - 1)
+            assert len(pair_calls) == 1
+            a, b = TruncatedSeries(left), TruncatedSeries(right)
+            assert a * b == schoolbook_mul(a, b)
+
+
 # (left, right, order, kx, ky, pairs, calls): `pairs` is whether the
 # product takes the term-pair path, `calls` the n_out of every _mul_lists
 # call it makes, its sub-products included.
@@ -428,9 +546,9 @@ def test_pow_multiply_count(monkeypatch):
 
     calls = []
 
-    def counting(xs, ys, n_out):
+    def counting(xs, ys, n_out, *profiles):
         calls.append(n_out)
-        return _mul_lists(xs, ys, n_out)
+        return _mul_lists(xs, ys, n_out, *profiles)
 
     monkeypatch.setattr(series, "_mul_lists", counting)
     a = TruncatedSeries([1, 3, -2, 4, 1])
