@@ -16,18 +16,17 @@ from operator import ne
 
 from .series import TruncatedSeries, dissect, first_index
 from .qexpr import QExpr, evaluate
+from .theta import Value
 
 
 class InvalidSpec(ValueError):
     """Malformed partition-class specification."""
 
 
-@dataclass(frozen=True)
-class PartClassSpec:
-    modulus: int
-    classes: tuple[tuple[int, int], ...]  # (residue, flavours)
+class PartClassSpec(Value):
+    __slots__ = ("modulus", "classes")  # an int, a tuple of (residue, flavours)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.modulus < 1:
             raise InvalidSpec(f"modulus must be positive, got {self.modulus}")
         seen = set()

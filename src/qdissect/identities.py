@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from operator import ge, le, ne
 
@@ -267,8 +268,8 @@ def _sign_value(text: str) -> int:
 
 
 def _progression(params: dict[str, str], k: str = "k", l: str = "l") -> tuple[int, int]:
-    """The progression params[k]*n + params[l], checked as dissect checks it."""
-    pair = int(params[k]), int(params[l])
+    """The progression params[k]*n + params[l], popped and checked as dissect does."""
+    pair = int(params.pop(k)), int(params.pop(l))
     check_progression(*pair)
     return pair
 
@@ -294,19 +295,21 @@ def _record_from_line(line: str) -> IdentityRecord:
         kind = DissectionRelation(
             lhs, *_progression(params, "k1", "l1"),
             rhs, *_progression(params, "k2", "l2"),
-            _sign_value(params.get("sign", "+")),
+            _sign_value(params.pop("sign", "+")),
         )
     elif kind_name == "vanishing":
         kind = VanishingProgression(lhs, *_progression(params))
     elif kind_name == "congruence":
-        kind = Congruence(lhs, *_progression(params), _positive("mod", params["mod"]))
+        kind = Congruence(lhs, *_progression(params), _positive("mod", params.pop("mod")))
     elif kind_name == "sign":
-        exceptions = frozenset(int(x) for x in params.get("except", "").split("/") if x)
+        exceptions = frozenset(int(x) for x in params.pop("except", "").split("/") if x)
         kind = SignPattern(
-            lhs, *_progression(params), _sign_value(params["sign"]), exceptions,
+            lhs, *_progression(params), _sign_value(params.pop("sign")), exceptions,
         )
     else:
         raise ValueError(f"unknown kind {kind_name!r}")
+    if params:
+        raise ValueError(f"unknown parameter {next(iter(params))!r}")
     for text in (lhs, rhs) if kind_name in ("equality", "dissection") else (lhs,):
         parse(text)
     return IdentityRecord(rid, "user record", kind, order)
@@ -319,10 +322,10 @@ def load_records(path: str) -> list[IdentityRecord]:
     rhs-expression, with the rhs field empty for vanishing, congruence,
     and sign kinds.  Lines starting with '#' and blank lines are skipped.
     Parameters are comma-separated key=value pairs; an order=N entry
-    overrides the default order.  A malformed line (a missing or bad
-    parameter, a progression dissect would reject, a nonpositive order or
-    modulus, an expression that does not parse, or a repeated id) raises
-    ValueError naming the file and line.
+    overrides the default order.  A malformed line (a missing, bad or
+    unknown parameter, a progression dissect would reject, a nonpositive
+    order or modulus, an expression that does not parse, or a repeated id)
+    raises ValueError naming the file and line.
     """
     records: dict[str, IdentityRecord] = {}
     with open(path, encoding="utf-8") as fh:
@@ -388,16 +391,14 @@ def _ff_instance(
     return SeriesEquality(render(lhs), render(rhs))
 
 
-def _sm(sign: int, e: int) -> SignedMonomial:
-    return SignedMonomial(sign, e)
-
-
 def _family_text(which: str, r: int, s: int, t: int) -> str:
     return render(family_g(r, s, t) if which == "g" else family_h(r, s, t))
 
 
-def _build_registry() -> list[IdentityRecord]:
-    R = IdentityRecord
+@cache
+def registry() -> list[IdentityRecord]:
+    """The compiled claim registry (built once, order stable)."""
+    R, sm = IdentityRecord, SignedMonomial
     records: list[IdentityRecord] = []
     add = records.append
 
@@ -494,16 +495,16 @@ def _build_registry() -> list[IdentityRecord]:
     # --- theta rearrangement lemma, the instances the proofs consume -------
     cite = "product rearrangement lemma for f(a,b)f(c,d), ab = cd"
     ff_cases = [
-        ("L2.ff.1", _sm(-1, 8), _sm(-1, 12), _sm(-1, 10), _sm(-1, 10)),
-        ("L2.ff.2", _sm(-1, 5), _sm(-1, 15), _sm(-1, 7), _sm(-1, 13)),
-        ("L2.ff.3", _sm(-1, 3), _sm(-1, 17), _sm(-1, 5), _sm(-1, 15)),
-        ("L2.ff.4", _sm(1, 1), _sm(1, 9), _sm(-1, 4), _sm(-1, 6)),
-        ("L2.ff.5", _sm(-1, 4), _sm(-1, 16), _sm(-1, 6), _sm(-1, 14)),
-        ("L2.ff.6", _sm(-1, 9), _sm(-1, 11), _sm(-1, 11), _sm(-1, 9)),
-        ("L2.ff.7", _sm(-1, 1), _sm(-1, 19), _sm(-1, 19), _sm(-1, 1)),
-        ("L2.ff.8", _sm(-1, 4), _sm(-1, 6), _sm(1, 5), _sm(1, 5)),
-        ("L2.ff.9", _sm(-1, 1), _sm(-1, 4), _sm(1, 2), _sm(1, 3)),
-        ("L2.ff.10", _sm(1, 1), _sm(1, 4), _sm(-1, 2), _sm(-1, 3)),
+        ("L2.ff.1", sm(-1, 8), sm(-1, 12), sm(-1, 10), sm(-1, 10)),
+        ("L2.ff.2", sm(-1, 5), sm(-1, 15), sm(-1, 7), sm(-1, 13)),
+        ("L2.ff.3", sm(-1, 3), sm(-1, 17), sm(-1, 5), sm(-1, 15)),
+        ("L2.ff.4", sm(1, 1), sm(1, 9), sm(-1, 4), sm(-1, 6)),
+        ("L2.ff.5", sm(-1, 4), sm(-1, 16), sm(-1, 6), sm(-1, 14)),
+        ("L2.ff.6", sm(-1, 9), sm(-1, 11), sm(-1, 11), sm(-1, 9)),
+        ("L2.ff.7", sm(-1, 1), sm(-1, 19), sm(-1, 19), sm(-1, 1)),
+        ("L2.ff.8", sm(-1, 4), sm(-1, 6), sm(1, 5), sm(1, 5)),
+        ("L2.ff.9", sm(-1, 1), sm(-1, 4), sm(1, 2), sm(1, 3)),
+        ("L2.ff.10", sm(1, 1), sm(1, 4), sm(-1, 2), sm(-1, 3)),
     ]
     for rid, a, b, c, d in ff_cases:
         add(R(rid, cite, _ff_instance(a, b, c, d)))
@@ -682,14 +683,3 @@ def _build_registry() -> list[IdentityRecord]:
     ids = [r.id for r in records]
     assert len(ids) == len(set(ids)), "duplicate record ids"
     return records
-
-
-_REGISTRY: list[IdentityRecord] | None = None
-
-
-def registry() -> list[IdentityRecord]:
-    """The compiled claim registry (built once, order stable)."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY

@@ -15,7 +15,7 @@ Grammar (whitespace-insensitive):
 
 A smono written as "1" or "-1" is the zero-exponent monomial, so theta
 arguments like f(1, q^40) are expressible.  Rendering is canonical and
-reparses to a structurally equal tree.
+reparses to the same tree, one object, since nodes are interned.
 
 evaluate() lowers each product to a theta normal form (see the section of
 that name below).  cross_multiplied() takes the columns dissect(e, k, l)
@@ -29,7 +29,6 @@ from __future__ import annotations
 import operator
 import string
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .series import TruncatedSeries, check_power
@@ -37,10 +36,10 @@ from .theta import (
     InvalidFactor,
     InvalidParameters,
     NegativeExponent,
-    SignedMonomial,
     PochhammerFactor,
+    SignedMonomial,
+    Value,
     bsum,
-    check_factor,
     check_scale,
     phi,
     pochhammer,
@@ -64,87 +63,66 @@ class InvalidFamilyParameters(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: every node is an interned theta.Value, so equal trees are one
+# object and hashing or comparing a node never descends into it.
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Value):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coefficient: int
-    exponent: int
+class Monomial(Value):
+    __slots__ = ("coefficient", "exponent")
 
 
-@dataclass(frozen=True)
-class Poch:
-    args: tuple[SignedMonomial, ...]
-    modulus: int
+class Poch(Value):
+    __slots__ = ("args", "modulus")  # a tuple of SignedMonomials, an int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.args:
             raise InvalidFactor("empty Pochhammer argument list")
         for a in self.args:
-            check_factor(a, self.modulus)
+            PochhammerFactor(a, self.modulus)  # checks the factor's domain
 
 
-@dataclass(frozen=True)
-class ThetaF:
-    a: SignedMonomial
-    b: SignedMonomial
+class ThetaF(Value):
+    __slots__ = ("a", "b")  # SignedMonomials
 
 
-@dataclass(frozen=True)
-class Phi:
-    scale: int
+class Phi(Value):
+    __slots__ = ("scale",)
 
 
-@dataclass(frozen=True)
-class Psi:
-    scale: int
+class Psi(Value):
+    __slots__ = ("scale",)
 
 
-@dataclass(frozen=True)
-class BSum:
-    quad: int
-    lin: int
+class BSum(Value):
+    __slots__ = ("quad", "lin")
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "QExpr"
-    right: "QExpr"
+class Add(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "QExpr"
-    right: "QExpr"
+class Sub(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "QExpr"
-    right: "QExpr"
+class Mul(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "QExpr"
-    right: "QExpr"
+class Div(Value):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "QExpr"
+class Neg(Value):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "QExpr"
-    exponent: int
+class Pow(Value):
+    __slots__ = ("base", "exponent")
 
 
 QExpr = (
@@ -218,9 +196,9 @@ _TIGHTEST = max(prec for _, prec in _BINARY.values())
 
 # Deepest expression parse() accepts.  Each binary operator, unary minus,
 # power and parenthesised group adds one level above the atoms.  The
-# evaluator, the renderer and node hashing recurse once per level, so the
-# bound keeps them, and the parser itself, inside Python's recursion
-# limit.  The deepest registry expression has depth 12.
+# evaluator and the renderer recurse once per level (node hashing does
+# not: nodes are interned), so the bound keeps them, and the parser
+# itself, inside Python's recursion limit.  The deepest registry expression has depth 12.
 MAX_DEPTH = 100
 
 
@@ -389,9 +367,10 @@ class _Parser:
         return Poch(tuple(args), modulus)
 
 
+@lru_cache(maxsize=4096)
 def parse(text: str) -> QExpr:
-    """Parse expression text into an AST; raises ParseError with position,
-    also for nesting deeper than MAX_DEPTH."""
+    """Parse expression text into an AST, each text once; raises ParseError
+    with position, also for nesting deeper than MAX_DEPTH."""
     p = _Parser(_lex(text))
     node, _ = p.expr()
     t = p.peek()

@@ -16,11 +16,15 @@ series through four consequences of the triple product, stated in the
 "Theta normal form" section of qexpr.  Each f with r, s >= 1 has
 constant term 1, so it may be inverted; pochhammer stays for the factors
 no rule covers, and as the oracle.
+
+qexpr's AST nodes, SignedMonomial, PochhammerFactor and combinatorics'
+PartClassSpec are Values: immutable, their fields the class's __slots__
+in order, and interned, so equal values are one object, == and hash are
+identity (O(1) however deep a tree is), and _check runs once per value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .series import EvaluationError, TruncatedSeries
@@ -43,14 +47,46 @@ class InvalidFactor(EvaluationError):
     modulus below 1, the vanishing factor (q^0; q^m), or a scale below 1."""
 
 
-@dataclass(frozen=True)
-class SignedMonomial:
+_INTERNED: dict[tuple, "Value"] = {}
+
+
+class Value:
+    """An interned immutable value (see the module docstring)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _INTERNED.get(key)
+        if self is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__slots__}")
+            self = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(self, name, value)
+            self._check()
+            self = _INTERNED.setdefault(key, self)
+        return self
+
+    def _check(self) -> None:
+        """Raise if the fields are outside the class's domain."""
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class SignedMonomial(Value):
     """+-q^e with e >= 0; sign is +1 or -1."""
 
-    sign: int
-    exponent: int
+    __slots__ = ("sign", "exponent")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.sign not in (1, -1):
             raise InvalidParameters(f"sign must be +1 or -1, got {self.sign}")
         if self.exponent < 0:
@@ -69,31 +105,24 @@ class SignedMonomial:
         return SignedMonomial(-self.sign, self.exponent)
 
 
-def check_factor(arg: SignedMonomial, modulus: int) -> None:
-    """The domain of one Pochhammer factor (arg; q^modulus)_inf: the
-    modulus is positive and the factor is not (q^0; q^m), which vanishes
-    identically."""
-    if modulus < 1:
-        raise InvalidFactor(f"modulus must be positive, got {modulus}")
-    if arg.sign == 1 and arg.exponent == 0:
-        raise InvalidFactor("(q^0; q^m)_inf is identically zero")
-
-
 def check_scale(name: str, scale: int) -> None:
     """The domain of phi(q^k) and psi(q^k), named by `name`: k >= 1."""
     if scale < 1:
         raise InvalidFactor(f"{name} needs a positive power of q")
 
 
-@dataclass(frozen=True)
-class PochhammerFactor:
-    """One factor (+-q^r; q^m)_inf of an infinite product."""
+class PochhammerFactor(Value):
+    """One factor (+-q^r; q^m)_inf of an infinite product.  Its domain: the
+    modulus is positive and the factor is not (q^0; q^m), which vanishes
+    identically."""
 
-    arg: SignedMonomial
-    modulus: int
+    __slots__ = ("arg", "modulus")
 
-    def __post_init__(self) -> None:
-        check_factor(self.arg, self.modulus)
+    def _check(self) -> None:
+        if self.modulus < 1:
+            raise InvalidFactor(f"modulus must be positive, got {self.modulus}")
+        if self.arg.sign == 1 and self.arg.exponent == 0:
+            raise InvalidFactor("(q^0; q^m)_inf is identically zero")
 
 
 def _apply_factor(cs: list[int], sign: int, e: int) -> None:

@@ -8,7 +8,8 @@ timing noise: it may not exceed the count the newest committed
 BENCH_*.json records for the change it measured.  One untraced pass of
 each workload at its full order is the wall-clock check: its run time may
 not pass three times the median the newest committed BENCH_*.json that
-measured the workload records for its change.
+measured the workload records for its change, and one short pass holds
+its set-up time to the same bound.
 """
 
 import functools
@@ -117,11 +118,11 @@ def committed_mul_calls(workload: str) -> float | None:
         workload, lambda s: s.get("traced", {}).get("series.mul.calls", {}).get("change"))
 
 
-def committed_run_s(workload: str) -> float | None:
-    """The median run_s of the change measured by the newest BENCH_*.json
-    that measured this workload, or None if none did."""
+def committed_median(workload: str, metric: str) -> float | None:
+    """The median of a metric of the change measured by the newest
+    BENCH_*.json that measured this workload, or None if none did."""
     def median(summary):
-        quartiles = summary.get("run_s", {}).get("change_q1_median_q3")
+        quartiles = summary.get(metric, {}).get("change_q1_median_q3")
         return quartiles[1] if quartiles else None
 
     return newest_committed(workload, median)
@@ -141,8 +142,20 @@ def test_mul_calls_within_committed_bench(workload):
 def test_run_time_within_committed_bench(workload):
     # The committed median is scaled to the benchmark's reference machine;
     # three times it leaves room for a slower host and a noisy pass.
-    limit = committed_run_s(workload)
+    limit = committed_median(workload, "run_s")
     if limit is None:
         pytest.skip(f"no committed BENCH_*.json measures {workload}")
     result = child_pass(workload, bench_workloads().ORDERS[workload], 0)
     assert result["run_s"] <= 3 * limit, (result["run_s"], limit)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_setup_time_within_committed_bench(workload):
+    # Cold start, `import qdissect.cli` and the registry build, is the
+    # other half of a short run; the same three times bound keeps it from
+    # growing unseen.  The pass is short: set-up ends before it starts.
+    limit = committed_median(workload, "setup_s")
+    if limit is None:
+        pytest.skip(f"no committed BENCH_*.json measures {workload}")
+    result = child_pass(workload, 10, 0)
+    assert result["setup_s"] <= 3 * limit, (result["setup_s"], limit)

@@ -262,6 +262,10 @@ def test_verify_malformed_records_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--records", str(bad))
     assert code == 2
     assert f"{bad}:1: missing parameter 'l'" in err
+    bad.write_text("a | dissection | k1=1,l1=0,k2=1,l2=0,sgn=-1 | q | q\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 2
+    assert f"{bad}:1: unknown parameter 'sgn'" in err
 
 
 def test_verify_honours_record_order(tmp_path, capsys):

@@ -324,6 +324,18 @@ def test_load_records_rejects_malformed(tmp_path):
         bad_line = 1 + len(line.splitlines())
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad_line}: "):
             load_records(str(path))
+    # A key the kind does not take is named, not ignored: with sgn=-1 the
+    # sign stayed +, so the false claim q = -q passed, and odrer=5 ran at
+    # order 300.
+    for line, key in (
+        ("a | dissection | k1=1,l1=0,k2=1,l2=0,sgn=-1 | q | q", "sgn"),
+        ("a | equality | odrer=5 | q | q", "odrer"),
+        ("a | sign | k=5,l=0,sign=-,mod=2 | q |", "mod"),
+    ):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as error:
+            load_records(str(path))
+        assert str(error.value) == f"{path}:1: unknown parameter {key!r}"
 
 
 def test_load_records_checks_progressions_like_dissect(tmp_path):

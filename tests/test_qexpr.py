@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from qdissect import theta
 from qdissect.identities import (
     Congruence,
     DissectionRelation,
@@ -14,6 +15,7 @@ from qdissect.identities import (
     SignPattern,
     VanishingProgression,
     registry,
+    verify_all,
 )
 from qdissect.qexpr import (
     MAX_DEPTH,
@@ -162,6 +164,43 @@ def test_atom_domain_error_is_one_class(text, builders, message):
             build()
         assert isinstance(info.value, EvaluationError)
         assert str(info.value) == message
+
+
+# --- values -------------------------------------------------------------------
+
+
+def test_equal_trees_are_one_object():
+    assert parse("f(q,q^4)") is parse("f( q , q^4 )")
+    assert parse("(q;q)_inf^2") is Pow(Poch((sm(1, 1),), 1), 2)
+    assert Phi(1) != Psi(1)
+    assert repr(Phi(1)) == "Phi(scale=1)"
+
+
+def test_values_are_immutable():
+    node = parse("q^2")
+    for name in ("exponent", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert node is Monomial(1, 2)
+    with pytest.raises(TypeError):
+        Monomial(1)
+
+
+def test_failed_check_interns_nothing():
+    size = len(theta._INTERNED)
+    for _ in range(2):
+        with pytest.raises(InvalidFactor, match="empty Pochhammer argument list"):
+            Poch((), 1)
+        assert len(theta._INTERNED) == size
+
+
+def test_repeated_pass_interns_nothing_new():
+    verify_all(300)
+    size = len(theta._INTERNED)
+    assert all(r.status == "pass" for r in verify_all(300))
+    assert len(theta._INTERNED) == size
 
 
 # --- rendering ----------------------------------------------------------------
