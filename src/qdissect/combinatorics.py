@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import ne
+from math import comb
+from operator import mul, ne
 
 from .series import TruncatedSeries, dissect, first_index
 from .qexpr import QExpr, evaluate
@@ -77,15 +78,24 @@ def counting_series(spec: PartClassSpec, order: int) -> TruncatedSeries:
 
     Each flavour of each admissible part size is one independent part
     type; types are applied one at a time, the standard unordered
-    multiset recurrence.
+    multiset recurrence, one pass over the counts per flavour.  A size s
+    with more flavours f than the order // s parts of size s that fit is
+    applied in one pass instead: its f flavours multiply the counts by
+    (1 - q^s)^(-f) = sum_j C(f + j - 1, j) q^(s*j), which costs order // s
+    terms per count, fewer than f passes, so f may be as large as any int.
     """
     dp = [0] * (order + 1)
     dp[0] = 1
     for residue, flavours in spec.classes:
         for size in range(residue, order + 1, spec.modulus):
-            for _ in range(flavours):
-                for i in range(size, order + 1):
-                    dp[i] += dp[i - size]
+            fit = order // size
+            if flavours > fit:
+                ways = [comb(flavours + j - 1, j) for j in range(fit + 1)]
+                dp = [sum(map(mul, ways, dp[i::-size])) for i in range(order + 1)]
+            else:
+                for _ in range(flavours):
+                    for i in range(size, order + 1):
+                        dp[i] += dp[i - size]
     return TruncatedSeries(dp)
 
 

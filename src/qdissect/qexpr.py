@@ -551,8 +551,12 @@ class _Product:
             num.append(_sparse_first_product(den) ** -1)
         result = _sparse_first_product(num) if num else TruncatedSeries.one(order)
         if self.shift:
-            cs = result.coeffs
-            result = TruncatedSeries._of(((0,) * min(self.shift, order + 1) + cs)[: order + 1])
+            cs, p = result.coeffs, result._profile
+            support = None
+            if p is not None and p.positions is not None:
+                support = [i + self.shift for i in p.positions if i + self.shift <= order]
+            result = TruncatedSeries._of(((0,) * min(self.shift, order + 1) + cs)[: order + 1],
+                                         support)
         return -result if self.sign < 0 else result
 
 

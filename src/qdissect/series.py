@@ -10,14 +10,18 @@ nonzero term pairs are summed directly, an operand that is a series in
 q^g splits the product into g products by residue, and the rest is one
 signed Kronecker substitution, both operands packed into big integers
 and multiplied once (see _mul_lists); a digit of at most 8 bytes packs
-and unpacks through the stdlib array module, in C.
+and unpacks in two's complement through a signed array, in C.
 
-Every series finds its support profile (Profile: nonzero count, step g,
-the nonzero positions of a sparse series, largest |c|) on first use and
-keeps it, so the multiply, power_bits and invert read a series that is
-used again without scanning it again.  A sparse operand packs in time
-proportional to its nonzero terms.  The profile is not part of a series'
-value: ==, hash and repr read the coefficients alone.
+Every series keeps a support profile (Profile: nonzero count, step g,
+the nonzero positions of a sparse series, largest |c|), so the multiply,
+power_bits and invert read a series that is used again without scanning
+it again.  A kernel that knows where it wrote hands those positions to
+_of and the profile is built from them at once, with no scan: theta_f,
+monomial, + and - of two profiled sparse operands, qexpr's shift, and,
+inside the multiply, a cut operand and the slices of a q^g split.  Any
+other series finds its profile on first use.  A sparse operand packs in
+time proportional to its nonzero terms.  The profile is not part of a
+series' value: ==, hash and repr read the coefficients alone.
 
 The public constructor checks every coefficient with operator.index.
 Kernel results (+, -, *, scale, invert, dissect, shift, substitute_power,
@@ -61,9 +65,9 @@ class LimitExceeded(EvaluationError):
 # near order 300 have 300k bits, from running for minutes.
 MAX_COEFF_BITS = 1 << 16
 
-# The unsigned array typecode of each item size in bytes, read from
-# array itself: the packed multiply's digits of 1, 2, 4 and 8 bytes.
-_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+# The signed array typecode of each item size in bytes, read from array
+# itself: the packed multiply's digits of 1, 2, 4 and 8 bytes.
+_ARRAY_CODES = {array(code).itemsize: code for code in "bhilq"}
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -96,12 +100,19 @@ def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
 
 
 class Profile:
-    """What the multiply reads of a coefficient sequence `cs`, found by one
-    scan of it and kept beside a reference to it: `count`, its number of
-    nonzero terms; `step`, the largest g dividing every nonzero position,
-    so the sequence is b(q^g) (0 when no nonzero position is positive);
-    `positions`, the ascending nonzero positions; and the largest |c|,
-    found when first asked for (`magnitude`).
+    """What the multiply reads of a coefficient sequence `cs`, kept beside
+    a reference to it: `count`, its number of nonzero terms; `step`, the
+    largest g dividing every nonzero position, so the sequence is b(q^g)
+    (0 when no nonzero position is positive); `positions`, the ascending
+    nonzero positions; and the largest |c|, found when first asked for
+    (`magnitude`).
+
+    A producer that knows where it wrote hands that over as `support`, an
+    ascending list holding every nonzero position of cs (and perhaps some
+    zero ones): the profile keeps those of its positions where cs is
+    nonzero and reads count and step from them, with no scan of cs.
+    Without a support, cs is scanned once.  Either way every field is the
+    same.
 
     The positions are kept only when 2 * count <= len + 1.  A denser
     sequence has two adjacent nonzero terms, so its step is 1 and no list
@@ -110,13 +121,17 @@ class Profile:
 
     __slots__ = ("cs", "count", "step", "positions", "peak")
 
-    def __init__(self, cs: Sequence[int]):
+    def __init__(self, cs: Sequence[int], support: list[int] | None = None):
         size = len(cs)
         self.cs = cs
-        self.count = size - cs.count(0)
         self.peak = None
+        if support is None:
+            self.count = size - cs.count(0)
+        else:
+            support = list(compress(support, map(cs.__getitem__, support)))
+            self.count = len(support)
         if 2 * self.count <= size + 1:
-            self.positions = list(compress(range(size), cs))
+            self.positions = list(compress(range(size), cs)) if support is None else support
             self.step = gcd(*self.positions)
         else:
             self.positions = None
@@ -139,6 +154,17 @@ class Profile:
         return self.peak
 
 
+def _cut(cs: Sequence[int], p: Profile | None, n: int) -> Profile:
+    """The profile of cs cut to its first n terms.  p, when given, is the
+    profile of cs; a cut of a profile that keeps its positions takes the
+    positions below n (one bisect) instead of a scan."""
+    if p is not None and len(cs) <= n:
+        return p
+    if p is None or p.positions is None:
+        return Profile(cs[:n])
+    return Profile(cs[:n], p.positions[:bisect_left(p.positions, n)])
+
+
 def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
                px: Profile | None = None, py: Profile | None = None) -> list[int]:
     """Exact truncated convolution of two integer sequences.
@@ -146,9 +172,10 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
     px and py, when given, are the profiles of xs and ys, so a series
     multiplied again is not scanned again; once both profiles are found
     the product reads each operand through its profile (`Profile.cs`).
-    An operand longer than n = n_out + 1 is cut to n terms and profiled
-    afresh, and so is one given without a profile.  With kx and ky
-    nonzero terms, the product takes one of three paths:
+    An operand longer than n = n_out + 1 is cut to n terms, and its
+    profile is cut with it: a kept position list by one bisect, otherwise
+    by a scan of the cut; an operand given without a profile is scanned.
+    With kx and ky nonzero terms, the product takes one of three paths:
 
     - kx * ky <= n: the products of nonzero term pairs are summed
       directly (`_mul_terms`).  That loop takes no more Python steps than
@@ -159,8 +186,10 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
       larger g of the two is taken), out[r::g] = xs[::g] * ys[r::g] for
       each residue r, each of the g products taken by this same rule.
       Here kx, ky >= 2, so 1 < g < n.  The sub-products add up to the
-      same digits in shorter, narrower packings.  Each sub-product
-      profiles its operands afresh.
+      same digits in shorter, narrower packings.  xs[::g] is profiled
+      once, from xs's positions divided by g, and cut for each residue;
+      when ys keeps its positions, one pass over them sorts them into the
+      residues' supports, otherwise each ys[r::g] is scanned.
     - otherwise, signed Kronecker substitution: each operand is packed
       into one big integer with `width` bytes per coefficient, the two
       are multiplied once, and the product's first n digits are read
@@ -169,18 +198,16 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
       every one of them by mx * my * min(kx, ky) < half, and no digit
       overflows into its neighbour.  A width of 3, 5, 6 or 7 bytes is
       rounded up to 4 or 8, so every width up to 8 bytes is the item size
-      of an unsigned array typecode.  An operand whose profile keeps its
-      positions packs by setting its kx nonzero digits in an array of
-      offsets, not by mapping over all its digits.
+      of a signed array typecode, and such digits pack and unpack in two's
+      complement (see `pack`).  An operand whose profile keeps its
+      positions packs by setting its kx nonzero digits in a zeroed array,
+      not by converting all its digits.
 
     Every path equals schoolbook convolution coefficient by coefficient
     (that equality is a tested property).
     """
     n = n_out + 1
-    if px is None or len(xs) > n:
-        px = Profile(xs[:n])
-    if py is None or len(ys) > n:
-        py = Profile(ys[:n])
+    px, py = _cut(xs, px, n), _cut(ys, py, n)
     kx, ky = px.count, py.count
     if kx * ky <= n:
         return _mul_terms(px.cs, py.cs, px.support(), py.support(), n)
@@ -190,8 +217,16 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
     if g > 1:
         out = [0] * n
         sub, ys = px.cs[::g], py.cs
-        for r in range(g):
-            out[r::g] = _mul_lists(sub, ys[r::g], (n - 1 - r) // g)
+        psub = Profile(sub, list(map(operator.floordiv, px.positions, repeat(g))))
+        supports = [None] * g
+        if py.positions is not None:
+            supports = [[] for _ in range(g)]
+            for i, r in map(divmod, py.positions, repeat(g)):
+                supports[r].append(i)
+        for r, support in enumerate(supports):
+            part = ys[r::g]
+            pr = None if support is None else Profile(part, support)
+            out[r::g] = _mul_lists(sub, part, (n - 1 - r) // g, psub, pr)
         return out
     bound = px.magnitude() * py.magnitude() * min(kx, ky)
     width = (bound.bit_length() + 8) // 8
@@ -202,48 +237,54 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
     offset = half.to_bytes(width, "little")
 
     def pack(p: Profile) -> int:
-        # Digits c + half are nonnegative; subtracting half per digit
-        # leaves sum(c_i * 2^(8*width*i)).
+        # sum(c_i * 2^(8*width*i)).  The offset digits c + half are
+        # nonnegative, so their bytes are the plain base-256 digits of
+        # sum((c_i + half) * 2^(8*width*i)), and subtracting off, which
+        # has half in every digit, leaves the packed value.  A narrow digit
+        # is an item of a signed array, its bytes c's two's complement:
+        # that differs from the offset digit c + half in the top bit alone,
+        # so one XOR with off, in C, turns every digit into its offset form.
         cs = p.cs
+        off = int.from_bytes(offset * len(cs), "little")
         if not code:
             digits = map(operator.add, cs, repeat(half))
             raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+            return int.from_bytes(raw, "little") - off
+        # At n = 1001 and 6001 and every narrow width, setting the k items
+        # of a zeroed array took 0.16-0.65 of the time of converting all n
+        # digits for k up to n/4, and 0.97-1.09 of it at k = n/2, where
+        # positions stop being kept (timeit, best of 7).
+        if p.positions is None:
+            items = array(code, cs)
         else:
-            # At n = 1001 and 6001 and every narrow width, setting the k
-            # items of an array of offsets took 0.04-0.66 of the time of
-            # the map over all n digits, up to k = n/2, where positions
-            # stop being kept.
-            if p.positions is None:
-                items = array(code, map(operator.add, cs, repeat(half)))
-            else:
-                items = array(code, (half,)) * len(cs)
-                for i in p.positions:
-                    items[i] = cs[i] + half
-            if _BIG_ENDIAN:
-                items.byteswap()
-            raw = items.tobytes()
-        return int.from_bytes(raw, "little") - int.from_bytes(offset * len(cs), "little")
+            items = array(code, bytes(width * len(cs)))
+            for i in p.positions:
+                items[i] = cs[i]
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return (int.from_bytes(items.tobytes(), "little") ^ off) - off
 
-    # Adding half per digit and keeping n digits turns the low digits of
-    # the product, each in (-half, half), into plain bytes.  The digits
-    # are kept with a mask: CPython's % by a power of two is a general
-    # long division, quadratic in the operand size.  A digit of 1, 2, 4
-    # or 8 bytes is one array item, so packing and unpacking run in C; a
-    # wider one takes one int.to_bytes or int.from_bytes call each.  The
-    # rounded-up width makes a longer multiply, yet on the benchmark's
-    # products of 3 and 5-7 byte digits it measured faster than the calls.
+    # Adding off, half per digit, and keeping n digits turns the low
+    # digits of the product, each in (-half, half), into offset digits
+    # c + half, plain bytes.  The digits are kept with a mask: CPython's %
+    # by a power of two is a general long division, quadratic in the
+    # operand size.  A narrow digit goes back to two's complement through
+    # the same XOR and is read as a signed array item, so packing and
+    # unpacking run in C; a wider one takes one int.to_bytes or
+    # int.from_bytes call each.  The rounded-up width makes a longer
+    # multiply, yet on the benchmark's products of 3 and 5-7 byte digits it
+    # measured faster than the calls.
     size = width * n
-    low = pack(px) * pack(py) + int.from_bytes(offset * n, "little")
-    raw = (low & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    off = int.from_bytes(offset * n, "little")
+    low = (pack(px) * pack(py) + off) & ((1 << (8 * size)) - 1)
     if code:
-        digits = array(code, raw)
+        digits = array(code, (low ^ off).to_bytes(size, "little"))
         if _BIG_ENDIAN:
             digits.byteswap()
-    else:
-        chunks = map(raw.__getitem__,
-                     map(slice, range(0, size, width), range(width, size + 1, width)))
-        digits = map(int.from_bytes, chunks, repeat("little"))
-    return list(map(operator.sub, digits, repeat(half)))
+        return digits.tolist()
+    raw = low.to_bytes(size, "little")
+    chunks = map(raw.__getitem__, map(slice, range(0, size, width), range(width, size + 1, width)))
+    return list(map(operator.sub, map(int.from_bytes, chunks, repeat("little")), repeat(half)))
 
 
 class TruncatedSeries:
@@ -259,13 +300,15 @@ class TruncatedSeries:
         self._profile = None
 
     @classmethod
-    def _of(cls, cs: tuple[int, ...]) -> "TruncatedSeries":
+    def _of(cls, cs: tuple[int, ...], support: list[int] | None = None) -> "TruncatedSeries":
         """A kernel's result, stored as it is: a nonempty tuple of exact
         ints, which the kernels build from checked series and checked
-        scalars alone, so it is not checked again."""
+        scalars alone, so it is not checked again.  A kernel that knows
+        where it wrote passes `support` (see Profile), and the profile is
+        built from it at once; otherwise it is found on first use."""
         series = object.__new__(cls)
         series._coeffs = cs
-        series._profile = None
+        series._profile = None if support is None else Profile(cs, support)
         return series
 
     @property
@@ -317,25 +360,39 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("a series needs at least its constant term")
         cs = [0] * (order + 1)
+        support = []
         if 0 <= exponent <= order:
             cs[exponent] = coeff
-        return cls._of(tuple(cs))
+            support.append(exponent)
+        return cls._of(tuple(cs), support)
 
     # Sums and differences stop at the shorter operand, as map does.
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._of(tuple(map(operator.add, self._coeffs, other._coeffs)))
+        cs = tuple(map(operator.add, self._coeffs, other._coeffs))
+        return TruncatedSeries._of(cs, self._merged_support(other, len(cs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._of(tuple(map(operator.sub, self._coeffs, other._coeffs)))
+        cs = tuple(map(operator.sub, self._coeffs, other._coeffs))
+        return TruncatedSeries._of(cs, self._merged_support(other, len(cs)))
+
+    def _merged_support(self, other: "TruncatedSeries", n: int) -> list[int] | None:
+        """The union of both operands' positions below n, when both
+        profiles have been found and keep their positions; else None."""
+        px, py = self._profile, other._profile
+        if px is None or py is None or px.positions is None or py.positions is None:
+            return None
+        merged = sorted(set(px.positions).union(py.positions))
+        return merged[:bisect_left(merged, n)]
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._of(tuple(map(operator.neg, self._coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        # A longer operand is cut, and profiled afresh, by _mul_lists.
+        # A longer operand is cut by _mul_lists, its profile with it when it
+        # has been found.
         n = min(self.order, other.order)
-        px = self.profile if self.order == n else None
-        py = other.profile if other.order == n else None
+        px = self.profile if self.order == n else self._profile
+        py = other.profile if other.order == n else other._profile
         return TruncatedSeries._of(tuple(_mul_lists(self._coeffs, other._coeffs, n, px, py)))
 
     def scale(self, c: int) -> "TruncatedSeries":

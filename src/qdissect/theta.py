@@ -171,6 +171,7 @@ def theta_f(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries
     """
     _theta_validate(a, b)
     cs = [0] * (order + 1)
+    written = set()
     for n, step in ((0, 1), (-1, -1)):
         while True:
             t1 = n * (n + 1) // 2
@@ -184,8 +185,9 @@ def theta_f(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries
             if b.sign < 0 and t2 & 1:
                 s = -s
             cs[e] += s
+            written.add(e)
             n += step
-    return TruncatedSeries._of(tuple(cs))
+    return TruncatedSeries._of(tuple(cs), sorted(written))
 
 
 def _product_signed_base(

@@ -138,6 +138,38 @@ def test_mul_calls_within_committed_bench(workload):
     assert traced_pass(workload)["layers"]["series.mul.calls"] <= limit
 
 
+def test_theta_lemmas_profiles_handed_over(monkeypatch):
+    # A builder that knows where it wrote hands its support to the
+    # profile: in one pass of the theta-lemmas records at their order no
+    # theta_f series is scanned, and at most 15 profiles are found by a
+    # scan (173 were before supports were handed over).
+    from qdissect import identities, qexpr, series, theta
+
+    thetas, scanned = [], []
+    real_theta_f, real_profile = theta.theta_f, series.Profile
+
+    def recording_theta_f(*args):
+        thetas.append(real_theta_f(*args))
+        return thetas[-1]
+
+    def recording_profile(cs, support=None):
+        if support is None:
+            scanned.append(cs)
+        return real_profile(cs, support)
+
+    monkeypatch.setattr(theta, "theta_f", recording_theta_f)
+    monkeypatch.setattr(qexpr, "theta_f", recording_theta_f)
+    monkeypatch.setattr(series, "Profile", recording_profile)
+    real_theta_f.cache_clear()
+    qexpr._eval.cache_clear()
+    workloads = bench_workloads()
+    records = workloads.theta_lemma_records(qexpr, identities.registry())
+    reports = identities.verify_all(order=workloads.ORDERS["theta-lemmas"], records=records)
+    assert [r.status for r in reports] == ["pass"] * 41
+    assert thetas and len(scanned) <= 15, len(scanned)
+    assert not {id(t.coeffs) for t in thetas} & set(map(id, scanned))
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_run_time_within_committed_bench(workload):
     # The committed median is scaled to the benchmark's reference machine;

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import re
 import shlex
@@ -371,6 +372,14 @@ def test_count_json(capsys):
     payload = json.loads(out)
     assert list(payload.keys()) == ["spec", "n", "count"]
     assert payload["count"] == "16"
+
+
+def test_count_many_flavours_in_one_pass(capsys):
+    # Ten billion flavours of parts of size 1: one pass of the binomial
+    # series C(f + j - 1, j), not one pass per flavour.
+    code, out, _ = run(capsys, "count", "M=10;1x10000000000", "--n", "10")
+    assert code == 0
+    assert out.strip() == str(math.comb(10**10 + 9, 10))
 
 
 def test_count_malformed_spec_exit_2(capsys):

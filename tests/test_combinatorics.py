@@ -1,5 +1,7 @@
 """Partition counting oracle, interpretation checks, sign scans."""
 
+import random
+
 import pytest
 
 from qdissect.combinatorics import (
@@ -58,6 +60,37 @@ def test_counting_series_matches_product_inversion():
     series = counting_series(spec, 40)
     product = evaluate_text("(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1", 40)
     assert series == product
+
+
+def _per_flavour(spec, order):
+    """The counts by one recurrence pass per flavour of every size."""
+    dp = [1] + [0] * order
+    for residue, flavours in spec.classes:
+        for size in range(residue, order + 1, spec.modulus):
+            for _ in range(flavours):
+                for i in range(size, order + 1):
+                    dp[i] += dp[i - size]
+    return dp
+
+
+def test_counting_routes_agree():
+    # A size s whose flavour count f passes order // s is applied in one
+    # pass of the binomial series, every other size one pass per flavour.
+    # Flavour counts drawn around order // r, for each residue r, put
+    # sizes on both sides; the counts equal those of the per-flavour pass.
+    rng = random.Random(1403)
+    routes = set()
+    for _ in range(60):
+        order = rng.randint(0, 40)
+        modulus = rng.randint(1, 8)
+        classes = []
+        for r in sorted(rng.sample(range(1, modulus + 1), rng.randint(1, modulus))):
+            flavours = max(1, order // r + rng.randint(-2, 2))
+            classes.append((r, flavours))
+            routes.update(flavours > order // s for s in range(r, order + 1, modulus))
+        spec = PartClassSpec(modulus, tuple(classes))
+        assert list(counting_series(spec, order).coeffs) == _per_flavour(spec, order), spec
+    assert routes == {True, False}
 
 
 def test_single_flavour_is_classical_partitions():

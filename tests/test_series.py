@@ -1,5 +1,6 @@
 """Exact truncated series arithmetic: unit checks and randomized laws."""
 
+import dataclasses
 import random
 import sys
 from array import array
@@ -7,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from qdissect.qexpr import cross_multiplied, evaluate_text, parse
+from qdissect.qexpr import cross_multiplied, evaluate_direct, evaluate_text, parse
 from qdissect.series import (
     MAX_COEFF_BITS,
     _mul_lists,
@@ -335,18 +336,27 @@ def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
             for mx, wide in ((below, b), (above, b + 1)):
                 assert (4 * mx * my).bit_length() == wide
                 # supports 0..3 and 0..kx-1: output digit 3 sums four
-                # products, and kx * ky = 16 or 20 passes n = 8 or 9
-                for kx in (4, 5):
-                    n = kx + 4
+                # products, and kx * ky = 16, 20 or 32 passes n = 8 or 9.
+                # With kx = 8 the left operand is dense and the right one
+                # sparse, and in the "both" case digit 3 reaches the bound
+                # and digit 7 its negative.
+                for kx, n in ((4, 8), (5, 9), (8, 8)):
                     signs = [(1, 1), (-1, -1), (-1, 1), (1, -1), None]
-                    for sign in signs:
+                    for sign in signs + ["both"] * (kx == 8):
                         if sign is None:
                             xs = [rng.choice((mx, -mx)) for _ in range(kx)]
                             ys = [rng.choice((my, -my)) for _ in range(4)]
+                        elif sign == "both":
+                            xs, ys = [mx] * 4 + [-mx] * 4, [my] * 4
                         else:
                             xs, ys = [sign[0] * mx] * kx, [sign[1] * my] * 4
                         xs, ys = xs + [0] * (n - kx), ys + [0] * (n - 4)
-                        for left, right in ((xs, ys), (ys, xs)):
+                        assert (Profile(xs).positions is None) == (kx == 8)
+                        assert Profile(ys).positions is not None
+                        # operands shorter than n too, as in Newton's rounds:
+                        # each packs with an offset of its own length
+                        pairs = [(xs, ys), (ys, xs), (xs, ys[:4]), (ys[:4], xs[:kx])]
+                        for left, right in pairs:
                             pair_calls.clear()
                             mul_calls.clear()
                             packed.clear()
@@ -357,6 +367,8 @@ def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
                             # bound; narrow digits pack and unpack through
                             # array, wide ones do not
                             assert sign is None or max(map(abs, got)) == 4 * mx * my
+                            if sign == "both":
+                                assert max(got) == 4 * mx * my == -min(got)
                             assert len(packed) == (3 if wide <= 63 else 0), (b, wide)
 
 
@@ -396,6 +408,90 @@ def test_profile_invariants():
         assert (a.profile.positions is not None) == (2 * k <= n + 1), cs
 
 
+def test_handed_over_profile_equals_scanned(monkeypatch):
+    # Every profile built from a support that a producer hands over has
+    # the fields of the profile found by scanning the same coefficients.
+    # Each producer is recorded, so each is seen to hand one over.
+    import qdissect.series as series
+    from qdissect import identities, qexpr, theta
+
+    producers = set()
+
+    def checked(cs, support=None):
+        p = Profile(cs, support)
+        if support is not None:
+            assert support == sorted(set(support)) and all(0 <= i < len(cs) for i in support)
+            assert _fields(p) == _fields(Profile(cs)), (cs, support)
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "_of":
+                caller = caller.f_back
+            producers.add(caller.f_code.co_name)
+        return p
+
+    monkeypatch.setattr(series, "Profile", checked)
+    theta.theta_f.cache_clear()
+    qexpr._eval.cache_clear()
+    rng = random.Random(1401)
+    for order in (0, 1, 2, 7, 30, 61):
+        for k in (1, 2, 3, 5):
+            # f(-1, q^k) cancels to zero; f(1, q^k) writes each exponent twice
+            assert theta_f(SignedMonomial(-1, 0), SignedMonomial(1, k), order).profile.count == 0
+            doubled = theta_f(SignedMonomial(1, 0), SignedMonomial(1, k), order)
+            assert doubled == theta_f(SignedMonomial(1, k), SignedMonomial(1, 3 * k), order).scale(2)
+            for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+                theta_f(SignedMonomial(sa, k), SignedMonomial(sb, k + 1), order)
+            phi(k, order), psi(k, order), bsum(k + 1, k, order)
+        # coefficient 0 and an exponent past the order write nothing
+        for e in (0, order, order + 1, rng.randint(0, order)):
+            for c in (0, 1, -3):
+                TruncatedSeries.monomial(e, order, c)
+    # sums and differences of operands whose profiles exist: a - a cancels
+    for _ in range(CASES):
+        n, m = rng.randint(1, 60), rng.randint(1, 60)
+        a = TruncatedSeries(_sparse(rng, n, rng.sample(range(n), rng.randint(0, (n + 1) // 2))))
+        b = TruncatedSeries(_sparse(rng, m, rng.sample(range(m), rng.randint(0, m))))
+        a.profile, b.profile
+        assert (a - a).profile.count == 0
+        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+        assert (b - a).coeffs == tuple(y - x for x, y in zip(a.coeffs, b.coeffs))
+        assert ((a + b) - b).coeffs == a.coeffs[:min(n, m)]
+    # the shift of a product, past the order too
+    for text in ("q^3*f(q,q^2)", "-q^7*phi(q^2)", "q^40*psi(q)", "q^2*f(-1,q)"):
+        for order in (0, 5, 39, 60):
+            assert evaluate_text(text, order) == evaluate_direct(parse(text), order)
+    # n = n_out + 1: operands of n - 1, n and n + 1 terms, nonzero or zero
+    # at n - 1, n and n + 1, cut to n; and q^g splits whose other operand
+    # has no terms in some residues
+    for _ in range(CASES):
+        n_out = rng.randint(2, 80)
+        size = n_out + 3 + rng.randint(0, 8)
+        edge = rng.sample(range(n_out, n_out + 3), rng.randint(0, 3))
+        xs = _sparse(rng, size, edge + rng.sample(range(size), rng.randint(1, 6)))
+        g = rng.randint(2, 5)
+        ys = _spread(rng, g, size, rng.choice((9, 2**70)))
+        used = rng.sample(range(g), rng.randint(1, g - 1))
+        zs = _sparse(rng, n_out + 1, [i for i in rng.sample(range(n_out + 1), (n_out + 1) // 2)
+                                       if i % g in used])
+        pairs = [(xs, ys), (ys, zs), (zs, ys), (ys, ys)]
+        pairs += [(xs[:length], ys) for length in (n_out, n_out + 1, n_out + 2)]
+        for left, right in pairs:
+            got = _mul_lists(left, right, n_out, Profile(left), Profile(right))
+            assert got == _oracle(left, right, n_out), (left, right, n_out)
+            a, b = TruncatedSeries(left), TruncatedSeries(right)
+            a.profile, b.profile
+            assert a * b == schoolbook_mul(a, b)
+    # every registry text, and every claim, at order 300
+    texts = sorted({getattr(kind, f.name) for r in identities.registry()
+                    for kind in (r.kind, *r.alternates) for f in dataclasses.fields(kind)
+                    if isinstance(getattr(kind, f.name), str)})
+    assert len(texts) == 155
+    for text in texts:
+        evaluate_text(text, 300)
+    assert all(r.status == "pass" for r in identities.verify_all(order=300))
+    assert producers == {"theta_f", "monomial", "__add__", "__sub__", "series", "_cut",
+                         "_mul_lists"}, producers
+
+
 # Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
 # under and just over each of these powers of two: the edges of 1, 2, 4
 # and 8-byte digits.
@@ -418,7 +514,7 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
                   TruncatedSeries(rand_series(rng, rng.randint(n, 2 * n)).coeffs),
                   a]
         for b in others:
-            b.profile  # a longer operand's profile exists, and must not be used
+            b.profile  # a longer operand's profile exists, and is cut with it
             assert a * b == schoolbook_mul(a, b) and b * a == schoolbook_mul(b, a)
         assert a.profile is profile
     # Profiles handed to _mul_lists with operands longer than n_out + 1,
@@ -434,11 +530,13 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
         for left, right in ((xs, ys), (ys, xs), (ys, ys[:n_out + 1]), (xs, xs)):
             got = _mul_lists(left, right, n_out, Profile(left), Profile(right))
             assert got == _oracle(left, right, n_out), (left, right, n_out)
-    # Sparse narrow packing: supports 0..k-1 of operands whose profiles
-    # keep their positions, gcd 1 and kx * ky > n, so one packed product;
-    # the widest digit, at q^(min(kx, ky) - 1), reaches the width bound.
+    # Sparse narrow packing: supports 0..k-1, gcd 1 and kx * ky > n, so
+    # one packed product; the widest digit, at q^(min(kx, ky) - 1), reaches
+    # the width bound.  Both profiles keep their positions, or (ky = 14 of
+    # n = 20) one operand is dense; an xs cut to 2 * kx terms is
+    # shorter than n and still sparse.
     for b in SPARSE_BOUNDARIES:
-        for kx, ky, n in ((7, 7, 40), (6, 9, 50)):
+        for kx, ky, n in ((7, 7, 40), (6, 9, 50), (7, 14, 20)):
             k = min(kx, ky)
             for my in (1, 5):
                 below = (2**b - 1) // (k * my)
@@ -448,9 +546,11 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
                     for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
                         xs = [sx * mx] * kx + [0] * (n - kx)
                         ys = [sy * my] * ky + [0] * (n - ky)
-                        for left, right in ((xs, ys), (ys, xs)):
+                        pairs = [(xs, ys), (ys, xs), (xs[:2 * kx], ys), (ys, xs[:2 * kx])]
+                        for left, right in pairs:
                             pl, pr = Profile(left), Profile(right)
-                            assert pl.positions is not None and pr.positions is not None
+                            dense = [p for p in (pl, pr) if p.positions is None]
+                            assert len(dense) == (ky == 14)
                             pair_calls.clear()
                             mul_calls.clear()
                             got = _mul_lists(left, right, n - 1, pl, pr)
