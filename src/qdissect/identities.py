@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from operator import ge, le, ne
+from operator import ge, le, mul, ne
 
 from .series import check_progression, coeff_text, dissect, first_index
 from .theta import SignedMonomial
@@ -156,25 +156,35 @@ def _parts(kind: ClaimKind) -> list[tuple[str, int, int]]:
 
 def _scan(kind: ClaimKind, columns: list[tuple[int, ...]]
           ) -> tuple[tuple[int, int, int] | None, str]:
-    """(first failure, detail) of a claim on its columns, in one scan."""
+    """(first failure, detail) of a claim on its columns.  A claim that
+    holds is decided in one step in C: two columns by one tuple ==, a sign
+    pattern by one min or max with its exceptions masked.  Only a claim
+    that fails, or a column kind without such a step, is walked entry by
+    entry to its first failure."""
     if len(columns) == 2:
         a, b = columns
         if isinstance(kind, DissectionRelation) and kind.sign_factor != 1:
-            b = [kind.sign_factor * x for x in b]
+            b = tuple(map(mul, b, repeat(kind.sign_factor)))
+        n = min(len(a), len(b))
+        if a[:n] == b[:n]:
+            return None, ""
         i = first_index(map(ne, a, b))
-        return (None if i is None else (i, a[i], b[i])), ""
+        return (i, a[i], b[i]), ""
     (column,) = columns
     flags, want, failed, passed = column, 0, "", ""
     if isinstance(kind, Congruence):
         flags, failed = map(kind.modulus.__rmod__, column), f"expected 0 mod {kind.modulus}"
     elif isinstance(kind, SignPattern):
         positive = kind.expected_sign > 0
-        flags = list(map(le if positive else ge, column, repeat(0)))
         skipped = sorted(n for n in kind.exceptions if 0 <= n < len(column))
-        for n in skipped:
-            flags[n] = False
         want, failed = kind.expected_sign, "expected > 0" if positive else "expected < 0"
         passed = "; ".join(f"n={n}: value {coeff_text(column[n])}" for n in skipped)
+        masked = list(column)
+        for n in skipped:
+            masked[n] = want
+        if (min(masked) > 0) if positive else (max(masked) < 0):
+            return None, passed
+        flags = list(map(le if positive else ge, masked, repeat(0)))
     i = first_index(flags)
     return (None, passed) if i is None else ((i, column[i], want), failed)
 

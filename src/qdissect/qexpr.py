@@ -18,10 +18,12 @@ arguments like f(1, q^40) are expressible.  Rendering is canonical and
 reparses to the same tree, one object, since nodes are interned.
 
 evaluate() lowers each product to a theta normal form (see the section of
-that name below).  cross_multiplied() takes the columns dissect(e, k, l)
-that every claim compares, inverting no side (see "Columns" below).
+that name below), and adds the terms of a sum into one list (see "Sums"
+below).  cross_multiplied() takes the columns dissect(e, k, l) that every
+claim compares, inverting no side (see "Columns" below).
 evaluate_direct() evaluates node by node, every Pochhammer factor
-expanded and every quotient inverted: the oracle for both.
+expanded and every quotient inverted, and adds series by + and -: the
+oracle for all of them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import string
 import sys
 from functools import lru_cache, reduce
 
-from .series import TruncatedSeries, check_power
+from .series import TruncatedSeries, add_into, add_product_into, check_power
 from .theta import (
     InvalidFactor,
     InvalidParameters,
@@ -491,6 +493,20 @@ def render(e: QExpr) -> str:
 # the plain path, every text expanded at N and then dissected, whenever
 # this check does not hold, so every failure and error is reported from
 # the claim's own coefficients.
+#
+# Sums.  A sum is the list of its terms' normal forms (_terms), and its
+# series is one list of order + 1 ints that each term is added into, at
+# its shift and with its sign; no term is built as a shifted or negated
+# series of its own.  An integer literal to the first power joins the
+# sign, as in _split.  A term of two bases, each to the first power,
+# whose series both have known positions that meet the multiply's pair
+# rule, writes its term pairs straight into the list
+# (series.add_product_into); any other term is evaluated as a product is
+# and added over its known positions, or by one slice map
+# (series.add_into).  Terms are evaluated left to right, so the leftmost
+# error is the one raised.  When every term was added over known
+# positions, their union is handed to the sum's profile.  The columns of
+# cross_multiplied are summed the same way, one list per column.
 
 
 def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
@@ -703,11 +719,12 @@ def _node(powers: dict[QExpr, int]) -> QExpr:
     return reduce(Mul, [base if p == 1 else Pow(base, p) for base, p in powers.items()])
 
 
-def _column(a: _Product, b: _Product, k: int, l: int, order: int, m: int,
-            m_b: int) -> TruncatedSeries:
-    """dissect(A, k, l) * B(q) to order m, A taken at the claim's order
-    and B at m_b >= m, one order for every residue, so they share B's
-    series."""
+def _add_column(out: list[int], a: _Product, b: _Product, k: int, l: int, order: int,
+                m_b: int) -> None:
+    """out += dissect(A, k, l) * B(q), out being the column to order m =
+    len(out) - 1; A is taken at the claim's order and B at m_b >= m, one
+    order for every residue, so they share B's series."""
+    m = len(out) - 1
     b_powers = {base: p for base, p in b.powers.items() if p}
     bq = _eval(_node(b_powers), m_b) if b_powers else TruncatedSeries.one(m)
     # Entry n is A's coefficient at k*n + l: that of A's powers at
@@ -715,14 +732,14 @@ def _column(a: _Product, b: _Product, k: int, l: int, order: int, m: int,
     n0 = max(0, -((l - a.shift) // k))
     if a.powers:
         x = _eval(_node(a.powers), order).coeffs
-        column = TruncatedSeries._of(((0,) * n0 + x[l + k * n0 - a.shift::k])[: m + 1])
-        if b_powers:
-            column = column * bq
-    elif (a.shift - l) % k or n0 > m:  # A = +-q^shift misses the progression
-        column = TruncatedSeries.zero(m)
-    else:  # A = +-q^(k*n0 + l): B(q) shifted, not a product
-        column = TruncatedSeries._of(((0,) * n0 + bq.coeffs)[: m + 1])
-    return column if a.sign == 1 else column.scale(a.sign)
+        if n0 <= m:
+            part = TruncatedSeries._of(x[l + k * n0 - a.shift::k][: m + 1 - n0])
+            if b_powers:
+                add_product_into(out, part, bq, n0, a.sign)
+            else:
+                add_into(out, part, n0, a.sign)
+    elif (a.shift - l) % k == 0:  # A = +-q^(k*n0 + l): B(q) shifted, not a product
+        add_into(out, bq, n0, a.sign)
 
 
 def cross_multiplied(
@@ -755,8 +772,10 @@ def cross_multiplied(
         if whole:
             out.append(_eval(e, m))
         else:
-            out.append(reduce(operator.add, (_column(a, b.times(d), k, l, order, m, m_b)
-                                             for a, b in halves)))
+            column = [0] * (m + 1)
+            for a, b in halves:
+                _add_column(column, a, b.times(d), k, l, order, m_b)
+            out.append(TruncatedSeries._of(tuple(column)))
     return tuple(out)
 
 
@@ -805,15 +824,36 @@ def _direct(e: QExpr, order: int, sub) -> TruncatedSeries:
     raise TypeError(f"not a QExpr node: {e!r}")
 
 
+def _sum(terms: list[_Product], order: int) -> TruncatedSeries:
+    """The sum of theta normal forms at the order, each term added in place
+    into one list at its shift, with its sign (see "Sums" above)."""
+    out = [0] * (order + 1)
+    support: set[int] | None = set()
+    for term in terms:
+        a, b = _split(term, 1)  # a: the sign, literals folded in, and the shift
+        powers = b.powers
+        if len(powers) == 2 and all(p == 1 for p in powers.values()):
+            x, y = (_eval(base, order) for base in powers)
+            add_product_into(out, x, y, a.shift, a.sign)
+            support = None
+        else:
+            written = add_into(out, b.series(order), a.shift, a.sign)
+            support = None if support is None or written is None else support.union(written)
+    return TruncatedSeries._of(tuple(out), None if support is None else sorted(support))
+
+
 _PRODUCT_NODES = (Mul, Div, Pow, Neg, Poch)
 
 
 @lru_cache(maxsize=4096)
 def _eval(e: QExpr, order: int) -> TruncatedSeries:
-    """Series of a node, memoized per (node, order).  A product-shaped node
-    is evaluated from its theta normal form, unless that form is the node
-    itself (an opaque node, or one base to one power, which the normal
+    """Series of a node, memoized per (node, order).  A sum is evaluated
+    from its terms' normal forms into one list (_sum).  A product-shaped
+    node is evaluated from its theta normal form, unless that form is the
+    node itself (an opaque node, or one base to one power, which the normal
     form's series asks for); every other node by _direct."""
+    if isinstance(e, (Add, Sub)):
+        return _sum(_terms(e), order)
     if isinstance(e, _PRODUCT_NODES):
         product = _lower(e)
         own = [{e: 1}, {e.base: e.exponent}] if isinstance(e, Pow) else [{e: 1}]

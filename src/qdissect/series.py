@@ -17,11 +17,18 @@ the nonzero positions of a sparse series, largest |c|), so the multiply,
 power_bits and invert read a series that is used again without scanning
 it again.  A kernel that knows where it wrote hands those positions to
 _of and the profile is built from them at once, with no scan: theta_f,
-monomial, + and - of two profiled sparse operands, qexpr's shift, and,
-inside the multiply, a cut operand and the slices of a q^g split.  Any
-other series finds its profile on first use.  A sparse operand packs in
-time proportional to its nonzero terms.  The profile is not part of a
-series' value: ==, hash and repr read the coefficients alone.
+monomial, qexpr's shift, a qexpr sum whose every term was added over
+known positions, and, inside the multiply, a cut operand and the slices
+of a q^g split.  Any other series finds its profile on first use.  A
+sparse operand packs in time proportional to its nonzero terms.  The
+profile is not part of a series' value: ==, hash and repr read the
+coefficients alone.
+
+A sum of shifted, signed terms is built in one list of ints, in place:
+add_into adds a series over its known positions or by one slice map, and
+add_product_into adds a product of two sparse series pair by pair through
+the multiply's own term-pair loop (_mul_terms takes the list, an offset
+and a sign), with no product series in between.
 
 The public constructor checks every coefficient with operator.index.
 Kernel results (+, -, *, scale, invert, dissect, shift, substitute_power,
@@ -72,18 +79,25 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
-               iy: Sequence[int], n: int) -> list[int]:
-    """out[i + j] += xs[i] * ys[j] over the nonzero positions i in ix and j
-    in iy (both ascending) with i + j < n.
+               iy: Sequence[int], n: int, out: list[int] | None = None,
+               offset: int = 0, sign: int = 1) -> list[int]:
+    """out[offset + i + j] += sign * xs[i] * ys[j] over the nonzero
+    positions i in ix and j in iy (both ascending) with i + j < n, and out;
+    out is a fresh list of n zeros when not given.
 
-    The outer loop runs over the shorter support.  For each outer term j
+    The outer loop runs over the shorter support.  The offset and the sign
+    go into the inner terms once, before the loop.  For each outer term j
     the inner terms are cut once, at the first i with i + j >= n, so no
     pair tests a bound; an outer coefficient of +-1, every theta's, adds
     or subtracts the inner ones without a multiply."""
-    out = [0] * n
+    if out is None:
+        out = [0] * n
     if len(iy) > len(ix):
         xs, ys, ix, iy = ys, xs, iy, ix
-    inner = list(zip(ix, map(xs.__getitem__, ix)))
+    cs = map(xs.__getitem__, ix)
+    if sign != 1:
+        cs = map(operator.mul, cs, repeat(sign))
+    inner = list(zip(map(operator.add, ix, repeat(offset)) if offset else ix, cs))
     for j in iy:
         b = ys[j]
         terms = inner[:bisect_left(ix, n - j)]
@@ -368,21 +382,10 @@ class TruncatedSeries:
 
     # Sums and differences stop at the shorter operand, as map does.
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cs = tuple(map(operator.add, self._coeffs, other._coeffs))
-        return TruncatedSeries._of(cs, self._merged_support(other, len(cs)))
+        return TruncatedSeries._of(tuple(map(operator.add, self._coeffs, other._coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        cs = tuple(map(operator.sub, self._coeffs, other._coeffs))
-        return TruncatedSeries._of(cs, self._merged_support(other, len(cs)))
-
-    def _merged_support(self, other: "TruncatedSeries", n: int) -> list[int] | None:
-        """The union of both operands' positions below n, when both
-        profiles have been found and keep their positions; else None."""
-        px, py = self._profile, other._profile
-        if px is None or py is None or px.positions is None or py.positions is None:
-            return None
-        merged = sorted(set(px.positions).union(py.positions))
-        return merged[:bisect_left(merged, n)]
+        return TruncatedSeries._of(tuple(map(operator.sub, self._coeffs, other._coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries._of(tuple(map(operator.neg, self._coeffs)))
@@ -530,6 +533,70 @@ def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
     if e < 0:
         raise ValueError("shift exponent must be nonnegative")
     return TruncatedSeries._of((0,) * e + a.coeffs)
+
+
+def add_into(out: list[int], a: TruncatedSeries, offset: int = 0,
+             sign: int = 1) -> list[int] | None:
+    """out[offset + i] += sign * a[i] wherever offset + i < len(out): a
+    shifted and scaled term of a sum, added in place.  When a's profile has
+    been found and keeps its positions, only those are visited, and the
+    positions of out written are returned; otherwise the add is one slice
+    map, in C, and None is returned."""
+    p = a._profile
+    return _add_coeffs(out, a._coeffs, offset, sign, None if p is None else p.positions)
+
+
+def add_product_into(out: list[int], a: TruncatedSeries, b: TruncatedSeries,
+                     offset: int = 0, sign: int = 1) -> None:
+    """out[offset + i] += sign * (a * b)[i] wherever offset + i < len(out),
+    the product taken only as far as out reaches.  When both profiles have
+    been found and keep their positions, and the supports cut to those n
+    terms meet the multiply's pair rule kx * ky <= n, the term pairs are
+    summed straight into out (_mul_terms); otherwise the product is taken
+    by _mul_lists and added.  No profile is found here to pick the path."""
+    n = min(len(out) - offset, len(a._coeffs), len(b._coeffs))
+    if n <= 0 or not sign:
+        return
+    px, py = a._profile, b._profile
+    if px is not None and py is not None and px.positions is not None \
+            and py.positions is not None:
+        ix = px.positions[:bisect_left(px.positions, n)]
+        iy = py.positions[:bisect_left(py.positions, n)]
+        if len(ix) * len(iy) <= n:
+            _mul_terms(a._coeffs, b._coeffs, ix, iy, n, out, offset, sign)
+            return
+    # As in __mul__, an operand of exactly n terms keeps the profile found.
+    px = a.profile if len(a._coeffs) == n else px
+    py = b.profile if len(b._coeffs) == n else py
+    _add_coeffs(out, _mul_lists(a._coeffs, b._coeffs, n - 1, px, py), offset, sign, None)
+
+
+def _add_coeffs(out: list[int], cs: Sequence[int], offset: int, sign: int,
+                positions: list[int] | None) -> list[int] | None:
+    """out[offset + i] += sign * cs[i] wherever offset + i < len(out), over
+    positions, the ascending nonzero positions of cs, when given; returns
+    the positions of out written, or None if positions is None."""
+    n = len(out) - offset
+    if n <= 0 or not sign:
+        return []
+    if positions is not None:
+        positions = positions[:bisect_left(positions, n)]
+        values = map(cs.__getitem__, positions)
+        if sign != 1:
+            values = map(operator.mul, values, repeat(sign))
+        if offset:
+            positions = list(map(operator.add, positions, repeat(offset)))
+        for i, c in zip(positions, values):
+            out[i] += c
+        return positions
+    end = offset + min(n, len(cs))
+    op, values = operator.add, cs
+    if sign == -1:
+        op = operator.sub
+    elif sign != 1:
+        values = map(operator.mul, cs, repeat(sign))
+    out[offset:end] = map(op, out[offset:end], values)
+    return None
 
 
 def first_index(flags: Iterable[object]) -> int | None:

@@ -9,14 +9,19 @@ BENCH_*.json records for the change it measured.  One untraced pass of
 each workload at its full order is the wall-clock check: its run time may
 not pass three times the median the newest committed BENCH_*.json that
 measured the workload records for its change, and one short pass holds
-its set-up time to the same bound.
+its set-up time to the same bound.  The committed medians are scaled to
+the benchmark's reference machine, so the wall-clock checks scale their
+own pass the same way, by bench/reference.py runs just before and after
+it, as bench/run.py does.
 """
 
+import ast
 import functools
 import importlib.util
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -55,6 +60,39 @@ def child_pass(workload: str, order: int, trace: int) -> dict:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def reference_times() -> list[float]:
+    """The repetition times of one bench/reference.py run."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "reference.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@functools.cache
+def reference_nominal_s() -> float:
+    """REFERENCE_NOMINAL_S as bench/run.py assigns it, read without running
+    that file."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [
+                "REFERENCE_NOMINAL_S"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py assigns no REFERENCE_NOMINAL_S")
+
+
+def scaled_pass(workload: str, order: int) -> dict:
+    """The set-up and run times of one untraced pass at the reference
+    machine's speed: bench/run.py's scaling, the reference run before and
+    after the pass giving its speed."""
+    before = reference_times()
+    result = child_pass(workload, order, 0)
+    after = reference_times()
+    speed = reference_nominal_s() / statistics.median(before + after)
+    return {key: result[key] * speed for key in ("setup_s", "run_s")}
 
 
 @functools.cache
@@ -172,12 +210,12 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_run_time_within_committed_bench(workload):
-    # The committed median is scaled to the benchmark's reference machine;
-    # three times it leaves room for a slower host and a noisy pass.
+    # The committed median and this pass are both scaled to the benchmark's
+    # reference machine; three times the median leaves room for a noisy pass.
     limit = committed_median(workload, "run_s")
     if limit is None:
         pytest.skip(f"no committed BENCH_*.json measures {workload}")
-    result = child_pass(workload, bench_workloads().ORDERS[workload], 0)
+    result = scaled_pass(workload, bench_workloads().ORDERS[workload])
     assert result["run_s"] <= 3 * limit, (result["run_s"], limit)
 
 
@@ -189,5 +227,5 @@ def test_setup_time_within_committed_bench(workload):
     limit = committed_median(workload, "setup_s")
     if limit is None:
         pytest.skip(f"no committed BENCH_*.json measures {workload}")
-    result = child_pass(workload, 10, 0)
+    result = scaled_pass(workload, 10)
     assert result["setup_s"] <= 3 * limit, (result["setup_s"], limit)

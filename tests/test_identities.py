@@ -264,6 +264,45 @@ def test_claim_walk_matches_plain_loop(claim_oracle):
     assert len(seen) == 5 * 3
 
 
+# Claims whose first failure sits on a column's first or last entry, a
+# relation read with sign factor -1 (on columns of different lengths on
+# the plain path), and sign patterns whose exceptions sit on the first and
+# last entries.  ORDER is the last index.
+ORDER = 40
+RISING = f"1/(1 - q) - 2 - 2*q^{ORDER}"  # -1, 1, 1, ..., 1, -1
+SCAN_EDGES = [
+    (SeriesEquality("phi(q)", "phi(q) + 1"), (0, 1, 2)),
+    (SeriesEquality("phi(q)", f"phi(q) - q^{ORDER}"), (ORDER, 0, -1)),
+    (SeriesEquality("phi(q)", "phi(q)"), None),
+    (DissectionRelation("psi(q)", 1, 0, "-psi(q)", 1, 0, -1), None),
+    (DissectionRelation("psi(q)", 1, 0, "3 - psi(q)", 1, 0, -1), (0, 1, -2)),
+    (DissectionRelation("psi(q)", 1, 0, f"q^{ORDER} - psi(q)", 1, 0, -1), (ORDER, 0, -1)),
+    (DissectionRelation("phi(q)", 2, 0, "-phi(q^2)", 1, 0, -1), None),
+    (DissectionRelation("phi(q)", 2, 0, "q^20 - phi(q^2)", 1, 0, -1), (20, 0, -1)),
+    (VanishingProgression(f"q^{ORDER}", 1, 0), (ORDER, 1, 0)),
+    (VanishingProgression("1 + q - q", 1, 0), (0, 1, 0)),
+    (Congruence(f"2*phi(q) + q^{ORDER}", 1, 0, 2), (ORDER, 1, 0)),
+    (SignPattern(RISING, 1, 0, 1, frozenset({0, ORDER})), None),
+    (SignPattern(f"-({RISING})", 1, 0, -1, frozenset({0, ORDER})), None),
+    (SignPattern(RISING, 1, 0, 1, frozenset({0})), (ORDER, -1, 1)),
+    (SignPattern(RISING, 1, 0, 1, frozenset({ORDER})), (0, -1, 1)),
+    (SignPattern(f"-({RISING})", 1, 0, -1, frozenset({ORDER, ORDER + 5})), (0, 1, -1)),
+    (SignPattern(f"{RISING} - q^7", 1, 0, 1, frozenset({0, ORDER})), (7, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("kind, failure", SCAN_EDGES)
+def test_claim_scan_edges_match_plain_loop(claim_oracle, kind, failure):
+    # The same status, (index, value, expected) and detail as one plain
+    # loop over the coefficients, and the failure where it was planted.
+    want = claim_oracle(kind, ORDER)
+    report = verify(IdentityRecord("edge", "test", kind, ORDER))
+    assert (report.status, report.first_failure, report.detail) == want
+    assert report.first_failure == failure
+    if isinstance(kind, SignPattern) and failure is None:
+        assert report.detail == f"n=0: value {-kind.expected_sign}; n={ORDER}: value {-kind.expected_sign}"
+
+
 # --- file load path --------------------------------------------------------------
 
 

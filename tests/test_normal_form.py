@@ -191,6 +191,92 @@ def test_random_dissected_products_match_substituted_series():
             assert lhs == rhs, (text, l)
 
 
+# --- sums added into one list ------------------------------------------------------
+
+# Each sum exercises one way a term enters the list: sparse thetas whose
+# pairs are written straight in, with a sign and a shift; a shift past the
+# order; terms that cancel; literals joining the sign, 0 among them; a
+# constant or lone monomial; a dense product packed beside pair terms; and
+# sums nested under a minus, a power and a product.
+SUMS = [
+    "q^3*f(q,q^4)*f(q^2,q^3) - q*f(-q^2,-q^8)*f(-q,-q^9) + phi(q)*psi(q^3)",
+    "f(-q^3,-q^7)*f(-q^4,-q^6) - q*f(-q^2,-q^8)*f(-q,-q^9) - f(q,q^4)*f(-q^2,-q^3)",
+    "q^7*phi(q)*psi(q) - q^400*f(q,q^2)*f(q^2,q^3) + q^7000*psi(q)",
+    "phi(q)*psi(q^2) - psi(q^2)*phi(q) + f(q,q^4) - f(q^4,q)",
+    "2*psi(q) - psi(q)*2 + 3*q^2*phi(q)*psi(q^3) + 0*phi(q)*psi(q) + 0*f(q,q^2)",
+    "1 + q^5 - 3*q^2 + phi(q) - 2*q^9*f(q,q^4)",
+    "2 - q^6000 + f(q,q^2)*f(q,q^3)",
+    "phi(q)^4 - 4*q*phi(q)*psi(q^2) + q^2*f(q,q^2)*f(q^2,q^3) - f(q,q^4)*f(q^2,q^3)",
+    "-(phi(q) + q*psi(q^2) - 5)",
+    "(phi(q) - q*psi(q^4))^3",
+    "(phi(q) + q)*(psi(q) - 2*q^3*f(q,q^2))",
+    "phi(q)*(f(q^18,q^22)^2 - q^8*f(q^2,q^38)^2)"
+    " + 2*psi(q^2)*(q^5*f(q^12,q^28)*f(q^2,q^38) - q*f(q^12,q^28)*f(q^18,q^22))",
+]
+
+
+@pytest.mark.parametrize("order", [0, 1, 300, 6000])
+def test_sums_match_direct_path(monkeypatch, order):
+    # Every sum equals the direct path's, which adds whole series by + and
+    # -; some terms do write their pairs straight into the list.
+    pair_terms = []
+    real = series._mul_terms
+
+    def counting(xs, ys, ix, iy, n, *into):
+        pair_terms.append(bool(into))
+        return real(xs, ys, ix, iy, n, *into)
+
+    monkeypatch.setattr(series, "_mul_terms", counting)
+    qexpr._eval.cache_clear()
+    for text in SUMS:
+        assert evaluate(parse(text), order) == evaluate_direct(parse(text), order), text
+    assert any(pair_terms)
+
+
+def test_sum_raises_the_leftmost_error():
+    # Terms that raise different errors: the sum raises the leftmost one,
+    # with the direct path's message, whichever way the term enters the
+    # list, a term scaled by 0 included.
+    faults = ["(2 + q)^-1", "f(1,1)*psi(q)", "0*(q + q^2)^-1", "(1 + q)^70000"]
+    seen = set()
+    for i in range(len(faults)):
+        for j in range(len(faults)):
+            if i == j:
+                continue
+            text = f"phi(q) + {faults[i]} - q*psi(q)*f(q,q^2) - {faults[j]}"
+            qexpr._eval.cache_clear()
+            got = outcome(evaluate, text, 300)
+            assert got == outcome(evaluate_direct, text, 300), text
+            assert got == outcome(evaluate_direct, faults[i], 300), text
+            seen.add(got[0].__name__)
+    assert seen == {"NonUnitConstantTerm", "InvalidThetaArgument", "NegativeExponent",
+                    "LimitExceeded"}
+
+
+@pytest.mark.parametrize("order", [0, 1, 300, 6000])
+def test_columns_of_several_halves_match_plain_dissect(order):
+    # Columns summed from several terms A * B(q^k): A with powers, A with
+    # B's powers too, A = +-q^s on and off the progression, and a shift
+    # past the order.
+    texts = [
+        "phi(q)*psi(q^5) - 2*q^2*f(q,q^4)*psi(q^10) + 3*q^7*(q^5;q^5)_inf - q^3 + q^11",
+        "q*f(q^5,q^10)*f(q^10,q^15) - q^6*phi(q^5) + psi(q)*f(q^2,q^3) - q^9000*phi(q)",
+    ]
+    for text in texts:
+        e = parse(text)
+        whole = evaluate_direct(e, order)
+        for l in range(min(5, order + 1)):
+            (got,) = cross_multiplied([(e, 5, l)], order, exact=True)
+            assert got == dissect(whole, 5, l), (text, l)
+        # a relation between two such columns, cut to the shorter one
+        if order >= 3:
+            other = parse(texts[0])
+            lhs, rhs = cross_multiplied([(e, 5, 1), (other, 5, 3)], order)
+            m = (order - 3) // 5
+            assert lhs.coeffs == dissect(whole, 5, 1).coeffs[:m + 1], text
+            assert rhs.coeffs == dissect(evaluate_direct(other, order), 5, 3).coeffs, text
+
+
 # --- claims checked on cross-multiplied columns ---------------------------------
 
 

@@ -445,16 +445,6 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
         for e in (0, order, order + 1, rng.randint(0, order)):
             for c in (0, 1, -3):
                 TruncatedSeries.monomial(e, order, c)
-    # sums and differences of operands whose profiles exist: a - a cancels
-    for _ in range(CASES):
-        n, m = rng.randint(1, 60), rng.randint(1, 60)
-        a = TruncatedSeries(_sparse(rng, n, rng.sample(range(n), rng.randint(0, (n + 1) // 2))))
-        b = TruncatedSeries(_sparse(rng, m, rng.sample(range(m), rng.randint(0, m))))
-        a.profile, b.profile
-        assert (a - a).profile.count == 0
-        assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        assert (b - a).coeffs == tuple(y - x for x, y in zip(a.coeffs, b.coeffs))
-        assert ((a + b) - b).coeffs == a.coeffs[:min(n, m)]
     # the shift of a product, past the order too
     for text in ("q^3*f(q,q^2)", "-q^7*phi(q^2)", "q^40*psi(q)", "q^2*f(-1,q)"):
         for order in (0, 5, 39, 60):
@@ -488,8 +478,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
     for text in texts:
         evaluate_text(text, 300)
     assert all(r.status == "pass" for r in identities.verify_all(order=300))
-    assert producers == {"theta_f", "monomial", "__add__", "__sub__", "series", "_cut",
-                         "_mul_lists"}, producers
+    assert producers == {"theta_f", "monomial", "_sum", "series", "_cut", "_mul_lists"}, producers
 
 
 # Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
