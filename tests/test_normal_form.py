@@ -254,10 +254,11 @@ def test_sum_raises_the_leftmost_error():
 
 
 @pytest.mark.parametrize("order", [0, 1, 300, 6000])
-def test_columns_of_several_halves_match_plain_dissect(order):
+def test_columns_of_several_halves_match_plain_dissect(claim_oracle, order):
     # Columns summed from several terms A * B(q^k): A with powers, A with
     # B's powers too, A = +-q^s on and off the progression, and a shift
-    # past the order.
+    # past the order.  A relation between two such columns reports what
+    # the claim oracle reports.
     texts = [
         "phi(q)*psi(q^5) - 2*q^2*f(q,q^4)*psi(q^10) + 3*q^7*(q^5;q^5)_inf - q^3 + q^11",
         "q*f(q^5,q^10)*f(q^10,q^15) - q^6*phi(q^5) + psi(q)*f(q^2,q^3) - q^9000*phi(q)",
@@ -275,6 +276,11 @@ def test_columns_of_several_halves_match_plain_dissect(order):
             m = (order - 3) // 5
             assert lhs.coeffs == dissect(whole, 5, 1).coeffs[:m + 1], text
             assert rhs.coeffs == dissect(evaluate_direct(other, order), 5, 3).coeffs, text
+            for kind in (DissectionRelation(text, 5, 1, text, 5, 1, 1),
+                         DissectionRelation(text, 5, 1, texts[0], 5, 3, -1)):
+                report = verify(IdentityRecord("halves", "test", kind, order))
+                want = claim_oracle(kind, order)
+                assert (report.status, report.first_failure, report.detail) == want, kind
 
 
 # --- claims checked on cross-multiplied columns ---------------------------------
