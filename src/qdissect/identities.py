@@ -313,6 +313,8 @@ def _record_from_line(line: str) -> IdentityRecord:
         kind = Congruence(lhs, *_progression(params), _positive("mod", params.pop("mod")))
     elif kind_name == "sign":
         exceptions = frozenset(int(x) for x in params.pop("except", "").split("/") if x)
+        if exceptions and min(exceptions) < 0:
+            raise ValueError(f"exception index must be nonnegative, got {min(exceptions)}")
         kind = SignPattern(
             lhs, *_progression(params), _sign_value(params.pop("sign")), exceptions,
         )
@@ -320,7 +322,10 @@ def _record_from_line(line: str) -> IdentityRecord:
         raise ValueError(f"unknown kind {kind_name!r}")
     if params:
         raise ValueError(f"unknown parameter {next(iter(params))!r}")
-    for text in (lhs, rhs) if kind_name in ("equality", "dissection") else (lhs,):
+    two_sided = kind_name in ("equality", "dissection")
+    if rhs and not two_sided:
+        raise ValueError(f"a {kind_name} record takes no rhs, got {rhs!r}")
+    for text in (lhs, rhs) if two_sided else (lhs,):
         parse(text)
     return IdentityRecord(rid, "user record", kind, order)
 
@@ -334,7 +339,8 @@ def load_records(path: str) -> list[IdentityRecord]:
     Parameters are comma-separated key=value pairs; an order=N entry
     overrides the default order.  A malformed line (a missing, bad or
     unknown parameter, a progression dissect would reject, a nonpositive
-    order or modulus, an expression that does not parse, or a repeated id)
+    order or modulus, a negative sign-pattern exception, an rhs on a
+    one-column kind, an expression that does not parse, or a repeated id)
     raises ValueError naming the file and line.
     """
     records: dict[str, IdentityRecord] = {}

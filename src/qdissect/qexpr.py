@@ -451,12 +451,14 @@ def render(e: QExpr) -> str:
 # Theta normal form
 #
 # A product-shaped node (Mul, Div, Pow, Neg, Poch) lowers to an exponent
-# vector: sign * q^shift * product of base^power over integer powers.  A
-# base is a theta f(a, b) (a canonical ThetaF node), a Pochhammer factor
-# (+-q^r; q^m) that no rule below lowers (a one-argument Poch node), an
-# integer literal other than +-1, or an opaque node (a sum, or a power the
-# vector may not take), evaluated term by term.  The rules, by the triple
-# product f(a, b) = (-a; ab)(-b; ab)(ab; ab):
+# vector: c * q^shift * product of base^power over nonzero integer powers,
+# c an integer into which lowering folds each literal to the first power.
+# A base is a theta f(a, b) (a canonical ThetaF node), a Pochhammer factor
+# (+-q^r; q^m) that no rule below lowers (a one-argument Poch node), a
+# literal other than +-1 to another power (so it meets the power limit),
+# or an opaque node (a sum, or a power the vector may not take), evaluated
+# term by term.  The rules, by the triple product
+# f(a, b) = (-a; ab)(-b; ab)(ab; ab):
 #
 #   (s q^r, s q^(m-r); q^m) = f(-s q^r, -s q^(m-r)) / (q^m; q^m), 0 < r < m
 #   (q^m; q^m)              = f(-q^m, -q^(2m))   (the pentagonal theorem)
@@ -467,9 +469,8 @@ def render(e: QExpr) -> str:
 # A negative power is taken only of a vector whose every base has constant
 # term +-1, with no shift, so its series is a unit and the term-by-term path
 # could invert it too; otherwise the power stays an opaque node and raises
-# there exactly as the term-by-term path does.  Thetas are sparse, so a
-# vector is evaluated sparse factors first, with one inverse for all its
-# negative powers.
+# there exactly as the term-by-term path does.  Thetas are sparse, so the
+# powers are multiplied sparse factors first, with one inverse (_product).
 #
 # Columns.  A claim read on the progression k*n + l needs dissect(e, k, l)
 # only to order m = (N - l) // k.  Each term of e splits as A * B(q^k),
@@ -478,8 +479,10 @@ def render(e: QExpr) -> str:
 # Then dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q): A is evaluated
 # at the claim's order through the cache, so every residue and claim that
 # shares it shares one series, and B(q) at order N // k, k the largest of
-# the claim's moduli, so every residue shares it too.  When A is +-q^s the
-# column is B(q) shifted, with no product; a literal scales it.  The
+# the claim's moduli, so every residue shares it too.  When A is c*q^s the
+# column is c*B(q) shifted, with no product.  A and B are cached under
+# their flat pairs (base, power, base, ...), one tuple: a tuple per pair
+# would keep more young objects for the garbage collector to traverse.  The
 # columns of a claim are multiplied by the common denominator D of all B
 # parts, each base to the largest negative power any term gives it, so no
 # side is inverted; D's constant term is +-1, since only bases with
@@ -495,18 +498,17 @@ def render(e: QExpr) -> str:
 # the claim's own coefficients.
 #
 # Sums.  A sum is the list of its terms' normal forms (_terms), and its
-# series is one list of order + 1 ints that each term is added into, at
-# its shift and with its sign; no term is built as a shifted or negated
-# series of its own.  An integer literal to the first power joins the
-# sign, as in _split.  A term of two bases, each to the first power,
-# whose series both have known positions that meet the multiply's pair
-# rule, writes its term pairs straight into the list
-# (series.add_product_into); any other term is evaluated as a product is
-# and added over its known positions, or by one slice map
-# (series.add_into).  Terms are evaluated left to right, so the leftmost
-# error is the one raised.  When every term was added over known
-# positions, their union is handed to the sum's profile.  The columns of
-# cross_multiplied are summed the same way, one list per column.
+# series is one list of order + 1 ints that each term is added into, at its
+# shift and times its coefficient, the one place where either is applied: a
+# product with a coefficient or a shift is a sum of one term.  A term of two
+# bases, each to the first power, whose series both have known positions
+# that meet the multiply's pair rule, writes its term pairs straight into
+# the list (series.add_product_into); any other term is its _product, added
+# over its known positions or by one slice map (series.add_into).  Terms are
+# evaluated left to right, so the leftmost error is the one raised.  When
+# every term was added over known positions, their union is handed to the
+# sum's profile.  The columns of cross_multiplied are summed the same way,
+# one list per column.
 
 
 def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
@@ -530,13 +532,14 @@ def _unit_base(base: QExpr) -> bool:
 
 
 class _Product:
-    """sign * q^shift * product of base^power; powers keep first-occurrence
-    order, so opaque bases are evaluated, and raise, left to right."""
+    """coeff * q^shift * product of base^power, coeff an integer (+-1 until
+    _lower folds the literals in); powers keep first-occurrence order, so
+    opaque bases are evaluated, and raise, left to right."""
 
-    __slots__ = ("sign", "shift", "powers")
+    __slots__ = ("coeff", "shift", "powers")
 
-    def __init__(self, sign: int = 1, shift: int = 0, powers: dict[QExpr, int] | None = None):
-        self.sign = sign
+    def __init__(self, coeff: int = 1, shift: int = 0, powers: dict[QExpr, int] | None = None):
+        self.coeff = coeff
         self.shift = shift
         self.powers = {} if powers is None else powers
 
@@ -544,36 +547,31 @@ class _Product:
         self.powers[base] = self.powers.get(base, 0) + k
 
     def times(self, other: "_Product") -> "_Product":
-        out = _Product(self.sign * other.sign, self.shift + other.shift, dict(self.powers))
+        out = _Product(self.coeff * other.coeff, self.shift + other.shift, dict(self.powers))
         for base, k in other.powers.items():
             out.add(base, k)
         return out
 
     def power(self, k: int) -> "_Product":
-        sign = -1 if self.sign < 0 and k & 1 else 1
-        return _Product(sign, self.shift * k, {b: p * k for b, p in self.powers.items()})
+        coeff = -1 if self.coeff < 0 and k & 1 else 1
+        return _Product(coeff, self.shift * k, {b: p * k for b, p in self.powers.items()})
 
     def is_unit(self) -> bool:
         return self.shift == 0 and all(map(_unit_base, self.powers))
 
-    def series(self, order: int) -> TruncatedSeries:
-        num: list[TruncatedSeries] = []
-        den: list[TruncatedSeries] = []
-        for base, k in self.powers.items():
-            if k:
-                s = _eval(base if abs(k) == 1 else Pow(base, abs(k)), order)
-                (num if k > 0 else den).append(s)
-        if den:
-            num.append(_sparse_first_product(den) ** -1)
-        result = _sparse_first_product(num) if num else TruncatedSeries.one(order)
-        if self.shift:
-            cs, p = result.coeffs, result._profile
-            support = None
-            if p is not None and p.positions is not None:
-                support = [i + self.shift for i in p.positions if i + self.shift <= order]
-            result = TruncatedSeries._of(((0,) * min(self.shift, order + 1) + cs)[: order + 1],
-                                         support)
-        return -result if self.sign < 0 else result
+
+def _product(powers: dict[QExpr, int], order: int) -> TruncatedSeries:
+    """The product of base^power over nonzero powers at the order, sparse
+    factors first, with one inverse for all the negative powers; a form's
+    coefficient and shift are _sum's alone."""
+    num: list[TruncatedSeries] = []
+    den: list[TruncatedSeries] = []
+    for base, k in powers.items():
+        s = _eval(base if abs(k) == 1 else Pow(base, abs(k)), order)
+        (num if k > 0 else den).append(s)
+    if den:
+        num.append(_sparse_first_product(den) ** -1)
+    return _sparse_first_product(num) if num else TruncatedSeries.one(order)
 
 
 def _sparse_first_product(factors: list[TruncatedSeries]) -> TruncatedSeries:
@@ -618,13 +616,16 @@ def _collect(e: QExpr) -> _Product:
 
 def _lower(e: QExpr) -> _Product:
     """The theta normal form of a node: its exponent vector with every
-    Pochhammer rule applied."""
+    Pochhammer rule applied, each literal to the first power folded into
+    the coefficient, and no power 0."""
     p = _collect(e)
     poch: dict[tuple[int, int, int], int] = {}
-    out = _Product(p.sign, p.shift)
+    out = _Product(p.coeff, p.shift)
     for base, k in p.powers.items():
         if isinstance(base, Poch):
             poch[(base.args[0].sign, base.args[0].exponent, base.modulus)] = k
+        elif isinstance(base, IntLit) and k == 1:
+            out.coeff *= base.value
         else:
             out.add(base, k)
     for (s, r, m), k in poch.items():
@@ -648,8 +649,8 @@ def _lower(e: QExpr) -> _Product:
                 poch[(s, r, m)] -= c
                 poch[partner] -= c
     for (s, r, m), k in poch.items():
-        if k:
-            out.add(Poch((SignedMonomial(s, r),), m), k)
+        out.add(Poch((SignedMonomial(s, r),), m), k)
+    out.powers = {base: k for base, k in out.powers.items() if k}
     return out
 
 
@@ -683,20 +684,15 @@ def _reduced(base: QExpr, k: int) -> QExpr | None:
 
 
 def _split(term: _Product, k: int) -> tuple[_Product, _Product]:
-    """term = A * B(q^k): A keeps the sign, the shift and every base that
-    is not a series in q^k; B(q) holds the others, as _reduced gives them.
-    A literal to the first power joins A's sign, an integer factor that
-    scales the column instead of multiplying it."""
-    a, b = _Product(term.sign, term.shift), _Product()
+    """term = A * B(q^k): A keeps the coefficient, shift and every base that
+    is not a series in q^k; B(q) holds the others, as _reduced gives them."""
+    a, b = _Product(term.coeff, term.shift), _Product()
     for base, p in term.powers.items():
-        if isinstance(base, IntLit) and p == 1:
-            a.sign *= base.value
-        elif p:
-            reduced = _reduced(base, k)
-            if reduced is None:
-                a.add(base, p)
-            else:
-                b.add(reduced, p)
+        reduced = _reduced(base, k)
+        if reduced is None:
+            a.add(base, p)
+        else:
+            b.add(reduced, p)
     return a, b
 
 
@@ -714,32 +710,27 @@ def _check_powers(powers: dict[QExpr, int], order: int) -> None:
                 _check_powers(term.powers, order)
 
 
-def _node(powers: dict[QExpr, int]) -> QExpr:
-    """A node whose normal form is these powers, so _eval caches its series."""
-    return reduce(Mul, [base if p == 1 else Pow(base, p) for base, p in powers.items()])
-
-
 def _add_column(out: list[int], a: _Product, b: _Product, k: int, l: int, order: int,
                 m_b: int) -> None:
     """out += dissect(A, k, l) * B(q), out being the column to order m =
     len(out) - 1; A is taken at the claim's order and B at m_b >= m, one
     order for every residue, so they share B's series."""
     m = len(out) - 1
-    b_powers = {base: p for base, p in b.powers.items() if p}
-    bq = _eval(_node(b_powers), m_b) if b_powers else TruncatedSeries.one(m)
+    b_key = tuple(v for pair in b.powers.items() if pair[1] for v in pair)
+    bq = _eval(b_key, m_b) if b_key else None
     # Entry n is A's coefficient at k*n + l: that of A's powers at
     # k*n + l - shift, so the entries below n0 are 0.
     n0 = max(0, -((l - a.shift) // k))
     if a.powers:
-        x = _eval(_node(a.powers), order).coeffs
+        x = _eval(tuple(v for pair in a.powers.items() for v in pair), order).coeffs
         if n0 <= m:
             part = TruncatedSeries._of(x[l + k * n0 - a.shift::k][: m + 1 - n0])
-            if b_powers:
-                add_product_into(out, part, bq, n0, a.sign)
+            if bq is None:
+                add_into(out, part, n0, a.coeff)
             else:
-                add_into(out, part, n0, a.sign)
-    elif (a.shift - l) % k == 0:  # A = +-q^(k*n0 + l): B(q) shifted, not a product
-        add_into(out, bq, n0, a.sign)
+                add_product_into(out, part, bq, n0, a.coeff)
+    elif (a.shift - l) % k == 0:  # A = c*q^(k*n0 + l): B(q) shifted, not a product
+        add_into(out, TruncatedSeries.one(m) if bq is None else bq, n0, a.coeff)
 
 
 def cross_multiplied(
@@ -826,18 +817,17 @@ def _direct(e: QExpr, order: int, sub) -> TruncatedSeries:
 
 def _sum(terms: list[_Product], order: int) -> TruncatedSeries:
     """The sum of theta normal forms at the order, each term added in place
-    into one list at its shift, with its sign (see "Sums" above)."""
+    into one list at its shift, times its coefficient (see "Sums" above)."""
     out = [0] * (order + 1)
     support: set[int] | None = set()
     for term in terms:
-        a, b = _split(term, 1)  # a: the sign, literals folded in, and the shift
-        powers = b.powers
+        powers = term.powers
         if len(powers) == 2 and all(p == 1 for p in powers.values()):
             x, y = (_eval(base, order) for base in powers)
-            add_product_into(out, x, y, a.shift, a.sign)
+            add_product_into(out, x, y, term.shift, term.coeff)
             support = None
         else:
-            written = add_into(out, b.series(order), a.shift, a.sign)
+            written = add_into(out, _product(powers, order), term.shift, term.coeff)
             support = None if support is None or written is None else support.union(written)
     return TruncatedSeries._of(tuple(out), None if support is None else sorted(support))
 
@@ -846,19 +836,23 @@ _PRODUCT_NODES = (Mul, Div, Pow, Neg, Poch)
 
 
 @lru_cache(maxsize=4096)
-def _eval(e: QExpr, order: int) -> TruncatedSeries:
-    """Series of a node, memoized per (node, order).  A sum is evaluated
-    from its terms' normal forms into one list (_sum).  A product-shaped
-    node is evaluated from its theta normal form, unless that form is the
-    node itself (an opaque node, or one base to one power, which the normal
-    form's series asks for); every other node by _direct."""
+def _eval(e: QExpr | tuple[tuple[QExpr, int], ...], order: int) -> TruncatedSeries:
+    """Series of a node, or of a lowered part's flat pairs, memoized.  A
+    sum, or a product-shaped node whose normal form has a coefficient or a
+    shift, is added up by _sum; any other product-shaped node is its form's
+    _product, unless that form is the node itself (an opaque node, or one
+    base to one power, which _product asks for); any other node, _direct's."""
+    if isinstance(e, tuple):
+        return _product(dict(zip(e[::2], e[1::2])), order)
     if isinstance(e, (Add, Sub)):
         return _sum(_terms(e), order)
     if isinstance(e, _PRODUCT_NODES):
         product = _lower(e)
+        if product.coeff != 1 or product.shift:
+            return _sum([product], order)
         own = [{e: 1}, {e.base: e.exponent}] if isinstance(e, Pow) else [{e: 1}]
-        if product.sign != 1 or product.shift or product.powers not in own:
-            return product.series(order)
+        if product.powers not in own:
+            return _product(product.powers, order)
     return _direct(e, order, _eval)
 
 

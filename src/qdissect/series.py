@@ -17,12 +17,11 @@ the nonzero positions of a sparse series, largest |c|), so the multiply,
 power_bits and invert read a series that is used again without scanning
 it again.  A kernel that knows where it wrote hands those positions to
 _of and the profile is built from them at once, with no scan: theta_f,
-monomial, qexpr's shift, a qexpr sum whose every term was added over
-known positions, and, inside the multiply, a cut operand and the slices
-of a q^g split.  Any other series finds its profile on first use.  A
-sparse operand packs in time proportional to its nonzero terms.  The
-profile is not part of a series' value: ==, hash and repr read the
-coefficients alone.
+monomial, a qexpr sum whose every term was added over known positions,
+and, inside the multiply, a cut operand and the slices of a q^g split.
+Any other series finds its profile on first use.  A sparse operand packs
+in time proportional to its nonzero terms.  The profile is not part of a
+series' value: ==, hash and repr read the coefficients alone.
 
 A sum of shifted, signed terms is built in one list of ints, in place:
 add_into adds a series over its known positions or by one slice map, and

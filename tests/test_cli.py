@@ -267,6 +267,10 @@ def test_verify_malformed_records_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--records", str(bad))
     assert code == 2
     assert f"{bad}:1: unknown parameter 'sgn'" in err
+    bad.write_text("a | sign | k=1,l=0,sign=+,except=-3 | 1/(q;q)_inf |\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 2
+    assert f"{bad}:1: exception index must be nonnegative, got -3" in err
 
 
 def test_verify_honours_record_order(tmp_path, capsys):

@@ -355,6 +355,10 @@ def test_load_records_rejects_malformed(tmp_path):
         "my.e | equality | | q + | q",
         "my.d | dissection | k1=5,l1=0,k2=5,l2=0 | q | (q;q",
         "my.e | equality | | q |",
+        # an rhs on a one-column kind, and a sign-pattern exception that
+        # can never match
+        "a | vanishing | k=5,l=3 | (-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf | q^(((",
+        "a | sign | k=1,l=0,sign=+,except=-3 | 1/(q;q)_inf |",
         # a repeated id is reported on its second line
         "my.e | equality | | q | q\nmy.e | equality | | q^2 | q^2",
     ):

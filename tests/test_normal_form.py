@@ -195,10 +195,19 @@ def test_random_dissected_products_match_substituted_series():
 
 # Each sum exercises one way a term enters the list: sparse thetas whose
 # pairs are written straight in, with a sign and a shift; a shift past the
-# order; terms that cancel; literals joining the sign, 0 among them; a
-# constant or lone monomial; a dense product packed beside pair terms; and
-# sums nested under a minus, a power and a product.
+# order; terms that cancel; literals joining the coefficient, 0 among them;
+# a constant or lone monomial; a dense product packed beside pair terms; and
+# sums nested under a minus, a power and a product.  A lone product with a
+# coefficient or a shift is added the same way, as a sum of one term: a
+# literal to a power other than 1 stays a base, and a power that cancels to
+# 0 leaves the unit.
 SUMS = [
+    "2*q^3*f(q,q^4)*f(q^2,q^3)",
+    "-3*q^5*(q,q^4;q^5)_inf^-2",
+    "0*q*f(q,q^2)^2",
+    "(2*q)^3*f(q,q)",
+    "f(q,q)^2/f(q,q)^2",
+    "-q^7000*psi(q)*phi(q)",
     "q^3*f(q,q^4)*f(q^2,q^3) - q*f(-q^2,-q^8)*f(-q,-q^9) + phi(q)*psi(q^3)",
     "f(-q^3,-q^7)*f(-q^4,-q^6) - q*f(-q^2,-q^8)*f(-q,-q^9) - f(q,q^4)*f(-q^2,-q^3)",
     "q^7*phi(q)*psi(q) - q^400*f(q,q^2)*f(q^2,q^3) + q^7000*psi(q)",
@@ -472,6 +481,18 @@ def test_cross_multiplied_equalities_invert_nothing(monkeypatch):
         record = next(r for r in registry() if r.id == rid)
         assert verify(record, 97).status == "pass"
     assert calls == []
+
+
+def test_column_parts_are_not_lowered_again(monkeypatch):
+    # A column's A and B parts are cached by their (base, power) pairs, not
+    # rebuilt as product nodes that _eval lowers a second time.  The count
+    # is deterministic; the same pass made 539 when the parts were rebuilt.
+    calls = []
+    real = qexpr._lower
+    monkeypatch.setattr(qexpr, "_lower", lambda e: calls.append(e) or real(e))
+    qexpr._eval.cache_clear()
+    assert all(r.status == "pass" for r in identities.verify_all(1000))
+    assert len(calls) <= 421
 
 
 def test_paired_list_multiply_count(monkeypatch):
