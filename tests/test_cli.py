@@ -460,6 +460,49 @@ def test_cli_fuzz_exit_codes(capsys):
     assert codes == {0, 1, 2}
 
 
+# --- transcript -----------------------------------------------------------------
+
+TRANSCRIPT_RECORDS = (
+    "u.pass | equality | order=40 | phi(q) | phi(q^4) + 2*q*psi(q^8)\n"
+    "u.fail | equality | order=40 | phi(q) | psi(q)\n"
+    "u.err | equality | order=40 | 1/(1-1) | 1\n"
+)
+TRANSCRIPT_ARGV = [
+    ["expand", G1_TEXT, "-N", "12"],
+    ["expand", "f(1,1)"],
+    ["expand", "q^("],
+    ["dissect", H1_TEXT, "--mod", "5", "--res", "0", "-N", "50"],
+    ["dissect", "psi(q)", "--mod", "5", "--res", "7"],
+    ["scan", "f(-q,-q^2)", "--mod", "1", "--res", "0", "--upTo", "10"],
+    ["count", COUNT_SPEC, "--n", "5"],
+    ["count", "M=10;oops", "--n", "3"],
+    ["verify", "--filter", "R5.m7"],
+    ["verify", "--filter", "NOSUCH"],
+    ["verify", "--records", "RECORDS"],
+]
+
+
+def test_cli_transcript_digest(tmp_path, capsys):
+    # Every command in both formats, with exits 0, 1 and 2, pinned as one
+    # digest over (argv, exit code, stdout, stderr): any change in what the
+    # command line prints, where, or with which exit code, shows.  Elapsed
+    # times are masked, and the records file is hashed by its placeholder.
+    records = tmp_path / "records.txt"
+    records.write_text(TRANSCRIPT_RECORDS, encoding="utf-8")
+    transcript = []
+    for argv in TRANSCRIPT_ARGV:
+        for fmt in ("text", "json"):
+            shown = [*argv, "--format", fmt]
+            code, out, err = run(capsys, *[str(records) if a == "RECORDS" else a
+                                           for a in shown])
+            out = re.sub(r"\(order (\d+), \d+\.\d{3}s\)", r"(order \1, T)", out)
+            out = re.sub(r'"elapsed": [^,\n}]+', '"elapsed": T', out)
+            transcript.append([shown, code, out, err])
+    assert sorted({code for _, code, _, _ in transcript}) == [0, 1, 2]
+    digest = hashlib.sha256(json.dumps(transcript).encode()).hexdigest()
+    assert digest == "cdbafd057e5b8968a811c1b3c089f329a0abab49d6454415f0978622f855e4eb"
+
+
 # --- README examples ----------------------------------------------------------------
 
 
