@@ -4,11 +4,15 @@ Five subcommands: expand an expression to coefficients, extract an
 arithmetic progression (dissect), verify the identity registry, scan
 coefficient signs along a progression, and count flavoured partitions.
 
+Each command returns its exit code, its JSON payload and its text lines,
+built from one result; main alone reads --format and prints one of them.
+
 Exit codes: 0 all requested checks pass, 1 a check failed or evaluation
-hit a domain error, 2 usage or parse error.  Every printed coefficient
-goes through series.coeff_text, which writes it in full whatever its
-width.  JSON output keeps a stable key order and serializes coefficients
-as decimal strings.
+hit a domain error, 2 usage or parse error, such as a flag that is not an
+integer ("expected a positive integer, got 'abc'").  Every printed
+coefficient goes through series.coeff_text, which writes it in full
+whatever its width.  JSON output keeps a stable key order and serializes
+coefficients as decimal strings.
 """
 
 from __future__ import annotations
@@ -18,120 +22,85 @@ import json
 import sys
 
 from .combinatorics import count_partitions, parse_spec, scan_signs
-from .identities import load_records, verify_all
+from .identities import load_records, read_int, verify_all
 from .qexpr import evaluate, parse
 from .series import EvaluationError, check_progression, coeff_text, dissect
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 
+# What a command returns: its exit code, its JSON payload and its text lines.
+Result = tuple[int, object, list[str]]
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
 
-
-def _coeff_strings(coeffs) -> list[str]:
-    return list(map(coeff_text, coeffs))
+def _at_least(low: int, expected: str, text: str) -> int:
+    try:
+        value = read_int(text, expected)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{expected}, got {value}")
+    return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+    return _at_least(1, "expected a positive integer", text)
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+    return _at_least(0, "expected a nonnegative integer", text)
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
-    expr = parse(args.expr)
-    series = evaluate(expr, args.order)
-    if args.format == "json":
-        _emit_json({
-            "expr": args.expr,
-            "order": args.order,
-            "coeffs": _coeff_strings(series.coeffs),
-        })
-    else:
-        print(" ".join(_coeff_strings(series.coeffs)))
-    return 0
+def _cmd_expand(args: argparse.Namespace) -> Result:
+    coeffs = list(map(coeff_text, evaluate(parse(args.expr), args.order).coeffs))
+    return 0, {"expr": args.expr, "order": args.order, "coeffs": coeffs}, [" ".join(coeffs)]
 
 
-def _cmd_dissect(args: argparse.Namespace) -> int:
+def _cmd_dissect(args: argparse.Namespace) -> Result:
     check_progression(args.mod, args.res)
-    expr = parse(args.expr)
-    series = evaluate(expr, args.order)
-    selected = dissect(series, args.mod, args.res)
-    if args.format == "json":
-        _emit_json({
-            "expr": args.expr,
-            "order": args.order,
-            "mod": args.mod,
-            "res": args.res,
-            "coeffs": _coeff_strings(selected.coeffs),
-        })
-    else:
-        print(" ".join(_coeff_strings(selected.coeffs)))
-    return 0
+    series = evaluate(parse(args.expr), args.order)
+    coeffs = list(map(coeff_text, dissect(series, args.mod, args.res).coeffs))
+    payload = {"expr": args.expr, "order": args.order, "mod": args.mod, "res": args.res,
+               "coeffs": coeffs}
+    return 0, payload, [" ".join(coeffs)]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Result:
     records = load_records(args.records) if args.records else None
     reports = verify_all(order=args.order, id_filter=args.filter, records=records)
     if not reports:
         print(f"warning: no records match filter {args.filter!r}", file=sys.stderr)
-    if args.format == "json":
-        _emit_json([r.to_dict() for r in reports])
-    else:
-        for r in reports:
-            line = f"{r.status.upper():5s} {r.id}  (order {r.checked_order}, {r.elapsed:.3f}s)"
-            if r.first_failure is not None:
-                i, lhs, rhs = r.first_failure
-                line += f"  first failure at index {i}: {coeff_text(lhs)} != {coeff_text(rhs)}"
-            if r.detail:
-                line += f"  [{r.detail}]"
-            print(line)
-        passed = sum(1 for r in reports if r.status == "pass")
-        print(f"{passed}/{len(reports)} records pass")
-    return 0 if all(r.status == "pass" for r in reports) else 1
+    lines = []
+    for r in reports:
+        line = f"{r.status.upper():5s} {r.id}  (order {r.checked_order}, {r.elapsed:.3f}s)"
+        if r.first_failure is not None:
+            i, lhs, rhs = r.first_failure
+            line += f"  first failure at index {i}: {coeff_text(lhs)} != {coeff_text(rhs)}"
+        if r.detail:
+            line += f"  [{r.detail}]"
+        lines.append(line)
+    passed = sum(1 for r in reports if r.status == "pass")
+    lines.append(f"{passed}/{len(reports)} records pass")
+    return 0 if passed == len(reports) else 1, [r.to_dict() for r in reports], lines
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace) -> Result:
     check_progression(args.mod, args.res)
-    expr = parse(args.expr)
-    result = scan_signs(expr, args.mod, args.res, args.up_to)
-    if args.format == "json":
-        _emit_json({
-            "expr": args.expr,
-            "mod": args.mod,
-            "res": args.res,
-            "upTo": args.up_to,
-            "values": _coeff_strings(result.values),
-            "signs": [_SIGN_CHAR[s] for s in result.signs],
-            "zeros": result.zeros,
-            "signChanges": result.sign_changes,
-        })
-    else:
-        for n, (value, sign) in enumerate(zip(result.values, result.signs)):
-            print(f"{n:4d}  {_SIGN_CHAR[sign]}  {coeff_text(value)}")
-        print(f"zeros at n = {result.zeros}" if result.zeros else "no zeros")
-        print(f"sign changes at n = {result.sign_changes}"
-              if result.sign_changes else "no sign changes")
-    return 0
+    result = scan_signs(parse(args.expr), args.mod, args.res, args.up_to)
+    values = list(map(coeff_text, result.values))
+    signs = [_SIGN_CHAR[s] for s in result.signs]
+    payload = {"expr": args.expr, "mod": args.mod, "res": args.res, "upTo": args.up_to,
+               "values": values, "signs": signs, "zeros": result.zeros,
+               "signChanges": result.sign_changes}
+    lines = [f"{n:4d}  {sign}  {value}" for n, (value, sign) in enumerate(zip(values, signs))]
+    lines.append(f"zeros at n = {result.zeros}" if result.zeros else "no zeros")
+    lines.append(f"sign changes at n = {result.sign_changes}"
+                 if result.sign_changes else "no sign changes")
+    return 0, payload, lines
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
-    spec = parse_spec(args.spec)
-    value = count_partitions(spec, args.n)
-    if args.format == "json":
-        _emit_json({"spec": args.spec, "n": args.n, "count": coeff_text(value)})
-    else:
-        print(coeff_text(value))
-    return 0
+def _cmd_count(args: argparse.Namespace) -> Result:
+    count = coeff_text(count_partitions(parse_spec(args.spec), args.n))
+    return 0, {"spec": args.spec, "n": args.n, "count": count}, [count]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join(lines))
+        return code
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,7 @@ deterministic.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -277,15 +278,32 @@ def _sign_value(text: str) -> int:
     raise ValueError(f"bad sign {text!r}")
 
 
+def read_int(text: str, expected: str) -> int:
+    """int(text), or a ValueError "{expected}, got {text!r}".  A digit string
+    past the interpreter's int-string limit is named by its digit count, as
+    the expression parser does, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    digits = text.strip()
+    digits = digits[1:] if digits.startswith(("+", "-")) else digits
+    limit = sys.get_int_max_str_digits()
+    if digits.isdecimal() and len(digits) > limit:
+        raise ValueError(f"{expected} of at most {limit} digits, got {len(digits)} digits")
+    raise ValueError(f"{expected}, got {text!r}")
+
+
 def _progression(params: dict[str, str], k: str = "k", l: str = "l") -> tuple[int, int]:
     """The progression params[k]*n + params[l], popped and checked as dissect does."""
-    pair = int(params.pop(k)), int(params.pop(l))
+    pair = (read_int(params.pop(k), f"{k} must be an integer"),
+            read_int(params.pop(l), f"{l} must be an integer"))
     check_progression(*pair)
     return pair
 
 
 def _positive(name: str, text: str) -> int:
-    value = int(text)
+    value = read_int(text, f"{name} must be an integer")
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
@@ -312,7 +330,8 @@ def _record_from_line(line: str) -> IdentityRecord:
     elif kind_name == "congruence":
         kind = Congruence(lhs, *_progression(params), _positive("mod", params.pop("mod")))
     elif kind_name == "sign":
-        exceptions = frozenset(int(x) for x in params.pop("except", "").split("/") if x)
+        exceptions = frozenset(read_int(x, "except must list integers")
+                               for x in params.pop("except", "").split("/") if x)
         if exceptions and min(exceptions) < 0:
             raise ValueError(f"exception index must be nonnegative, got {min(exceptions)}")
         kind = SignPattern(

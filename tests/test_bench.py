@@ -208,6 +208,48 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
     assert not {id(t.coeffs) for t in thetas} & set(map(id, scanned))
 
 
+# Net tracked allocations of one pass, measured as below in a fresh
+# CPython 3.11 process.  A generation-0 collection inside a theta-lemmas
+# pass costs 2-5 ms, and whether the pass takes one more turns on a few
+# dozen live objects; the count is deterministic, so it is pinned.  To
+# re-pin, run the script below for each workload and take its output;
+# any rise must be recorded in CHANGES.md with its cause.
+GC_GROWTH_PINS = {"theta-lemmas": 1085, "verify-registry": 2580}
+GC_GROWTH_SCRIPT = """
+import gc, importlib.util, sys
+from qdissect import identities, qexpr
+registry = identities.registry()
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+records = workloads.theta_lemma_records(qexpr, registry)
+if sys.argv[2] != "theta-lemmas":
+    records = None
+qexpr._eval.cache_clear()
+gc.collect()
+gc.disable()
+before = gc.get_count()[0]
+reports = identities.verify_all(order=workloads.ORDERS[sys.argv[2]], records=records)
+print(gc.get_count()[0] - before)
+"""
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="tracked allocation counts are pinned on CPython 3.11")
+@pytest.mark.parametrize("workload", sorted(GC_GROWTH_PINS))
+def test_pass_gc_growth_within_pin(workload):
+    # The growth of the generation-0 count across one pass, with the
+    # collector off and the reports kept: the pass's net tracked allocations.
+    proc = subprocess.run(
+        [sys.executable, "-c", GC_GROWTH_SCRIPT, str(ROOT / "bench" / "workloads.py"),
+         workload],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= GC_GROWTH_PINS[workload]
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_run_time_within_committed_bench(workload):
     # The committed median and this pass are both scaled to the benchmark's

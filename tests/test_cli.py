@@ -140,6 +140,37 @@ def test_expand_rejects_nonpositive_order(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "q", "--order", "abc"],
+     "argument --order/-N: expected a positive integer, got 'abc'"),
+    (["dissect", "q", "--mod", "x", "--res", "0"],
+     "argument --mod: expected a positive integer, got 'x'"),
+    (["dissect", "q", "--mod", "5", "--res", "1.5"],
+     "argument --res: expected a nonnegative integer, got '1.5'"),
+    (["scan", "q", "--mod", "5", "--res", "0", "--upTo", "-"],
+     "argument --upTo: expected a nonnegative integer, got '-'"),
+    (["count", "M=7;3x2", "--n", "two"],
+     "argument --n: expected a nonnegative integer, got 'two'"),
+    (["count", "M=7;3x2", "--n", "-3"], "argument --n: expected a nonnegative integer, got -3"),
+], ids=["order", "mod", "res", "upTo", "n", "n-negative"])
+def test_non_integer_flag_exit_2(capsys, argv, message):
+    # The message says what was expected, not the converter's name.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_flag_past_digit_limit_is_not_echoed(capsys):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "q", "--order", "7" * (limit + 700)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"--order/-N: expected a positive integer of at most {limit} digits, "
+        f"got {limit + 700} digits\n")
+
+
 def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["expand", "q", "--bogus", "1"])
@@ -271,6 +302,10 @@ def test_verify_malformed_records_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--records", str(bad))
     assert code == 2
     assert f"{bad}:1: exception index must be nonnegative, got -3" in err
+    bad.write_text("a | vanishing | k=5,l=x | q |\n", encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 2
+    assert err == f"error: {bad}:1: l must be an integer, got 'x'\n"
 
 
 def test_verify_honours_record_order(tmp_path, capsys):

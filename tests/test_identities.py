@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -369,16 +370,25 @@ def test_load_records_rejects_malformed(tmp_path):
             load_records(str(path))
     # A key the kind does not take is named, not ignored: with sgn=-1 the
     # sign stayed +, so the false claim q = -q passed, and odrer=5 ran at
-    # order 300.
-    for line, key in (
-        ("a | dissection | k1=1,l1=0,k2=1,l2=0,sgn=-1 | q | q", "sgn"),
-        ("a | equality | odrer=5 | q | q", "odrer"),
-        ("a | sign | k=5,l=0,sign=-,mod=2 | q |", "mod"),
+    # order 300.  A value that is not an integer is named by its key, and
+    # a digit string past the int-string limit by its length.
+    limit = sys.get_int_max_str_digits()
+    for line, message in (
+        ("a | dissection | k1=1,l1=0,k2=1,l2=0,sgn=-1 | q | q", "unknown parameter 'sgn'"),
+        ("a | equality | odrer=5 | q | q", "unknown parameter 'odrer'"),
+        ("a | sign | k=5,l=0,sign=-,mod=2 | q |", "unknown parameter 'mod'"),
+        ("a | vanishing | k=5,l=x | q |", "l must be an integer, got 'x'"),
+        ("a | dissection | k1=5,l1=0,k2=five,l2=0 | q | q", "k2 must be an integer, got 'five'"),
+        ("a | congruence | k=5,l=0,mod=two | q |", "mod must be an integer, got 'two'"),
+        ("a | equality | order=1e3 | q | q", "order must be an integer, got '1e3'"),
+        ("a | sign | k=1,l=0,sign=+,except=1/x | q |", "except must list integers, got 'x'"),
+        (f"a | vanishing | k=5,l=-{'7' * (limit + 1)} | q |",
+         f"l must be an integer of at most {limit} digits, got {limit + 1} digits"),
     ):
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as error:
             load_records(str(path))
-        assert str(error.value) == f"{path}:1: unknown parameter {key!r}"
+        assert str(error.value) == f"{path}:1: {message}"
 
 
 def test_load_records_checks_progressions_like_dissect(tmp_path):
