@@ -212,8 +212,10 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
 # CPython 3.11 process.  A generation-0 collection inside a theta-lemmas
 # pass costs 2-5 ms, and whether the pass takes one more turns on a few
 # dozen live objects; the count is deterministic, so it is pinned.  To
-# re-pin, run the script below for each workload and take its output;
-# any rise must be recorded in CHANGES.md with its cause.
+# re-pin, run the text of GC_GROWTH_SCRIPT with `python -c` from the
+# repository root, PYTHONPATH=src and the arguments `bench/workloads.py
+# WORKLOAD`, for each workload, and take what it prints; any rise must be
+# recorded in CHANGES.md with its cause.
 GC_GROWTH_PINS = {"theta-lemmas": 1085, "verify-registry": 2580}
 GC_GROWTH_SCRIPT = """
 import gc, importlib.util, sys

@@ -23,6 +23,7 @@ COUNT_SPEC = "M=10;1x2,9x2,2x1,8x1,4x2,6x2"
 # int-string digit limit, written out without str().
 NINES = "9" * 4000
 NINES_SQUARED = "9" * 3999 + "8" + "0" * 3999 + "1"
+DIGIT_LIMIT = sys.get_int_max_str_digits()
 
 
 def run(capsys, *argv):
@@ -152,23 +153,17 @@ def test_expand_rejects_nonpositive_order(capsys):
     (["count", "M=7;3x2", "--n", "two"],
      "argument --n: expected a nonnegative integer, got 'two'"),
     (["count", "M=7;3x2", "--n", "-3"], "argument --n: expected a nonnegative integer, got -3"),
-], ids=["order", "mod", "res", "upTo", "n", "n-negative"])
-def test_non_integer_flag_exit_2(capsys, argv, message):
+    # past the interpreter's int-string digit limit: named by its length
+    (["expand", "q", "--order", "7" * (DIGIT_LIMIT + 700)],
+     f"argument --order/-N: expected a positive integer of at most {DIGIT_LIMIT} digits, "
+     f"got {DIGIT_LIMIT + 700} digits"),
+], ids=["order", "mod", "res", "upTo", "n", "n-negative", "order-digits"])
+def test_bad_integer_flag_exit_2(capsys, argv, message):
     # The message says what was expected, not the converter's name.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
-
-
-def test_flag_past_digit_limit_is_not_echoed(capsys):
-    limit = sys.get_int_max_str_digits()
-    with pytest.raises(SystemExit) as exc:
-        main(["expand", "q", "--order", "7" * (limit + 700)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        f"--order/-N: expected a positive integer of at most {limit} digits, "
-        f"got {limit + 700} digits\n")
 
 
 def test_unknown_flag_exit_2(capsys):
