@@ -22,9 +22,9 @@ import json
 import sys
 
 from .combinatorics import count_partitions, parse_spec, scan_signs
-from .identities import load_records, read_int, verify_all
+from .identities import load_records, verify_all
 from .qexpr import evaluate, parse
-from .series import EvaluationError, check_progression, coeff_text, dissect
+from .series import EvaluationError, check_progression, coeff_text, dissect, read_int
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import mul, ne
 
-from .series import TruncatedSeries, dissect, first_index
+from .series import TruncatedSeries, dissect, first_index, read_int
 from .qexpr import QExpr, evaluate
 from .theta import Value
 
@@ -43,21 +43,25 @@ class PartClassSpec(Value):
             seen.add(residue)
 
 
-_SPEC_RE = re.compile(r"^M=(\d+);(.+)$")
+_SPEC_RE = re.compile(r"^M=([^;]*);(.+)$")
+
+
+def _field(name: str, text: str) -> int:
+    return read_int(text.strip(), f"{name} must be an integer", InvalidSpec)
 
 
 def parse_spec(text: str) -> PartClassSpec:
-    """Parse "M=10;1x2,9x2,2x1" into a PartClassSpec."""
+    """Parse "M=10;1x2,9x2,2x1" into a PartClassSpec, numbers as flags are."""
     m = _SPEC_RE.match(text.strip())
     if not m:
         raise InvalidSpec(f"expected 'M=<int>;<r>x<f>,...', got {text!r}")
-    modulus = int(m.group(1))
+    modulus = _field("modulus", m.group(1))
     classes = []
     for piece in m.group(2).split(","):
         parts = piece.strip().split("x")
         if len(parts) != 2:
             raise InvalidSpec(f"bad class {piece!r}, expected '<residue>x<flavours>'")
-        classes.append((int(parts[0]), int(parts[1])))
+        classes.append((_field("residue", parts[0]), _field("flavours", parts[1])))
     return PartClassSpec(modulus, tuple(classes))
 
 

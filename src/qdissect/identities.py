@@ -33,14 +33,13 @@ deterministic.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
 from operator import ge, le, mul, ne
 
-from .series import check_progression, coeff_text, dissect, first_index
+from .series import check_progression, coeff_text, dissect, first_index, read_int
 from .theta import SignedMonomial
 from .qexpr import (
     Add, Monomial, Mul, Sub, ThetaF, cross_multiplied, evaluate_text, family_g, family_h,
@@ -278,22 +277,6 @@ def _sign_value(text: str) -> int:
     raise ValueError(f"bad sign {text!r}")
 
 
-def read_int(text: str, expected: str) -> int:
-    """int(text), or a ValueError "{expected}, got {text!r}".  A digit string
-    past the interpreter's int-string limit is named by its digit count, as
-    the expression parser does, not echoed."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    digits = text.strip()
-    digits = digits[1:] if digits.startswith(("+", "-")) else digits
-    limit = sys.get_int_max_str_digits()
-    if digits.isdecimal() and len(digits) > limit:
-        raise ValueError(f"{expected} of at most {limit} digits, got {len(digits)} digits")
-    raise ValueError(f"{expected}, got {text!r}")
-
-
 def _progression(params: dict[str, str], k: str = "k", l: str = "l") -> tuple[int, int]:
     """The progression params[k]*n + params[l], popped and checked as dissect does."""
     pair = (read_int(params.pop(k), f"{k} must be an integer"),
@@ -330,7 +313,7 @@ def _record_from_line(line: str) -> IdentityRecord:
     elif kind_name == "congruence":
         kind = Congruence(lhs, *_progression(params), _positive("mod", params.pop("mod")))
     elif kind_name == "sign":
-        exceptions = frozenset(read_int(x, "except must list integers")
+        exceptions = frozenset(read_int(x.strip(), "except must list integers")
                                for x in params.pop("except", "").split("/") if x)
         if exceptions and min(exceptions) < 0:
             raise ValueError(f"exception index must be nonnegative, got {min(exceptions)}")

@@ -33,7 +33,7 @@ import string
 import sys
 from functools import lru_cache, reduce
 
-from .series import TruncatedSeries, add_into, add_product_into, check_power
+from .series import TruncatedSeries, add_product_into, check_power, product
 from .theta import (
     InvalidFactor,
     InvalidParameters,
@@ -470,7 +470,7 @@ def render(e: QExpr) -> str:
 # term +-1, with no shift, so its series is a unit and the term-by-term path
 # could invert it too; otherwise the power stays an opaque node and raises
 # there exactly as the term-by-term path does.  Thetas are sparse, so the
-# powers are multiplied sparse factors first, with one inverse (_product).
+# powers are multiplied sparse factors first, with one inverse (_factors).
 #
 # Columns.  A claim read on the progression k*n + l needs dissect(e, k, l)
 # only to order m = (N - l) // k.  Each term of e splits as A * B(q^k),
@@ -480,7 +480,8 @@ def render(e: QExpr) -> str:
 # at the claim's order through the cache, so every residue and claim that
 # shares it shares one series, and B(q) at order N // k, k the largest of
 # the claim's moduli, so every residue shares it too.  When A is c*q^s the
-# column is c*B(q) shifted, with no product.  A and B are cached under
+# column is c*B(q) shifted, with no product; either way one call adds it,
+# as it adds a sum's terms (see "Sums").  A and B are cached under
 # their flat pairs (base, power, base, ...), one tuple: a tuple per pair
 # would keep more young objects for the garbage collector to traverse.  The
 # columns of a claim are multiplied by the common denominator D of all B
@@ -500,15 +501,13 @@ def render(e: QExpr) -> str:
 # Sums.  A sum is the list of its terms' normal forms (_terms), and its
 # series is one list of order + 1 ints that each term is added into, at its
 # shift and times its coefficient, the one place where either is applied: a
-# product with a coefficient or a shift is a sum of one term.  A term of two
-# bases, each to the first power, whose series both have known positions
-# that meet the multiply's pair rule, writes its term pairs straight into
-# the list (series.add_product_into); any other term is its _product, added
-# over its known positions or by one slice map (series.add_into).  Terms are
-# evaluated left to right, so the leftmost error is the one raised.  When
-# every term was added over known positions, their union is handed to the
-# sum's profile.  The columns of cross_multiplied are summed the same way,
-# one list per column.
+# product with a coefficient or a shift is a sum of one term.  Every term
+# is added by one call with its _factors (series.add_product_into), and the
+# multiply alone chooses how a product of several enters the list.  Terms
+# are evaluated left to right, so the leftmost error is the one raised.
+# When every term was added over known positions, their union is handed to
+# the sum's profile.  The columns of cross_multiplied are summed the same
+# way, one list per column.
 
 
 def _theta(a: SignedMonomial, b: SignedMonomial) -> ThetaF:
@@ -560,25 +559,22 @@ class _Product:
         return self.shift == 0 and all(map(_unit_base, self.powers))
 
 
-def _product(powers: dict[QExpr, int], order: int) -> TruncatedSeries:
-    """The product of base^power over nonzero powers at the order, sparse
-    factors first, with one inverse for all the negative powers; a form's
-    coefficient and shift are _sum's alone."""
+def _factors(powers: dict[QExpr, int], order: int) -> list[TruncatedSeries]:
+    """The series of base^power at the order, the negative powers as one
+    inverse; a form's coefficient and shift are _sum's alone."""
     num: list[TruncatedSeries] = []
     den: list[TruncatedSeries] = []
     for base, k in powers.items():
         s = _eval(base if abs(k) == 1 else Pow(base, abs(k)), order)
         (num if k > 0 else den).append(s)
     if den:
-        num.append(_sparse_first_product(den) ** -1)
-    return _sparse_first_product(num) if num else TruncatedSeries.one(order)
+        num.append(product(den) ** -1)
+    return num
 
 
-def _sparse_first_product(factors: list[TruncatedSeries]) -> TruncatedSeries:
-    # Sparse operands first, so that products of thetas stay on the
-    # term-pair path of the multiply as long as they can.
-    factors.sort(key=lambda s: s.profile.count)
-    return reduce(operator.mul, factors)
+def _product(powers: dict[QExpr, int], order: int) -> TruncatedSeries:
+    """The product of the _factors (series.product), or 1."""
+    return product(_factors(powers, order) or [TruncatedSeries.one(order)])
 
 
 def _collect(e: QExpr) -> _Product:
@@ -717,20 +713,18 @@ def _add_column(out: list[int], a: _Product, b: _Product, k: int, l: int, order:
     order for every residue, so they share B's series."""
     m = len(out) - 1
     b_key = tuple(v for pair in b.powers.items() if pair[1] for v in pair)
-    bq = _eval(b_key, m_b) if b_key else None
+    factors = [_eval(b_key, m_b)] if b_key else []
     # Entry n is A's coefficient at k*n + l: that of A's powers at
     # k*n + l - shift, so the entries below n0 are 0.
     n0 = max(0, -((l - a.shift) // k))
     if a.powers:
         x = _eval(tuple(v for pair in a.powers.items() for v in pair), order).coeffs
-        if n0 <= m:
-            part = TruncatedSeries._of(x[l + k * n0 - a.shift::k][: m + 1 - n0])
-            if bq is None:
-                add_into(out, part, n0, a.coeff)
-            else:
-                add_product_into(out, part, bq, n0, a.coeff)
-    elif (a.shift - l) % k == 0:  # A = c*q^(k*n0 + l): B(q) shifted, not a product
-        add_into(out, TruncatedSeries.one(m) if bq is None else bq, n0, a.coeff)
+        if n0 > m:
+            return
+        factors.append(TruncatedSeries._of(x[l + k * n0 - a.shift::k][: m + 1 - n0]))
+    elif (a.shift - l) % k:  # A = c*q^s with s not k*n0 + l: nothing in the column
+        return
+    add_product_into(out, factors, n0, a.coeff)
 
 
 def cross_multiplied(
@@ -821,14 +815,8 @@ def _sum(terms: list[_Product], order: int) -> TruncatedSeries:
     out = [0] * (order + 1)
     support: set[int] | None = set()
     for term in terms:
-        powers = term.powers
-        if len(powers) == 2 and all(p == 1 for p in powers.values()):
-            x, y = (_eval(base, order) for base in powers)
-            add_product_into(out, x, y, term.shift, term.coeff)
-            support = None
-        else:
-            written = add_into(out, _product(powers, order), term.shift, term.coeff)
-            support = None if support is None or written is None else support.union(written)
+        written = add_product_into(out, _factors(term.powers, order), term.shift, term.coeff)
+        support = None if support is None or written is None else support.union(written)
     return TruncatedSeries._of(tuple(out), None if support is None else sorted(support))
 
 

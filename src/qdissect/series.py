@@ -23,11 +23,11 @@ Any other series finds its profile on first use.  A sparse operand packs
 in time proportional to its nonzero terms.  The profile is not part of a
 series' value: ==, hash and repr read the coefficients alone.
 
-A sum of shifted, signed terms is built in one list of ints, in place:
-add_into adds a series over its known positions or by one slice map, and
-add_product_into adds a product of two sparse series pair by pair through
-the multiply's own term-pair loop (_mul_terms takes the list, an offset
-and a sign), with no product series in between.
+A sum of shifted, signed products is built in one list of ints, in place,
+by one accumulator, add_product_into.  A lone factor is added over its
+known positions or by one slice map; the last product of several is added
+by _mul_lists, which takes the list, an offset and a sign and alone
+chooses the path: term pairs are written straight into the list.
 
 The public constructor checks every coefficient with operator.index.
 Kernel results (+, -, *, scale, invert, dissect, shift, substitute_power,
@@ -46,6 +46,7 @@ import operator
 import sys
 from array import array
 from bisect import bisect_left
+from functools import reduce
 from itertools import compress, count, repeat
 from math import gcd
 from typing import Iterable, Sequence
@@ -179,22 +180,26 @@ def _cut(cs: Sequence[int], p: Profile | None, n: int) -> Profile:
 
 
 def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
-               px: Profile | None = None, py: Profile | None = None) -> list[int]:
-    """Exact truncated convolution of two integer sequences.
+               px: Profile | None = None, py: Profile | None = None,
+               out: list[int] | None = None, offset: int = 0, sign: int = 1) -> list[int]:
+    """Exact truncated convolution of two integer sequences, n = n_out + 1
+    terms, returned, or added into out when it is given: out[offset + i] +=
+    sign * product[i] wherever offset + i < len(out), and out returned.
+    This is the one place where the path of a product is chosen.
 
     px and py, when given, are the profiles of xs and ys, so a series
     multiplied again is not scanned again; once both profiles are found
     the product reads each operand through its profile (`Profile.cs`).
-    An operand longer than n = n_out + 1 is cut to n terms, and its
-    profile is cut with it: a kept position list by one bisect, otherwise
-    by a scan of the cut; an operand given without a profile is scanned.
-    With kx and ky nonzero terms, the product takes one of three paths:
+    An operand longer than n is cut to n terms, and its profile is cut
+    with it (`_cut`): a kept position list by one bisect, otherwise by a
+    scan of the cut; an operand given without a profile is scanned.  With
+    kx and ky nonzero terms, the product takes one of three paths:
 
     - kx * ky <= n: the products of nonzero term pairs are summed
-      directly (`_mul_terms`).  That loop takes no more Python steps than
-      there are output digits, while the packing below takes several per
-      digit, so the rule needs no tuning constant.  An all-zero operand
-      has kx * ky = 0 and lands here.
+      directly (`_mul_terms`), into out as far as it reaches.  That loop
+      takes no more Python steps than there are output digits, while the
+      packing below takes several per digit, so the rule needs no tuning
+      constant.  An all-zero operand has kx * ky = 0 and lands here.
     - otherwise, if an operand is a series in q^g for some g > 1 (the
       larger g of the two is taken), out[r::g] = xs[::g] * ys[r::g] for
       each residue r, each of the g products taken by this same rule.
@@ -216,14 +221,19 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
       positions packs by setting its kx nonzero digits in a zeroed array,
       not by converting all its digits.
 
-    Every path equals schoolbook convolution coefficient by coefficient
-    (that equality is a tested property).
+    A split or packed product is built and then added to out by one slice
+    map.  Every path equals schoolbook convolution coefficient by
+    coefficient (that equality is a tested property).
     """
     n = n_out + 1
     px, py = _cut(xs, px, n), _cut(ys, py, n)
     kx, ky = px.count, py.count
     if kx * ky <= n:
-        return _mul_terms(px.cs, py.cs, px.support(), py.support(), n)
+        bound = n if out is None else min(n, len(out) - offset)
+        return _mul_terms(px.cs, py.cs, px.support(), py.support(), bound, out, offset, sign)
+    if out is not None:
+        _add_coeffs(out, _mul_lists(px.cs, py.cs, n_out, px, py), offset, sign, None)
+        return out
     if py.step > px.step:
         px, py = py, px
     g = px.step
@@ -390,12 +400,14 @@ class TruncatedSeries:
         return TruncatedSeries._of(tuple(map(operator.neg, self._coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        # A longer operand is cut by _mul_lists, its profile with it when it
-        # has been found.
-        n = min(self.order, other.order)
-        px = self.profile if self.order == n else self._profile
-        py = other.profile if other.order == n else other._profile
-        return TruncatedSeries._of(tuple(_mul_lists(self._coeffs, other._coeffs, n, px, py)))
+        n = min(len(self._coeffs), len(other._coeffs))
+        return TruncatedSeries._of(tuple(_mul_lists(
+            self._coeffs, other._coeffs, n - 1, self._brought(n), other._brought(n))))
+
+    def _brought(self, n: int) -> Profile | None:
+        """The profile this series brings to a product of n terms: found now
+        if it has n terms, else only once found (_mul_lists cuts it)."""
+        return self.profile if len(self._coeffs) == n else self._profile
 
     def scale(self, c: int) -> "TruncatedSeries":
         c = operator.index(c)
@@ -534,40 +546,40 @@ def shift(a: TruncatedSeries, e: int) -> TruncatedSeries:
     return TruncatedSeries._of((0,) * e + a.coeffs)
 
 
-def add_into(out: list[int], a: TruncatedSeries, offset: int = 0,
-             sign: int = 1) -> list[int] | None:
-    """out[offset + i] += sign * a[i] wherever offset + i < len(out): a
-    shifted and scaled term of a sum, added in place.  When a's profile has
-    been found and keeps its positions, only those are visited, and the
-    positions of out written are returned; otherwise the add is one slice
-    map, in C, and None is returned."""
-    p = a._profile
-    return _add_coeffs(out, a._coeffs, offset, sign, None if p is None else p.positions)
+def _sparse_first(factors: Sequence[TruncatedSeries]) -> Sequence[TruncatedSeries]:
+    """Three or more factors sparsest first, so products of thetas keep to
+    term pairs as long as they can; two are not profiled to be sorted."""
+    return sorted(factors, key=lambda s: s.profile.count) if len(factors) > 2 else factors
 
 
-def add_product_into(out: list[int], a: TruncatedSeries, b: TruncatedSeries,
-                     offset: int = 0, sign: int = 1) -> None:
-    """out[offset + i] += sign * (a * b)[i] wherever offset + i < len(out),
-    the product taken only as far as out reaches.  When both profiles have
-    been found and keep their positions, and the supports cut to those n
-    terms meet the multiply's pair rule kx * ky <= n, the term pairs are
-    summed straight into out (_mul_terms); otherwise the product is taken
-    by _mul_lists and added.  No profile is found here to pick the path."""
-    n = min(len(out) - offset, len(a._coeffs), len(b._coeffs))
-    if n <= 0 or not sign:
-        return
-    px, py = a._profile, b._profile
-    if px is not None and py is not None and px.positions is not None \
-            and py.positions is not None:
-        ix = px.positions[:bisect_left(px.positions, n)]
-        iy = py.positions[:bisect_left(py.positions, n)]
-        if len(ix) * len(iy) <= n:
-            _mul_terms(a._coeffs, b._coeffs, ix, iy, n, out, offset, sign)
-            return
-    # As in __mul__, an operand of exactly n terms keeps the profile found.
-    px = a.profile if len(a._coeffs) == n else px
-    py = b.profile if len(b._coeffs) == n else py
-    _add_coeffs(out, _mul_lists(a._coeffs, b._coeffs, n - 1, px, py), offset, sign, None)
+def product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """The product of a nonempty list of series, sparse factors first."""
+    return reduce(operator.mul, _sparse_first(factors))
+
+
+_ONE = TruncatedSeries.one(0)  # the product of no factors, with its position
+
+
+def add_product_into(out: list[int], factors: Sequence[TruncatedSeries], offset: int = 0,
+                     sign: int = 1) -> list[int] | None:
+    """out[offset + i] += sign * P[i] wherever offset + i < len(out), P the
+    product of the factors (1 for none); returns the positions written, or
+    None where they are not known.  One factor is added over its positions
+    if its profile has been found and keeps them, else by one slice map;
+    the last product of several is added by _mul_lists, its operands not
+    cut to fit out (a cut copies them: it doubled the time of a shifted
+    product of two thetas at order 6000)."""
+    if len(out) <= offset or not sign:
+        return []
+    if len(factors) < 2:
+        a = factors[0] if factors else _ONE
+        p = a._profile
+        return _add_coeffs(out, a._coeffs, offset, sign, None if p is None else p.positions)
+    *head, last = _sparse_first(factors)
+    a = reduce(operator.mul, head)
+    n = min(len(a._coeffs), len(last._coeffs))
+    _mul_lists(a._coeffs, last._coeffs, n - 1, a._brought(n), last._brought(n), out, offset, sign)
+    return None
 
 
 def _add_coeffs(out: list[int], cs: Sequence[int], offset: int, sign: int,
@@ -576,8 +588,6 @@ def _add_coeffs(out: list[int], cs: Sequence[int], offset: int, sign: int,
     positions, the ascending nonzero positions of cs, when given; returns
     the positions of out written, or None if positions is None."""
     n = len(out) - offset
-    if n <= 0 or not sign:
-        return []
     if positions is not None:
         positions = positions[:bisect_left(positions, n)]
         values = map(cs.__getitem__, positions)
@@ -614,6 +624,19 @@ def coeff_text(c: int) -> str:
     k = bits * 3 // 20  # about half the digits
     high, low = divmod(abs(c), 10 ** k)
     return ("-" if c < 0 else "") + coeff_text(high) + coeff_text(low).zfill(k)
+
+
+def read_int(text: str, expected: str, error: type[ValueError] = ValueError) -> int:
+    """text as an optional sign and ASCII digits alone, or an error
+    "{expected}, got {text!r}"; past the int-string limit the digits are
+    counted, as the expression parser counts them, not echoed."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise error(f"{expected}, got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise error(f"{expected} of at most {limit} digits, got {len(digits)} digits")
+    return int(text)
 
 
 def check_progression(k: int, l: int) -> None:

@@ -157,7 +157,15 @@ def test_expand_rejects_nonpositive_order(capsys):
     (["expand", "q", "--order", "7" * (DIGIT_LIMIT + 700)],
      f"argument --order/-N: expected a positive integer of at most {DIGIT_LIMIT} digits, "
      f"got {DIGIT_LIMIT + 700} digits"),
-], ids=["order", "mod", "res", "upTo", "n", "n-negative", "order-digits"])
+    # only ASCII digits: no other Unicode digit, underscore or space
+    (["expand", "q", "--order", "\u0663"],
+     "argument --order/-N: expected a positive integer, got '\u0663'"),
+    (["expand", "q", "--order", "1_0"],
+     "argument --order/-N: expected a positive integer, got '1_0'"),
+    (["expand", "q", "--order", " 7"],
+     "argument --order/-N: expected a positive integer, got ' 7'"),
+], ids=["order", "mod", "res", "upTo", "n", "n-negative", "order-digits", "order-arabic-indic",
+        "order-underscore", "order-space"])
 def test_bad_integer_flag_exit_2(capsys, argv, message):
     # The message says what was expected, not the converter's name.
     with pytest.raises(SystemExit) as exc:
@@ -420,6 +428,13 @@ def test_count_malformed_spec_exit_2(capsys):
     code, _, err = run(capsys, "count", "M=10;oops", "--n", "3")
     assert code == 2
     assert "error" in err
+    # a number of the spec that is not ASCII digits is named by its field
+    for spec, message in (
+        ("M=10;1_0x1", "residue must be an integer, got '1_0'"),
+        ("M=\u0661\u0660;1x1", "modulus must be an integer, got '\u0661\u0660'"),
+    ):
+        code, _, err = run(capsys, "count", spec, "--n", "10")
+        assert (code, err) == (2, f"error: {message}\n")
 
 
 # --- fuzz -----------------------------------------------------------------------

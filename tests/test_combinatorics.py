@@ -1,6 +1,7 @@
 """Partition counting oracle, interpretation checks, sign scans."""
 
 import random
+import sys
 
 import pytest
 
@@ -34,6 +35,20 @@ def test_parse_spec_errors():
                 "M=10;0x1", "M=10;11x1", "M=10;3x0", "M=10;3x1,3x2"):
         with pytest.raises((InvalidSpec, ValueError)):
             parse_spec(bad)
+    # Every number is read as flags are: ASCII digits only, the field
+    # named, and a modulus past the int-string limit named by its length.
+    limit = sys.get_int_max_str_digits()
+    for bad, message in (
+        ("M=10;1_0x1", "residue must be an integer, got '1_0'"),
+        ("M=\u0661\u0660;1x1", "modulus must be an integer, got '\u0661\u0660'"),
+        ("M=10;ax1", "residue must be an integer, got 'a'"),
+        ("M=10;1x2 2", "flavours must be an integer, got '2 2'"),
+        (f"M={'7' * (limit + 700)};1x1",
+         f"modulus must be an integer of at most {limit} digits, got {limit + 700} digits"),
+    ):
+        with pytest.raises(InvalidSpec) as error:
+            parse_spec(bad)
+        assert str(error.value) == message
 
 
 def test_count_small_values_by_hand():

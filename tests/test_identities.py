@@ -378,6 +378,7 @@ def test_load_records_rejects_malformed(tmp_path):
         ("a | equality | odrer=5 | q | q", "unknown parameter 'odrer'"),
         ("a | sign | k=5,l=0,sign=-,mod=2 | q |", "unknown parameter 'mod'"),
         ("a | vanishing | k=5,l=x | q |", "l must be an integer, got 'x'"),
+        ("a | vanishing | k=5,l=1_0 | q |", "l must be an integer, got '1_0'"),
         ("a | dissection | k1=5,l1=0,k2=five,l2=0 | q | q", "k2 must be an integer, got 'five'"),
         ("a | congruence | k=5,l=0,mod=two | q |", "mod must be an integer, got 'two'"),
         ("a | equality | order=1e3 | q | q", "order must be an integer, got '1e3'"),

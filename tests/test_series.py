@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 from array import array
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -17,6 +18,7 @@ from qdissect.series import (
     NonUnitConstantTerm,
     Profile,
     TruncatedSeries,
+    add_product_into,
     coeff_text,
     dissect,
     first_index,
@@ -152,6 +154,44 @@ def test_mul_matches_schoolbook_random():
         n_out = rng.randint(0, min(len(xs), len(ys)) - 2)
         a, b = TruncatedSeries(xs[: n_out + 1]), TruncatedSeries(ys[: n_out + 1])
         assert _mul_lists(xs, ys, n_out) == list(schoolbook_mul(a, b).coeffs)
+    # The accumulator: a product of 0, 1, 2 or 3 factors, sparse, in q^g or
+    # dense, shorter or longer than out, added at an offset at or past the
+    # end of out too, with signs 0, -1, 1 and 3, into a list already
+    # holding terms; and the positions written, for no factor and for one.
+    for _ in range(3 * CASES):
+        size = rng.randint(1, 60)
+        start = [rng.randint(-9, 9) for _ in range(size)]
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            length = max(1, size + rng.randint(-8, 8))
+            k = min(length, rng.randint(0, 3))
+            cs = rng.choice((
+                lambda: _sparse(rng, length, rng.sample(range(length), k)),
+                lambda: _spread(rng, rng.randint(2, 4), length, 2**70),
+                lambda: list(rand_series(rng, length - 1).coeffs)))()
+            factors.append(TruncatedSeries(cs))
+            if rng.random() < 0.5:
+                factors[-1].profile
+        want = [1]
+        if factors:
+            want = list(reduce(schoolbook_mul, factors).coeffs)
+        inside = rng.randrange(size)
+        offset = rng.choice((0, inside, inside, size - 1, size, size + 3))
+        sign = rng.choice((0, -1, 1, 3))
+        written = None
+        if offset >= size or not sign:
+            written = []
+        elif not factors:
+            written = [offset]
+        elif len(factors) == 1 and factors[0]._profile is not None \
+                and factors[0]._profile.positions is not None:
+            written = [offset + i for i in factors[0]._profile.positions if offset + i < size]
+        out = list(start)
+        assert add_product_into(out, factors, offset, sign) == written
+        for i, c in enumerate(want):
+            if offset + i < size:
+                start[offset + i] += sign * c
+        assert out == start, (factors, offset, sign)
 
 
 @pytest.fixture
@@ -161,9 +201,9 @@ def pair_calls(monkeypatch):
 
     calls = []
 
-    def counting(xs, ys, ix, iy, n):
+    def counting(xs, ys, ix, iy, n, *into):
         calls.append((len(ix), len(iy), n))
-        return _mul_terms(xs, ys, ix, iy, n)
+        return _mul_terms(xs, ys, ix, iy, n, *into)
 
     monkeypatch.setattr(series, "_mul_terms", counting)
     return calls
