@@ -33,6 +33,7 @@ deterministic.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -339,15 +340,20 @@ def load_records(path: str) -> list[IdentityRecord]:
     rhs-expression, with the rhs field empty for vanishing, congruence,
     and sign kinds.  Lines starting with '#' and blank lines are skipped.
     Parameters are comma-separated key=value pairs; an order=N entry
-    overrides the default order.  A malformed line (a missing, bad or
-    unknown parameter, a progression dissect would reject, a nonpositive
-    order or modulus, a negative sign-pattern exception, an rhs on a
-    one-column kind, an expression that does not parse, or a repeated id)
-    raises ValueError naming the file and line.
+    overrides the default order.  The file is UTF-8, a leading byte-order
+    mark skipped.  A malformed line (a byte that is not UTF-8, a missing,
+    bad or unknown parameter, a progression dissect would reject, a
+    nonpositive order or modulus, a negative sign-pattern exception, an
+    rhs on a one-column kind, an expression that does not parse, or a
+    repeated id) raises ValueError naming the file and line.
     """
     records: dict[str, IdentityRecord] = {}
-    with open(path, encoding="utf-8") as fh:
+    # surrogateescape reads a byte that is not UTF-8 as a lone surrogate.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, 1):
+            if bad := re.search("[\udc80-\udcff]", raw):
+                raise ValueError(f"{path}:{line_no}: byte 0x{ord(bad[0]) - 0xDC00:02x} "
+                                 f"at column {bad.start() + 1} is not UTF-8")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -31,6 +31,7 @@ from __future__ import annotations
 import operator
 import string
 import sys
+from collections import Counter
 from functools import lru_cache, reduce
 
 from .series import TruncatedSeries, add_product_into, check_power, product
@@ -453,6 +454,8 @@ def render(e: QExpr) -> str:
 # A product-shaped node (Mul, Div, Pow, Neg, Poch) lowers to an exponent
 # vector: c * q^shift * product of base^power over nonzero integer powers,
 # c an integer into which lowering folds each literal to the first power.
+# Lowering fills one form in place (_collect); only a negative power's
+# base is collected apart, to test that its series is a unit.
 # A base is a theta f(a, b) (a canonical ThetaF node), a Pochhammer factor
 # (+-q^r; q^m) that no rule below lowers (a one-argument Poch node), a
 # literal other than +-1 to another power (so it meets the power limit),
@@ -537,23 +540,13 @@ class _Product:
 
     __slots__ = ("coeff", "shift", "powers")
 
-    def __init__(self, coeff: int = 1, shift: int = 0, powers: dict[QExpr, int] | None = None):
+    def __init__(self, coeff: int = 1, shift: int = 0):
         self.coeff = coeff
         self.shift = shift
-        self.powers = {} if powers is None else powers
+        self.powers: dict[QExpr, int] = {}
 
     def add(self, base: QExpr, k: int) -> None:
         self.powers[base] = self.powers.get(base, 0) + k
-
-    def times(self, other: "_Product") -> "_Product":
-        out = _Product(self.coeff * other.coeff, self.shift + other.shift, dict(self.powers))
-        for base, k in other.powers.items():
-            out.add(base, k)
-        return out
-
-    def power(self, k: int) -> "_Product":
-        coeff = -1 if self.coeff < 0 and k & 1 else 1
-        return _Product(coeff, self.shift * k, {b: p * k for b, p in self.powers.items()})
 
     def is_unit(self) -> bool:
         return self.shift == 0 and all(map(_unit_base, self.powers))
@@ -577,37 +570,38 @@ def _product(powers: dict[QExpr, int], order: int) -> TruncatedSeries:
     return product(_factors(powers, order) or [TruncatedSeries.one(order)])
 
 
-def _collect(e: QExpr) -> _Product:
-    """The exponent vector of a node, before the Pochhammer rules."""
-    if isinstance(e, IntLit):
-        return _Product(e.value) if e.value in (1, -1) else _Product(powers={e: 1})
-    if isinstance(e, Monomial):
-        return _Product(shift=e.exponent).times(_collect(IntLit(e.coefficient)))
-    if isinstance(e, Poch):
+def _collect(e: QExpr, k: int = 1, out: _Product | None = None) -> _Product:
+    """out times e^k, filled in place (a new form when out is not given):
+    the exponent vector of a node, before the Pochhammer rules."""
+    if out is None:
         out = _Product()
+    if isinstance(e, IntLit) and e.value in (1, -1):
+        out.coeff *= e.value ** (k & 1)
+    elif isinstance(e, Monomial):
+        out.shift += e.exponent * k
+        _collect(IntLit(e.coefficient), k, out)
+    elif isinstance(e, Poch):
         for a in e.args:
-            out.add(Poch((a,), e.modulus), 1)
-        return out
-    if isinstance(e, ThetaF) and e.a.exponent + e.b.exponent >= 1:
-        return _Product(powers={_theta(e.a, e.b): 1})
-    if isinstance(e, (Phi, Psi)) and e.scale >= 1:
+            out.add(Poch((a,), e.modulus), k)
+    elif isinstance(e, ThetaF) and e.a.exponent + e.b.exponent >= 1:
+        out.add(_theta(e.a, e.b), k)
+    elif isinstance(e, (Phi, Psi)) and e.scale >= 1:
         q_k = SignedMonomial(1, e.scale)
         other = q_k if isinstance(e, Phi) else SignedMonomial(1, 3 * e.scale)
-        return _Product(powers={_theta(q_k, other): 1})
-    if isinstance(e, BSum) and e.quad >= max(1, abs(e.lin)):
-        a, b = SignedMonomial(1, e.quad + e.lin), SignedMonomial(1, e.quad - e.lin)
-        return _Product(powers={_theta(a, b): 1})
-    if isinstance(e, Mul):
-        return _collect(e.left).times(_collect(e.right))
-    if isinstance(e, Div):
-        return _collect(e.left).times(_collect(Pow(e.right, -1)))
-    if isinstance(e, Neg):
-        return _Product(-1).times(_collect(e.operand))
-    if isinstance(e, Pow) and e.exponent != 0:
-        base = _collect(e.base)
-        if e.exponent > 0 or base.is_unit():
-            return base.power(e.exponent)
-    return _Product(powers={e: 1})
+        out.add(_theta(q_k, other), k)
+    elif isinstance(e, BSum) and e.quad >= max(1, abs(e.lin)):
+        out.add(_theta(SignedMonomial(1, e.quad + e.lin), SignedMonomial(1, e.quad - e.lin)), k)
+    elif isinstance(e, (Mul, Div)):
+        _collect(e.left, k, out)
+        _collect(e.right if isinstance(e, Mul) else Pow(e.right, -1), k, out)
+    elif isinstance(e, Neg):
+        out.coeff *= (-1) ** (k & 1)
+        _collect(e.operand, k, out)
+    elif isinstance(e, Pow) and (e.exponent > 0 or e.exponent < 0 and _collect(e.base).is_unit()):
+        _collect(e.base, e.exponent * k, out)
+    else:
+        out.add(e, k)
+    return out
 
 
 def _lower(e: QExpr) -> _Product:
@@ -655,7 +649,8 @@ def _terms(e: QExpr) -> list[_Product]:
     if isinstance(e, (Add, Sub)):
         right = _terms(e.right)
         if isinstance(e, Sub):
-            right = [_Product(-1).times(t) for t in right]
+            for t in right:
+                t.coeff = -t.coeff
         return _terms(e.left) + right
     return [_lower(e)]
 
@@ -706,13 +701,13 @@ def _check_powers(powers: dict[QExpr, int], order: int) -> None:
                 _check_powers(term.powers, order)
 
 
-def _add_column(out: list[int], a: _Product, b: _Product, k: int, l: int, order: int,
-                m_b: int) -> None:
+def _add_column(out: list[int], a: _Product, b: dict[QExpr, int], k: int, l: int,
+                order: int, m_b: int) -> None:
     """out += dissect(A, k, l) * B(q), out being the column to order m =
     len(out) - 1; A is taken at the claim's order and B at m_b >= m, one
     order for every residue, so they share B's series."""
     m = len(out) - 1
-    b_key = tuple(v for pair in b.powers.items() if pair[1] for v in pair)
+    b_key = tuple(v for pair in b.items() if pair[1] for v in pair)
     factors = [_eval(b_key, m_b)] if b_key else []
     # Entry n is A's coefficient at k*n + l: that of A's powers at
     # k*n + l - shift, so the entries below n0 are 0.
@@ -740,16 +735,16 @@ def cross_multiplied(
     m_b = order // max(k for _, k, _ in parts)
     lowered = [_terms(e) for e, _, _ in parts]
     split = [[_split(t, k) for t in terms] for terms, (_, k, _) in zip(lowered, parts)]
-    d = _Product()
+    d: Counter[QExpr] = Counter()
     if not exact:
         for terms in split:
             for _, b in terms:
                 for base, p in b.powers.items():
-                    if -p > d.powers.get(base, 0):
-                        d.powers[base] = -p
+                    if -p > d[base]:
+                        d[base] = -p
     out = []
     for (e, k, l), terms, halves in zip(parts, lowered, split):
-        whole = k == 1 and not d.powers
+        whole = k == 1 and not d
         if not whole or m < order:  # not the plain evaluation at the order
             for t in terms:
                 _check_powers({x: p for x, p in t.powers.items() if _reduced(x, k) is not None},
@@ -759,7 +754,9 @@ def cross_multiplied(
         else:
             column = [0] * (m + 1)
             for a, b in halves:
-                _add_column(column, a, b.times(d), k, l, order, m_b)
+                bd = Counter(d)  # D's bases first: one key, whatever order B's text has
+                bd.update(b.powers)
+                _add_column(column, a, bd, k, l, order, m_b)
             out.append(TruncatedSeries._of(tuple(column)))
     return tuple(out)
 

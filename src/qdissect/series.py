@@ -17,8 +17,10 @@ the nonzero positions of a sparse series, largest |c|), so the multiply,
 power_bits and invert read a series that is used again without scanning
 it again.  A kernel that knows where it wrote hands those positions to
 _of and the profile is built from them at once, with no scan: theta_f,
-monomial, a qexpr sum whose every term was added over known positions,
-and, inside the multiply, a cut operand and the slices of a q^g split.
+a qexpr sum whose every term was added over known positions, and, inside
+the multiply, a cut and the slices of a q^g split.  A cut (Profile.cut)
+is the profile of a sequence's first n terms, all that a product of n
+terms reads: kept positions are cut by one bisect, others scanned again.
 Any other series finds its profile on first use.  A sparse operand packs
 in time proportional to its nonzero terms.  The profile is not part of a
 series' value: ==, hash and repr read the coefficients alone.
@@ -167,33 +169,30 @@ class Profile:
                 self.peak = max(map(abs, map(cs.__getitem__, self.positions)), default=0)
         return self.peak
 
-
-def _cut(cs: Sequence[int], p: Profile | None, n: int) -> Profile:
-    """The profile of cs cut to its first n terms.  p, when given, is the
-    profile of cs; a cut of a profile that keeps its positions takes the
-    positions below n (one bisect) instead of a scan."""
-    if p is not None and len(cs) <= n:
-        return p
-    if p is None or p.positions is None:
-        return Profile(cs[:n])
-    return Profile(cs[:n], p.positions[:bisect_left(p.positions, n)])
+    def cut(self, n: int) -> "Profile":
+        """The profile of the first n terms of cs: this one if cs has no
+        more; else the positions below n, by one bisect, when they are
+        kept; else a scan of the copy."""
+        if len(self.cs) <= n:
+            return self
+        kept = self.positions
+        return Profile(self.cs[:n], None if kept is None else kept[:bisect_left(kept, n)])
 
 
-def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
-               px: Profile | None = None, py: Profile | None = None,
-               out: list[int] | None = None, offset: int = 0, sign: int = 1) -> list[int]:
-    """Exact truncated convolution of two integer sequences, n = n_out + 1
-    terms, returned, or added into out when it is given: out[offset + i] +=
-    sign * product[i] wherever offset + i < len(out), and out returned.
-    This is the one place where the path of a product is chosen.
+def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = None,
+               offset: int = 0, sign: int = 1) -> list[int]:
+    """Exact truncated convolution of two profiled integer sequences, n =
+    n_out + 1 terms, returned, or added into out when it is given:
+    out[offset + i] += sign * product[i] wherever offset + i < len(out),
+    and out returned.  This is the one place where the path of a product
+    is chosen.
 
-    px and py, when given, are the profiles of xs and ys, so a series
-    multiplied again is not scanned again; once both profiles are found
-    the product reads each operand through its profile (`Profile.cs`).
-    An operand longer than n is cut to n terms, and its profile is cut
-    with it (`_cut`): a kept position list by one bisect, otherwise by a
-    scan of the cut; an operand given without a profile is scanned.  With
-    kx and ky nonzero terms, the product takes one of three paths:
+    Each operand is a profile, its sequence (xs or ys below) read through
+    `Profile.cs`, so a series multiplied again is not scanned again.  A
+    caller hands over the profile of what the product reads
+    (TruncatedSeries._operand says what a series brings); an operand
+    longer than n is cut to n terms here (`Profile.cut`).  With kx and ky
+    nonzero terms, the product takes one of three paths:
 
     - kx * ky <= n: the products of nonzero term pairs are summed
       directly (`_mul_terms`), into out as far as it reaches.  That loop
@@ -226,30 +225,27 @@ def _mul_lists(xs: Sequence[int], ys: Sequence[int], n_out: int,
     coefficient (that equality is a tested property).
     """
     n = n_out + 1
-    px, py = _cut(xs, px, n), _cut(ys, py, n)
+    px, py = px.cut(n), py.cut(n)
     kx, ky = px.count, py.count
     if kx * ky <= n:
         bound = n if out is None else min(n, len(out) - offset)
         return _mul_terms(px.cs, py.cs, px.support(), py.support(), bound, out, offset, sign)
     if out is not None:
-        _add_coeffs(out, _mul_lists(px.cs, py.cs, n_out, px, py), offset, sign, None)
+        _add_coeffs(out, _mul_lists(px, py, n_out), offset, sign, None)
         return out
     if py.step > px.step:
         px, py = py, px
     g = px.step
     if g > 1:
         out = [0] * n
-        sub, ys = px.cs[::g], py.cs
-        psub = Profile(sub, list(map(operator.floordiv, px.positions, repeat(g))))
+        psub = Profile(px.cs[::g], list(map(operator.floordiv, px.positions, repeat(g))))
         supports = [None] * g
         if py.positions is not None:
             supports = [[] for _ in range(g)]
             for i, r in map(divmod, py.positions, repeat(g)):
                 supports[r].append(i)
         for r, support in enumerate(supports):
-            part = ys[r::g]
-            pr = None if support is None else Profile(part, support)
-            out[r::g] = _mul_lists(sub, part, (n - 1 - r) // g, psub, pr)
+            out[r::g] = _mul_lists(psub, Profile(py.cs[r::g], support), (n - 1 - r) // g)
         return out
     bound = px.magnitude() * py.magnitude() * min(kx, ky)
     width = (bound.bit_length() + 8) // 8
@@ -383,11 +379,9 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("a series needs at least its constant term")
         cs = [0] * (order + 1)
-        support = []
         if 0 <= exponent <= order:
             cs[exponent] = coeff
-            support.append(exponent)
-        return cls._of(tuple(cs), support)
+        return cls._of(tuple(cs))
 
     # Sums and differences stop at the shorter operand, as map does.
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -401,13 +395,15 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries._of(tuple(_mul_lists(
-            self._coeffs, other._coeffs, n - 1, self._brought(n), other._brought(n))))
+        return TruncatedSeries._of(tuple(_mul_lists(self._operand(n), other._operand(n), n - 1)))
 
-    def _brought(self, n: int) -> Profile | None:
-        """The profile this series brings to a product of n terms: found now
-        if it has n terms, else only once found (_mul_lists cuts it)."""
-        return self.profile if len(self._coeffs) == n else self._profile
+    def _operand(self, n: int) -> Profile:
+        """The profile this series brings to a product of n <= order + 1
+        terms: its own, found now, if it has n terms; else a cut of its own
+        once found; else a profile of its first n terms, its own unfound."""
+        if len(self._coeffs) == n or self._profile is not None:
+            return self.profile.cut(n)
+        return Profile(self._coeffs[:n])
 
     def scale(self, c: int) -> "TruncatedSeries":
         c = operator.index(c)
@@ -502,8 +498,8 @@ def _newton_inverse(cs: Sequence[int]) -> list[int]:
     while len(inv) <= n:
         h = len(inv)
         prec = min(2 * h, n + 1)
-        e = _mul_lists(cs[:prec], inv, prec - 1)[h:]
-        inv += map(operator.neg, _mul_lists(inv, e, prec - h - 1))
+        e = _mul_lists(Profile(cs[:prec]), Profile(inv), prec - 1)[h:]
+        inv += map(operator.neg, _mul_lists(Profile(inv[:prec - h]), Profile(e), prec - h - 1))
     return inv
 
 
@@ -557,7 +553,7 @@ def product(factors: Sequence[TruncatedSeries]) -> TruncatedSeries:
     return reduce(operator.mul, _sparse_first(factors))
 
 
-_ONE = TruncatedSeries.one(0)  # the product of no factors, with its position
+_ONE = TruncatedSeries._of((1,), [0])  # the product of no factors, with its position
 
 
 def add_product_into(out: list[int], factors: Sequence[TruncatedSeries], offset: int = 0,
@@ -578,7 +574,7 @@ def add_product_into(out: list[int], factors: Sequence[TruncatedSeries], offset:
     *head, last = _sparse_first(factors)
     a = reduce(operator.mul, head)
     n = min(len(a._coeffs), len(last._coeffs))
-    _mul_lists(a._coeffs, last._coeffs, n - 1, a._brought(n), last._brought(n), out, offset, sign)
+    _mul_lists(a._operand(n), last._operand(n), n - 1, out, offset, sign)
     return None
 
 

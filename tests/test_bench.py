@@ -176,11 +176,18 @@ def test_mul_calls_within_committed_bench(workload):
     assert traced_pass(workload)["layers"]["series.mul.calls"] <= limit
 
 
+# Profiles found by a scan in one pass of each workload at its order,
+# with cold caches (expand-partitions on the specs of seed 1): the
+# deterministic count of sequences read to learn their support.
+SCAN_PINS = {"verify-registry": 575, "theta-lemmas": 2, "expand-partitions": 775}
+
+
 def test_theta_lemmas_profiles_handed_over(monkeypatch):
     # A builder that knows where it wrote hands its support to the
     # profile: in one pass of the theta-lemmas records at their order no
     # theta_f series is scanned, and at most 2 profiles are found by a
-    # scan (173 were before supports were handed over).
+    # scan (173 were before supports were handed over).  The other two
+    # workloads' passes scan no more than their pins either.
     from qdissect import identities, qexpr, series, theta
 
     thetas, scanned = [], []
@@ -198,14 +205,26 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
     monkeypatch.setattr(theta, "theta_f", recording_theta_f)
     monkeypatch.setattr(qexpr, "theta_f", recording_theta_f)
     monkeypatch.setattr(series, "Profile", recording_profile)
-    real_theta_f.cache_clear()
-    qexpr._eval.cache_clear()
     workloads = bench_workloads()
-    records = workloads.theta_lemma_records(qexpr, identities.registry())
-    reports = identities.verify_all(order=workloads.ORDERS["theta-lemmas"], records=records)
-    assert [r.status for r in reports] == ["pass"] * 41
-    assert thetas and len(scanned) <= 2, len(scanned)
-    assert not {id(t.coeffs) for t in thetas} & set(map(id, scanned))
+    for workload, pin in SCAN_PINS.items():
+        for cache in (real_theta_f, theta.pochhammer, qexpr._eval):
+            cache.cache_clear()
+        thetas.clear()
+        scanned.clear()
+        order = workloads.ORDERS[workload]
+        if workload == "expand-partitions":
+            for _, text in workloads.partition_items(1):
+                qexpr.evaluate(qexpr.parse(text), order)
+        else:
+            records = None
+            if workload == "theta-lemmas":
+                records = workloads.theta_lemma_records(qexpr, identities.registry())
+            reports = identities.verify_all(order=order, records=records)
+            assert all(r.status == "pass" for r in reports)
+        assert len(scanned) <= pin, (workload, len(scanned))
+        if workload == "theta-lemmas":
+            assert thetas and len(reports) == 41
+            assert not {id(t.coeffs) for t in thetas} & set(map(id, scanned))
 
 
 # Net tracked allocations of one pass, measured as below in a fresh
@@ -216,7 +235,7 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
 # repository root, PYTHONPATH=src and the arguments `bench/workloads.py
 # WORKLOAD`, for each workload, and take what it prints; any rise must be
 # recorded in CHANGES.md with its cause.
-GC_GROWTH_PINS = {"theta-lemmas": 1069, "verify-registry": 2562}
+GC_GROWTH_PINS = {"theta-lemmas": 1057, "verify-registry": 2559}
 GC_GROWTH_SCRIPT = """
 import gc, importlib.util, sys
 from qdissect import identities, qexpr

@@ -309,6 +309,11 @@ def test_verify_malformed_records_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--records", str(bad))
     assert code == 2
     assert err == f"error: {bad}:1: l must be an integer, got 'x'\n"
+    # a file that is not UTF-8 names the line of the first bad byte
+    bad.write_bytes("# header\nu.1 | equality | | caf\xe9 | 1\n".encode("latin-1"))
+    code, _, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 2
+    assert err == f"error: {bad}:2: byte 0xe9 at column 23 is not UTF-8\n"
 
 
 def test_verify_honours_record_order(tmp_path, capsys):

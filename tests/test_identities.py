@@ -135,7 +135,7 @@ def test_kernel_fault_is_raised_not_reported(monkeypatch):
     import qdissect.qexpr as qexpr
     import qdissect.series as series
 
-    def broken(xs, ys, n_out, *profiles):
+    def broken(px, py, n_out, *rest):
         raise RuntimeError("kernel fault")
 
     monkeypatch.setattr(series, "_mul_lists", broken)
@@ -326,8 +326,13 @@ def test_load_records_round_trip(tmp_path):
     path = tmp_path / "records.txt"
     path.write_text(RECORD_FILE, encoding="utf-8")
     records = load_records(str(path))
-    assert [r.id for r in records] == [
-        "u.eq", "u.diss", "u.vanish", "u.cong", "u.sign", "u.low"]
+    ids = ["u.eq", "u.diss", "u.vanish", "u.cong", "u.sign", "u.low"]
+    assert [r.id for r in records] == ids
+    # A byte-order mark, as Windows editors write one, is skipped before a
+    # leading comment and before a leading record.
+    for text in (RECORD_FILE.lstrip("\n"), RECORD_FILE.split("\n", 3)[3]):
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert [r.id for r in load_records(str(path))] == ids
     assert records[1].kind == DissectionRelation(
         "(-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf", 5, 4,
         "(-q^2,-q^3;q^5)_inf^2*(q^2,q^8;q^10)_inf", 5, 4, -1)

@@ -25,9 +25,9 @@ from qdissect.series import TruncatedSeries, dissect, substitute_power
 
 
 def outcome(evaluator, text, order):
-    """The series, or the error's type and message."""
+    """The series of a text or a tree, or the error's type and message."""
     try:
-        return evaluator(parse(text), order)
+        return evaluator(parse(text) if isinstance(text, str) else text, order)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -114,6 +114,19 @@ def _awkward(rng):
         f"f({_mono(k)},{_mono(k)})",
         _factor(rng, rng.randint(1, 6)),
     ))
+
+
+def test_built_literal_signs_match_direct_path():
+    # Trees the parser never builds: a literal -1 and a monomial of
+    # coefficient -1, to odd and even powers, negative ones too, whose sign
+    # the normal form takes from the power's parity.
+    from qdissect.qexpr import IntLit, Monomial, Mul, Pow
+
+    theta = parse("f(q,q^2)")
+    for base in (IntLit(-1), Monomial(-1, 0), Monomial(-1, 2)):
+        for k in (-3, -2, 2, 3):
+            for e in (Pow(base, k), Mul(Pow(base, k), theta), Mul(theta, Pow(Pow(base, k), -1))):
+                assert outcome(evaluate, e, 20) == outcome(evaluate_direct, e, 20), (e, k)
 
 
 def test_errors_match_direct_path():
@@ -487,12 +500,26 @@ def test_column_parts_are_not_lowered_again(monkeypatch):
     # A column's A and B parts are cached by their (base, power) pairs, not
     # rebuilt as product nodes that _eval lowers a second time.  The count
     # is deterministic; the same pass made 539 when the parts were rebuilt.
+    # Nor is one part evaluated twice under keys that hold the same pairs
+    # in another order: B*D is seeded from D, whatever order the text wrote
+    # B's bases in (T4.i1/T4.i3 and T4.i2/T4.i4 made 3 such pairs).
     calls = []
     real = qexpr._lower
     monkeypatch.setattr(qexpr, "_lower", lambda e: calls.append(e) or real(e))
-    qexpr._eval.cache_clear()
+    keys = set()
+    real_eval = qexpr._eval
+
+    def recording_eval(e, order):
+        if isinstance(e, tuple):
+            keys.add((e, order))
+        return real_eval(e, order)
+
+    monkeypatch.setattr(qexpr, "_eval", recording_eval)
+    real_eval.cache_clear()
     assert all(r.status == "pass" for r in identities.verify_all(1000))
     assert len(calls) <= 421
+    parts = {(frozenset(zip(key[::2], key[1::2])), order) for key, order in keys}
+    assert len(parts) == len(keys)
 
 
 def test_paired_list_multiply_count(monkeypatch):

@@ -397,9 +397,9 @@ def test_pochhammer_list_multiply_count(monkeypatch):
     calls = []
     real = series._mul_lists
 
-    def counting(xs, ys, n_out, *profiles):
+    def counting(px, py, n_out, *rest):
         calls.append(n_out)
-        return real(xs, ys, n_out, *profiles)
+        return real(px, py, n_out, *rest)
 
     monkeypatch.setattr(series, "_mul_lists", counting)
     for j in range(1, 6):

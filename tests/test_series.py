@@ -153,7 +153,7 @@ def test_mul_matches_schoolbook_random():
         ys = [rng.randint(-2**30, 2**30) for _ in range(rng.randint(5, 40))]
         n_out = rng.randint(0, min(len(xs), len(ys)) - 2)
         a, b = TruncatedSeries(xs[: n_out + 1]), TruncatedSeries(ys[: n_out + 1])
-        assert _mul_lists(xs, ys, n_out) == list(schoolbook_mul(a, b).coeffs)
+        assert _mul_lists(Profile(xs), Profile(ys), n_out) == list(schoolbook_mul(a, b).coeffs)
     # The accumulator: a product of 0, 1, 2 or 3 factors, sparse, in q^g or
     # dense, shorter or longer than out, added at an offset at or past the
     # end of out too, with signs 0, -1, 1 and 3, into a list already
@@ -216,9 +216,9 @@ def mul_calls(monkeypatch):
 
     calls = []
 
-    def counting(xs, ys, n_out, *profiles):
+    def counting(px, py, n_out, *rest):
         calls.append(n_out)
-        return _mul_lists(xs, ys, n_out, *profiles)
+        return _mul_lists(px, py, n_out, *rest)
 
     monkeypatch.setattr(series, "_mul_lists", counting)
     return calls
@@ -259,25 +259,25 @@ def test_mul_paths_match_schoolbook(pair_calls):
             xs = _sparse(rng, n, _positions(rng, n, kx, coprime=not pairs))
             ys = _sparse(rng, n, _positions(rng, n, ky, coprime=not pairs))
             pair_calls.clear()
-            assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
+            assert _mul_lists(Profile(xs), Profile(ys), n - 1) == _oracle(xs, ys, n - 1)
             assert pair_calls == ([(kx, ky, n)] if pairs else []), (kx, ky, n)
         # an operand shorter than n_out + 1, as in invert's Newton rounds
         n = rng.randint(2, 60)
         xs = _sparse(rng, n, rng.sample(range(n), rng.randint(1, n)))
         m = rng.randint(1, n - 1)
         ys = _sparse(rng, m, rng.sample(range(m), rng.randint(1, m)))
-        assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
-        assert _mul_lists(ys, xs, n - 1) == _oracle(ys, xs, n - 1)
+        assert _mul_lists(Profile(xs), Profile(ys), n - 1) == _oracle(xs, ys, n - 1)
+        assert _mul_lists(Profile(ys), Profile(xs), n - 1) == _oracle(ys, xs, n - 1)
         # terms near the top, so many pairs have i + j past n_out
         n = rng.randint(8, 60)
         top = range(n // 2, n)
         xs = _sparse(rng, n, rng.sample(top, rng.randint(1, 3)))
         ys = _sparse(rng, n, [0] + rng.sample(top, rng.randint(1, 3)))
-        assert _mul_lists(xs, ys, n - 1) == _oracle(xs, ys, n - 1)
+        assert _mul_lists(Profile(xs), Profile(ys), n - 1) == _oracle(xs, ys, n - 1)
         # an all-zero operand: no pairs, a zero product of full length
         pair_calls.clear()
-        assert _mul_lists([0] * n, ys, n - 1) == [0] * n
-        assert _mul_lists(xs, [0] * (n // 2), n - 1) == [0] * n
+        assert _mul_lists(Profile([0] * n), Profile(ys), n - 1) == [0] * n
+        assert _mul_lists(Profile(xs), Profile([0] * (n // 2)), n - 1) == [0] * n
         assert len(pair_calls) == 2
 
 
@@ -302,7 +302,7 @@ def test_split_matches_schoolbook(mul_calls):
         ys = _spread(rng, h, rng.choice((n_out + 1, rng.randint(1, n_out))), bound)
         for a, b in ((xs, ys), (ys, xs)):
             mul_calls.clear()
-            assert _mul_lists(a, b, n_out) == _oracle(a, b, n_out), (g, h, n_out)
+            assert _mul_lists(Profile(a), Profile(b), n_out) == _oracle(a, b, n_out), (g, h, n_out)
         if mul_calls:  # the sub-products; the direct call is not recorded
             seen.add("one in q^g" if h == 1 else "coprime steps" if gcd(g, h) == 1
                      else "shared step")
@@ -314,7 +314,7 @@ def test_split_matches_schoolbook(mul_calls):
     xs = [1, 0] * 300
     ys = [1] * 600
     mul_calls.clear()
-    assert _mul_lists(xs, ys, 599) == _oracle(xs, ys, 599)
+    assert _mul_lists(Profile(xs), Profile(ys), 599) == _oracle(xs, ys, 599)
     assert mul_calls == [299, 299]
 
 
@@ -400,7 +400,7 @@ def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
                             pair_calls.clear()
                             mul_calls.clear()
                             packed.clear()
-                            got = _mul_lists(left, right, n - 1)
+                            got = _mul_lists(Profile(left), Profile(right), n - 1)
                             assert got == _oracle(left, right, n - 1), (b, mx, my, kx, sign)
                             assert pair_calls == [] and mul_calls == []
                             # with aligned signs the digit reaches the
@@ -419,7 +419,17 @@ def _fields(p: Profile) -> tuple:
     return p.count, p.step, p.positions, p.magnitude()
 
 
-def test_profile_invariants():
+def test_profile_invariants(monkeypatch):
+    import qdissect.series as series
+
+    scans = []  # the length of every sequence a profile is found by scanning
+
+    def recording(cs, support=None):
+        if support is None:
+            scans.append(len(cs))
+        return Profile(cs, support)
+
+    monkeypatch.setattr(series, "Profile", recording)
     # A dense series keeps no position list; a theta keeps its positions.
     dense = evaluate_text("(q;q)_inf^-1", 1000)
     assert _fields(dense.profile)[:3] == (1001, 1, None)
@@ -429,6 +439,7 @@ def test_profile_invariants():
     assert theta.profile is theta.profile  # found once, then kept
     assert theta.profile.cs is theta.coeffs  # a reference, not a copy
     rng = random.Random(1201)
+    seen = set()
     for _ in range(CASES):
         n = rng.randint(1, 60)
         shape = rng.choice(("sparse", "dense", "zero", "spread"))
@@ -446,6 +457,28 @@ def test_profile_invariants():
         k = sum(map(bool, cs))
         assert a.profile.count == k
         assert (a.profile.positions is not None) == (2 * k <= n + 1), cs
+        # What a series brings to a product of m terms (_operand) has the
+        # fields of a scan of its first m terms.  Before its own profile
+        # is found: of exactly m terms, it finds and keeps its own; longer,
+        # it scans its first m terms alone and stays unfound.
+        m = rng.choice((n, rng.randint(1, n)))
+        c = TruncatedSeries._of(tuple(cs))
+        scans.clear()
+        brought = c._operand(m)
+        assert _fields(brought) == _fields(Profile(cs[:m])) and scans == [m]
+        assert (brought is c._profile) if m == n else (c._profile is None)
+        seen.add("own" if m == n else "unfound")
+        # Once found, a longer series brings a cut of it (Profile.cut):
+        # kept positions are cut by one bisect, with no scan; a dense
+        # profile by one scan of the copy.
+        if m < n:
+            c.profile
+            scans.clear()
+            brought = c._operand(m)
+            assert _fields(brought) == _fields(Profile(cs[:m])) and brought.cs == tuple(cs[:m])
+            assert scans == ([] if c.profile.positions is not None else [m])
+            seen.add("bisect" if c.profile.positions is not None else "dense cut")
+    assert seen == {"own", "unfound", "bisect", "dense cut"}
 
 
 def test_handed_over_profile_equals_scanned(monkeypatch):
@@ -505,7 +538,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
         pairs = [(xs, ys), (ys, zs), (zs, ys), (ys, ys)]
         pairs += [(xs[:length], ys) for length in (n_out, n_out + 1, n_out + 2)]
         for left, right in pairs:
-            got = _mul_lists(left, right, n_out, Profile(left), Profile(right))
+            got = _mul_lists(Profile(left), Profile(right), n_out)
             assert got == _oracle(left, right, n_out), (left, right, n_out)
             a, b = TruncatedSeries(left), TruncatedSeries(right)
             a.profile, b.profile
@@ -518,7 +551,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
     for text in texts:
         evaluate_text(text, 300)
     assert all(r.status == "pass" for r in identities.verify_all(order=300))
-    assert producers == {"theta_f", "monomial", "_sum", "_cut", "_mul_lists"}, producers
+    assert producers == {"theta_f", "_sum", "cut", "_mul_lists"}, producers
 
 
 # Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
@@ -557,7 +590,7 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
         ys = _spread(rng, g, size, rng.choice((9, 2**70)))
         ys[size - 1 - (size - 1) % g] = rng.choice((1, -1))
         for left, right in ((xs, ys), (ys, xs), (ys, ys[:n_out + 1]), (xs, xs)):
-            got = _mul_lists(left, right, n_out, Profile(left), Profile(right))
+            got = _mul_lists(Profile(left), Profile(right), n_out)
             assert got == _oracle(left, right, n_out), (left, right, n_out)
     # Sparse narrow packing: supports 0..k-1, gcd 1 and kx * ky > n, so
     # one packed product; the widest digit, at q^(min(kx, ky) - 1), reaches
@@ -582,7 +615,7 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
                             assert len(dense) == (ky == 14)
                             pair_calls.clear()
                             mul_calls.clear()
-                            got = _mul_lists(left, right, n - 1, pl, pr)
+                            got = _mul_lists(pl, pr, n - 1)
                             assert got == _oracle(left, right, n - 1), (b, mx, my, kx)
                             assert pair_calls == [] and mul_calls == []
                             assert max(map(abs, got)) == mx * my * k
@@ -598,7 +631,7 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
         inner = _sparse(rng, n + 1, [n - 1, n] + rng.sample(range(n), rng.randint(0, n // kx - 2)))
         for left, right in ((outer, inner), (inner, outer)):
             pair_calls.clear()
-            assert _mul_lists(left, right, n - 1) == _oracle(left, right, n - 1)
+            assert _mul_lists(Profile(left), Profile(right), n - 1) == _oracle(left, right, n - 1)
             assert len(pair_calls) == 1
             a, b = TruncatedSeries(left), TruncatedSeries(right)
             assert a * b == schoolbook_mul(a, b)
@@ -673,9 +706,9 @@ def test_pow_multiply_count(monkeypatch):
 
     calls = []
 
-    def counting(xs, ys, n_out, *profiles):
+    def counting(px, py, n_out, *rest):
         calls.append(n_out)
-        return _mul_lists(xs, ys, n_out, *profiles)
+        return _mul_lists(px, py, n_out, *rest)
 
     monkeypatch.setattr(series, "_mul_lists", counting)
     a = TruncatedSeries([1, 3, -2, 4, 1])
