@@ -471,9 +471,9 @@ def render(e: QExpr) -> str:
 #
 # A negative power is taken only of a vector whose every base has constant
 # term +-1, with no shift, so its series is a unit and the term-by-term path
-# could invert it too; otherwise the power stays an opaque node and raises
-# there exactly as the term-by-term path does.  Thetas are sparse, so the
-# powers are multiplied sparse factors first, with one inverse (_factors).
+# could invert it too; else the power stays an opaque node, which raises as
+# that path does.  base^k, |k| > 1, is keyed by its pair (base, |k|); thetas
+# are sparse, so powers are multiplied sparse first, one inverse (_factors).
 #
 # Columns.  A claim read on the progression k*n + l needs dissect(e, k, l)
 # only to order m = (N - l) // k.  Each term of e splits as A * B(q^k),
@@ -558,8 +558,7 @@ def _factors(powers: dict[QExpr, int], order: int) -> list[TruncatedSeries]:
     num: list[TruncatedSeries] = []
     den: list[TruncatedSeries] = []
     for base, k in powers.items():
-        s = _eval(base if abs(k) == 1 else Pow(base, abs(k)), order)
-        (num if k > 0 else den).append(s)
+        (num if k > 0 else den).append(_eval(base if abs(k) == 1 else (base, abs(k)), order))
     if den:
         num.append(product(den) ** -1)
     return num
@@ -746,9 +745,8 @@ def cross_multiplied(
     for (e, k, l), terms, halves in zip(parts, lowered, split):
         whole = k == 1 and not d
         if not whole or m < order:  # not the plain evaluation at the order
-            for t in terms:
-                _check_powers({x: p for x, p in t.powers.items() if _reduced(x, k) is not None},
-                              order)
+            for t, (a, _) in zip(terms, halves):
+                _check_powers({x: p for x, p in t.powers.items() if x not in a.powers}, order)
         if whole:
             out.append(_eval(e, m))
         else:
@@ -821,13 +819,15 @@ _PRODUCT_NODES = (Mul, Div, Pow, Neg, Poch)
 
 
 @lru_cache(maxsize=4096)
-def _eval(e: QExpr | tuple[tuple[QExpr, int], ...], order: int) -> TruncatedSeries:
-    """Series of a node, or of a lowered part's flat pairs, memoized.  A
-    sum, or a product-shaped node whose normal form has a coefficient or a
-    shift, is added up by _sum; any other product-shaped node is its form's
-    _product, unless that form is the node itself (an opaque node, or one
-    base to one power, which _product asks for); any other node, _direct's."""
+def _eval(e: QExpr | tuple[QExpr | int, ...], order: int) -> TruncatedSeries:
+    """Series of a node, or of flat pairs, memoized: one pair (base, k > 1)
+    is base's series to the k-th power, other pairs their _product.  A sum,
+    or a product-shaped node whose form has a coefficient or a shift, is
+    added up by _sum; any other product-shaped node is its form's _product,
+    unless that form is the node itself (opaque); any other, _direct's."""
     if isinstance(e, tuple):
+        if len(e) == 2 and e[1] > 1:
+            return _eval(e[0], order) ** e[1]
         return _product(dict(zip(e[::2], e[1::2])), order)
     if isinstance(e, (Add, Sub)):
         return _sum(_terms(e), order)
@@ -835,8 +835,7 @@ def _eval(e: QExpr | tuple[tuple[QExpr, int], ...], order: int) -> TruncatedSeri
         product = _lower(e)
         if product.coeff != 1 or product.shift:
             return _sum([product], order)
-        own = [{e: 1}, {e.base: e.exponent}] if isinstance(e, Pow) else [{e: 1}]
-        if product.powers not in own:
+        if product.powers != {e: 1}:
             return _product(product.powers, order)
     return _direct(e, order, _eval)
 

@@ -492,14 +492,15 @@ def _newton_inverse(cs: Sequence[int]) -> list[int]:
     # retained coefficient is exact; cs[0] is +1 or -1.  Once inv is right
     # to h terms, a*inv = 1 + q^h*e, so inv - q^h*(inv*e) is right to
     # prec = 2h terms: its first h terms are inv's, and the rest is
-    # -inv*e taken at length prec - h.
+    # -inv*e taken at length prec - h, all of inv but in the last round.
     n = len(cs) - 1
     inv = [cs[0]]
     while len(inv) <= n:
         h = len(inv)
         prec = min(2 * h, n + 1)
         e = _mul_lists(Profile(cs[:prec]), Profile(inv), prec - 1)[h:]
-        inv += map(operator.neg, _mul_lists(Profile(inv[:prec - h]), Profile(e), prec - h - 1))
+        head = inv if prec == 2 * h else inv[:prec - h]
+        inv += map(operator.neg, _mul_lists(Profile(head), Profile(e), prec - h - 1))
     return inv
 
 

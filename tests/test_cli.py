@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import shlex
@@ -340,14 +341,28 @@ def test_verify_prints_failure_past_digit_limit(tmp_path, capsys):
 
 
 def test_verify_records_file_with_invalid_factor(tmp_path, capsys):
-    # An atom outside its domain is an evaluation error, but in a records
-    # file it is a malformed line: exit 2, naming the file and line.
+    # A Pochhammer factor outside its domain is an evaluation error, but a
+    # records file finds it while parsing: a malformed line, exit 2, naming
+    # the file and line.
     bad = tmp_path / "bad.txt"
     bad.write_text("# header\nu.z | equality | | (q^0;q)_inf | 0\n", encoding="utf-8")
     code, out, err = run(capsys, "verify", "--records", str(bad))
     assert code == 2
     assert out == ""
     assert f"{bad}:2: (q^0; q^m)_inf is identically zero" in err
+
+
+@pytest.mark.parametrize("atom, error", [("f(1,1)", "InvalidThetaArgument"),
+                                         ("bsum(1,5)", "InvalidParameters")])
+def test_verify_records_file_with_invalid_theta(tmp_path, capsys, atom, error):
+    # A theta or bsum outside its domain parses; its record is evaluated
+    # and reports the error (exit 1), and the file is not malformed.
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"x.1 | vanishing | k=1,l=0 | {atom} |\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(bad))
+    assert code == 1
+    assert err == ""
+    assert out.startswith("ERROR x.1 ") and f"[{error}: " in out
 
 
 def test_verify_missing_records_file(capsys):
@@ -598,9 +613,12 @@ def test_readme_command_line_example(capsys, argv, shown):
 
 
 def test_console_script_runs():
+    # The child gets src on its path: pytest's pythonpath reaches only this process.
+    src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "qdissect.cli", "expand", "q", "-N", "3"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0 1 0 0"

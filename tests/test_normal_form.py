@@ -497,29 +497,45 @@ def test_cross_multiplied_equalities_invert_nothing(monkeypatch):
 
 
 def test_column_parts_are_not_lowered_again(monkeypatch):
-    # A column's A and B parts are cached by their (base, power) pairs, not
-    # rebuilt as product nodes that _eval lowers a second time.  The count
-    # is deterministic; the same pass made 539 when the parts were rebuilt.
-    # Nor is one part evaluated twice under keys that hold the same pairs
-    # in another order: B*D is seeded from D, whatever order the text wrote
-    # B's bases in (T4.i1/T4.i3 and T4.i2/T4.i4 made 3 such pairs).
+    # A column's A and B parts, and a power in a form, are cached by their
+    # (base, power) pairs, not rebuilt as product nodes that _eval lowers a
+    # second time.  The count is deterministic; the same pass made 539 when
+    # the parts were rebuilt, and 421 when each power was rebuilt as a Pow
+    # node (called 91 times with 31 distinct such nodes).  Nor is one part
+    # evaluated twice under keys that hold the same pairs in another order:
+    # B*D is seeded from D, whatever order the text wrote B's bases in
+    # (T4.i1/T4.i3 and T4.i2/T4.i4 made 3 such pairs).
     calls = []
     real = qexpr._lower
     monkeypatch.setattr(qexpr, "_lower", lambda e: calls.append(e) or real(e))
-    keys = set()
+    keys, powers = set(), []
     real_eval = qexpr._eval
 
     def recording_eval(e, order):
         if isinstance(e, tuple):
             keys.add((e, order))
+        elif isinstance(e, qexpr.Pow):
+            powers.append(e)
         return real_eval(e, order)
 
     monkeypatch.setattr(qexpr, "_eval", recording_eval)
     real_eval.cache_clear()
     assert all(r.status == "pass" for r in identities.verify_all(1000))
-    assert len(calls) <= 421
+    assert len(calls) <= 384
+    assert powers == []
     parts = {(frozenset(zip(key[::2], key[1::2])), order) for key, order in keys}
     assert len(parts) == len(keys)
+
+
+def test_a_power_is_lowered_however_the_text_writes_it():
+    # A text power of one canonical base goes through _factors like the
+    # power of any other form: base^k by its pair key, a negative power
+    # inverted after, so the power limit reads the base's power whichever
+    # way the text writes it.  At order 100 that power is within the limit.
+    texts = ("f(q,q^2)^-100000", "1*f(q,q^2)^-100000", "f(q^2,q)^-100000")
+    got = [outcome(evaluate, text, 100) for text in texts]
+    assert isinstance(got[0], series.TruncatedSeries)
+    assert got[1:] == got[:1] * 2
 
 
 def test_paired_list_multiply_count(monkeypatch):
