@@ -715,7 +715,8 @@ def _add_column(out: list[int], a: _Product, b: dict[QExpr, int], k: int, l: int
         x = _eval(tuple(v for pair in a.powers.items() for v in pair), order).coeffs
         if n0 > m:
             return
-        factors.append(TruncatedSeries._of(x[l + k * n0 - a.shift::k][: m + 1 - n0]))
+        start = l + k * n0 - a.shift
+        factors.append(TruncatedSeries._of(x[start:start + k * (m + 1 - n0):k]))
     elif (a.shift - l) % k:  # A = c*q^s with s not k*n0 + l: nothing in the column
         return
     add_product_into(out, factors, n0, a.coeff)

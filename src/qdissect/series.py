@@ -17,10 +17,10 @@ the nonzero positions of a sparse series, largest |c|), so the multiply,
 power_bits and invert read a series that is used again without scanning
 it again.  A kernel that knows where it wrote hands those positions to
 _of and the profile is built from them at once, with no scan: theta_f,
-a qexpr sum whose every term was added over known positions, and, inside
-the multiply, a cut and the slices of a q^g split.  A cut (Profile.cut)
-is the profile of a sequence's first n terms, all that a product of n
-terms reads: kept positions are cut by one bisect, others scanned again.
+a qexpr sum whose every term was added over known positions, a series'
+first n terms, and the slices of a q^g split.  A series entering a
+product of n terms is cut to them once, there (TruncatedSeries._operand:
+kept positions by one bisect, others scanned); the multiply cuts nothing.
 Any other series finds its profile on first use.  A sparse operand packs
 in time proportional to its nonzero terms.  The profile is not part of a
 series' value: ==, hash and repr read the coefficients alone.
@@ -169,15 +169,6 @@ class Profile:
                 self.peak = max(map(abs, map(cs.__getitem__, self.positions)), default=0)
         return self.peak
 
-    def cut(self, n: int) -> "Profile":
-        """The profile of the first n terms of cs: this one if cs has no
-        more; else the positions below n, by one bisect, when they are
-        kept; else a scan of the copy."""
-        if len(self.cs) <= n:
-            return self
-        kept = self.positions
-        return Profile(self.cs[:n], None if kept is None else kept[:bisect_left(kept, n)])
-
 
 def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = None,
                offset: int = 0, sign: int = 1) -> list[int]:
@@ -189,10 +180,12 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
 
     Each operand is a profile, its sequence (xs or ys below) read through
     `Profile.cs`, so a series multiplied again is not scanned again.  A
-    caller hands over the profile of what the product reads
-    (TruncatedSeries._operand says what a series brings); an operand
-    longer than n is cut to n terms here (`Profile.cut`).  With kx and ky
-    nonzero terms, the product takes one of three paths:
+    caller hands over at most n terms (TruncatedSeries._operand cuts a
+    series to them), a cost contract alone: a longer operand still gives
+    the exact product, as pairs stop at i + j < n, packed digits past n
+    reach only product digits that the mask drops, and the width bound
+    holds for every digit.  With kx and ky nonzero terms, the product
+    takes one of three paths:
 
     - kx * ky <= n: the products of nonzero term pairs are summed
       directly (`_mul_terms`), into out as far as it reaches.  That loop
@@ -204,7 +197,8 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
       each residue r, each of the g products taken by this same rule.
       Here kx, ky >= 2, so 1 < g < n.  The sub-products add up to the
       same digits in shorter, narrower packings.  xs[::g] is profiled
-      once, from xs's positions divided by g, and cut for each residue;
+      once, from xs's positions divided by g, and every residue is taken
+      whole at residue 0's order (n - 1) // g, the digits past n dropped;
       when ys keeps its positions, one pass over them sorts them into the
       residues' supports, otherwise each ys[r::g] is scanned.
     - otherwise, signed Kronecker substitution: each operand is packed
@@ -225,7 +219,6 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     coefficient (that equality is a tested property).
     """
     n = n_out + 1
-    px, py = px.cut(n), py.cut(n)
     kx, ky = px.count, py.count
     if kx * ky <= n:
         bound = n if out is None else min(n, len(out) - offset)
@@ -237,7 +230,8 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
         px, py = py, px
     g = px.step
     if g > 1:
-        out = [0] * n
+        m = (n - 1) // g
+        out = [0] * ((m + 1) * g)
         psub = Profile(px.cs[::g], list(map(operator.floordiv, px.positions, repeat(g))))
         supports = [None] * g
         if py.positions is not None:
@@ -245,7 +239,8 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
             for i, r in map(divmod, py.positions, repeat(g)):
                 supports[r].append(i)
         for r, support in enumerate(supports):
-            out[r::g] = _mul_lists(psub, Profile(py.cs[r::g], support), (n - 1 - r) // g)
+            out[r::g] = _mul_lists(psub, Profile(py.cs[r::g], support), m)
+        del out[n:]
         return out
     bound = px.magnitude() * py.magnitude() * min(kx, ky)
     width = (bound.bit_length() + 8) // 8
@@ -399,11 +394,13 @@ class TruncatedSeries:
 
     def _operand(self, n: int) -> Profile:
         """The profile this series brings to a product of n <= order + 1
-        terms: its own, found now, if it has n terms; else a cut of its own
-        once found; else a profile of its first n terms, its own unfound."""
-        if len(self._coeffs) == n or self._profile is not None:
-            return self.profile.cut(n)
-        return Profile(self._coeffs[:n])
+        terms, the one place an operand is cut: its own, found now, if it
+        has n terms; else that of its first n terms, from its own kept
+        positions by one bisect once found, else by a scan, its own unfound."""
+        if len(self._coeffs) == n:
+            return self.profile
+        kept = None if self._profile is None else self._profile.positions
+        return Profile(self._coeffs[:n], None if kept is None else kept[:bisect_left(kept, n)])
 
     def scale(self, c: int) -> "TruncatedSeries":
         c = operator.index(c)
@@ -412,10 +409,11 @@ class TruncatedSeries:
     def __pow__(self, exponent: int) -> "TruncatedSeries":
         """self^k by left-to-right binary powering: bit_length(k) - 1
         squarings and popcount(k) - 1 products by self, with no unit seed.
-        A negative k powers the inverse.  Raises LimitExceeded, before the
-        first multiply, as check_power does."""
-        if exponent < 0:
-            return invert(self) ** -exponent
+        Raises LimitExceeded, before the first multiply, as check_power
+        does.  A negative k inverts self^-k, bounded as (a^k)^-1 is."""
+        if exponent < 0:  # a non-unit goes to invert as it is, which refuses it
+            unit = self._coeffs[0] in (1, -1)
+            return invert(self ** -exponent if unit else self) ** 1
         if exponent == 0:
             return TruncatedSeries.one(self.order)
         check_power(self, exponent)

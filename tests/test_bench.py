@@ -179,7 +179,32 @@ def test_mul_calls_within_committed_bench(workload):
 # Profiles found by a scan in one pass of each workload at its order,
 # with cold caches (expand-partitions on the specs of seed 1): the
 # deterministic count of sequences read to learn their support.
-SCAN_PINS = {"verify-registry": 575, "theta-lemmas": 2, "expand-partitions": 775}
+SCAN_PINS = {"verify-registry": 339, "theta-lemmas": 2, "expand-partitions": 649}
+# Prefix copies in the same passes: the series that enter a product with
+# more terms than it reads, copied once there (TruncatedSeries._operand).
+OPERAND_COPY_PINS = {"verify-registry": 18, "theta-lemmas": 0, "expand-partitions": 0}
+
+
+def cold_pass(workload: str) -> list | None:
+    """One pass of a workload at its order with cold caches, in process:
+    the reports of verify_all, or None for expand-partitions, whose items
+    are evaluated on the specs of seed 1."""
+    from qdissect import identities, qexpr, theta
+
+    for cache in (theta.theta_f, theta.pochhammer, qexpr._eval):
+        cache.cache_clear()
+    workloads = bench_workloads()
+    order = workloads.ORDERS[workload]
+    if workload == "expand-partitions":
+        for _, text in workloads.partition_items(1):
+            qexpr.evaluate(qexpr.parse(text), order)
+        return None
+    records = None
+    if workload == "theta-lemmas":
+        records = workloads.theta_lemma_records(qexpr, identities.registry())
+    reports = identities.verify_all(order=order, records=records)
+    assert all(r.status == "pass" for r in reports)
+    return reports
 
 
 def test_theta_lemmas_profiles_handed_over(monkeypatch):
@@ -188,7 +213,7 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
     # theta_f series is scanned, and at most 2 profiles are found by a
     # scan (173 were before supports were handed over).  The other two
     # workloads' passes scan no more than their pins either.
-    from qdissect import identities, qexpr, series, theta
+    from qdissect import qexpr, series, theta
 
     thetas, scanned = [], []
     real_theta_f, real_profile = theta.theta_f, series.Profile
@@ -196,6 +221,8 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
     def recording_theta_f(*args):
         thetas.append(real_theta_f(*args))
         return thetas[-1]
+
+    recording_theta_f.cache_clear = real_theta_f.cache_clear  # for cold_pass
 
     def recording_profile(cs, support=None):
         if support is None:
@@ -205,26 +232,44 @@ def test_theta_lemmas_profiles_handed_over(monkeypatch):
     monkeypatch.setattr(theta, "theta_f", recording_theta_f)
     monkeypatch.setattr(qexpr, "theta_f", recording_theta_f)
     monkeypatch.setattr(series, "Profile", recording_profile)
-    workloads = bench_workloads()
     for workload, pin in SCAN_PINS.items():
-        for cache in (real_theta_f, theta.pochhammer, qexpr._eval):
-            cache.cache_clear()
         thetas.clear()
         scanned.clear()
-        order = workloads.ORDERS[workload]
-        if workload == "expand-partitions":
-            for _, text in workloads.partition_items(1):
-                qexpr.evaluate(qexpr.parse(text), order)
-        else:
-            records = None
-            if workload == "theta-lemmas":
-                records = workloads.theta_lemma_records(qexpr, identities.registry())
-            reports = identities.verify_all(order=order, records=records)
-            assert all(r.status == "pass" for r in reports)
+        reports = cold_pass(workload)
         assert len(scanned) <= pin, (workload, len(scanned))
         if workload == "theta-lemmas":
             assert thetas and len(reports) == 41
             assert not {id(t.coeffs) for t in thetas} & set(map(id, scanned))
+
+
+def test_operands_cut_once_per_pass(monkeypatch):
+    # A series is cut to what a product reads where it enters the product,
+    # and nowhere below: in one pass of each workload no _mul_lists call,
+    # the q^g split's sub-products included, gets an operand longer than
+    # its n_out + 1 terms, and _operand copies no more prefixes than pinned.
+    from qdissect import series
+
+    copies, too_long = [], []
+    real_mul, real_operand = series._mul_lists, series.TruncatedSeries._operand
+
+    def recording_mul(px, py, n_out, *rest):
+        if max(len(px.cs), len(py.cs)) > n_out + 1:
+            too_long.append((len(px.cs), len(py.cs), n_out))
+        return real_mul(px, py, n_out, *rest)
+
+    def recording_operand(self, n):
+        if len(self.coeffs) != n:
+            copies.append(n)
+        return real_operand(self, n)
+
+    monkeypatch.setattr(series, "_mul_lists", recording_mul)
+    monkeypatch.setattr(series.TruncatedSeries, "_operand", recording_operand)
+    for workload, pin in OPERAND_COPY_PINS.items():
+        copies.clear()
+        too_long.clear()
+        cold_pass(workload)
+        assert too_long == [], (workload, too_long[:5])
+        assert len(copies) <= pin, (workload, len(copies))
 
 
 # Net tracked allocations of one pass, measured as below in a fresh

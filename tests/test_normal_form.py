@@ -531,11 +531,16 @@ def test_a_power_is_lowered_however_the_text_writes_it():
     # A text power of one canonical base goes through _factors like the
     # power of any other form: base^k by its pair key, a negative power
     # inverted after, so the power limit reads the base's power whichever
-    # way the text writes it.  At order 100 that power is within the limit.
+    # way the text writes it.  At order 100 that power is within the limit,
+    # at 300 it is not.  The term-by-term path inverts the power too, so
+    # both evaluators give the same series, or the same error and message.
     texts = ("f(q,q^2)^-100000", "1*f(q,q^2)^-100000", "f(q^2,q)^-100000")
-    got = [outcome(evaluate, text, 100) for text in texts]
-    assert isinstance(got[0], series.TruncatedSeries)
-    assert got[1:] == got[:1] * 2
+    for order, kind in ((100, series.TruncatedSeries), (300, tuple)):
+        got = [outcome(evaluate, text, order) for text in texts]
+        assert isinstance(got[0], kind)
+        assert got[1:] == got[:1] * 2
+        assert [outcome(evaluate_direct, text, order) for text in texts] == got
+    assert got[0][0] is series.LimitExceeded and "8109-bit" in got[0][1]
 
 
 def test_paired_list_multiply_count(monkeypatch):

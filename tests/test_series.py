@@ -468,9 +468,9 @@ def test_profile_invariants(monkeypatch):
         assert _fields(brought) == _fields(Profile(cs[:m])) and scans == [m]
         assert (brought is c._profile) if m == n else (c._profile is None)
         seen.add("own" if m == n else "unfound")
-        # Once found, a longer series brings a cut of it (Profile.cut):
-        # kept positions are cut by one bisect, with no scan; a dense
-        # profile by one scan of the copy.
+        # Once its own is found, a longer series brings the profile of its
+        # first m terms from it: kept positions are cut by one bisect, with
+        # no scan; a dense series' prefix is scanned once.
         if m < n:
             c.profile
             scans.clear()
@@ -551,7 +551,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
     for text in texts:
         evaluate_text(text, 300)
     assert all(r.status == "pass" for r in identities.verify_all(order=300))
-    assert producers == {"theta_f", "_sum", "cut", "_mul_lists"}, producers
+    assert producers == {"theta_f", "_sum", "_operand", "_mul_lists"}, producers
 
 
 # Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
@@ -644,14 +644,15 @@ DISPATCH = [
     ("phi(q^5)", "psi(q^10)", 6000, 35, 35, True, [6000]),
     # both supports have gcd 1: one packed product
     ("f(q,q^2)", "f(q^2,q^3)", 6000, 127, 98, False, [6000]),
-    # right is in q^2: two packed products of 501 and 500 digits
-    ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False, [1000, 500, 499]),
-    # left is in q^8: eight packed products of 126 or 125 digits
-    ("(q^8;q^8)_inf^7", "(q;q)_inf^-1", 1000, 126, 1001, False, [1000, 125] + [124] * 7),
+    # right is in q^2: two packed products of 501 digits, residue 0's,
+    # the last digit of residue 1 past the order and dropped
+    ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False, [1000, 500, 500]),
+    # left is in q^8: eight packed products of 126 digits
+    ("(q^8;q^8)_inf^7", "(q;q)_inf^-1", 1000, 126, 1001, False, [1000] + [125] * 8),
     # right is in q^3, the larger step: residues 0 and 2 of left are
     # again in q^2 and split once more, residue 1 packs
     ("(q^2;q^2)_inf^-1", "(q^3;q^3)_inf^-1", 1000, 501, 334, False,
-     [1000, 333, 166, 166, 333, 332, 166, 165]),
+     [1000, 333, 166, 166, 333, 333, 166, 166]),
 ]
 
 
@@ -669,6 +670,86 @@ def test_mul_path_dispatch(pair_calls, mul_calls, left, right, order, kx, ky, pa
     assert mul_calls == calls
     assert pair_calls == ([(kx, ky, order + 1)] if pairs else [])
     assert product == schoolbook_mul(b, a)
+
+
+def test_longer_operands_give_the_exact_product(pair_calls, mul_calls):
+    # "At most n_out + 1 terms" is a cost contract, not a cut: operands up
+    # to three times longer, nonzero at n_out, n_out + 1 and past them,
+    # give the exact product on every path, returned or added into a list.
+    rng = random.Random(2202)
+    seen = set()
+    for _ in range(CASES):
+        n_out = rng.randint(9, 60)
+        n = n_out + 1
+        size = n + rng.randint(6, 2 * n)
+        path = rng.choice(("pairs", "x in q^g", "y in q^g", "narrow", "wide"))
+        if path == "pairs":  # 3 * 3 <= n nonzero terms, the last ones past n
+            xs = _sparse(rng, size, [0, n_out, n])
+            ys = _sparse(rng, size, [n_out, n, size - 1])
+        else:
+            bound = 2**70 if path == "wide" else 9
+            xs = _sparse(rng, size, [0, 1, n_out, n] + rng.sample(range(size), n // 2))
+            ys = _sparse(rng, size, [0, 1, n_out, n] + rng.sample(range(size), n // 2))
+            xs = [max(-bound, min(bound, c)) for c in xs]
+            ys = [max(-bound, min(bound, c)) for c in ys]
+            if path.endswith("q^g"):
+                g = rng.randint(2, 5)
+                spread = _spread(rng, g, size, rng.choice((9, 2**70)))
+                spread[0] = spread[g * (n // g + 1)] = 1  # past n too
+                xs, ys = (spread, ys) if path == "x in q^g" else (xs, spread)
+        px, py = Profile(xs), Profile(ys)
+        pair_calls.clear()
+        mul_calls.clear()
+        product = _oracle(xs, ys, n_out)
+        assert _mul_lists(px, py, n_out) == product, (path, xs, ys)
+        if pair_calls:
+            seen.add("pairs")
+        elif mul_calls:
+            seen.add("x in q^g" if px.step > 1 else "y in q^g")
+        else:
+            bits = (px.magnitude() * py.magnitude() * min(px.count, py.count)).bit_length()
+            seen.add("narrow" if bits < 64 else "wide")
+        offset, sign = rng.randint(0, 5), rng.choice((1, -1, 3))
+        out = [rng.randint(-9, 9) for _ in range(rng.randint(1, n + 5))]
+        want = [c + sign * product[i - offset] if 0 <= i - offset < n else c
+                for i, c in enumerate(out)]
+        assert _mul_lists(px, py, n_out, out, offset, sign) == want, path
+    assert seen == {"pairs", "x in q^g", "y in q^g", "narrow", "wide"}, seen
+
+
+def test_mismatched_orders_cut_each_operand_once(monkeypatch):
+    # A product of an order-10000 series and an order-10 one: the long
+    # operand is cut to 11 terms where it enters the product, whether its
+    # profile is found or not and whatever its shape, and every _mul_lists
+    # call below that gets operands of at most n_out + 1 terms.
+    import qdissect.series as series
+
+    too_long = []
+
+    def checking(px, py, n_out, *rest):
+        if max(len(px.cs), len(py.cs)) > n_out + 1:
+            too_long.append((len(px.cs), len(py.cs), n_out))
+        return _mul_lists(px, py, n_out, *rest)
+
+    monkeypatch.setattr(series, "_mul_lists", checking)
+    rng = random.Random(2203)
+    longs = [lambda: theta_f(SignedMonomial(-1, 1), SignedMonomial(-1, 2), 10000),
+             lambda: substitute_power(rand_series(rng, 2000, 2**70), 5),
+             lambda: rand_series(rng, 10000)]
+    shorts = [rand_series(rng, 10), substitute_power(rand_series(rng, 5), 2),
+              TruncatedSeries([1, 0, 0, -1] + [0] * 7)]
+    for make in longs:
+        for short in shorts:
+            for found in (False, True):
+                big = make()
+                if found:
+                    big.profile
+                want = schoolbook_mul(big, short)
+                assert big * short == want and short * big == want
+                out = [0] * 11
+                add_product_into(out, [short, big, short], 0, -1)
+                assert out == [-c for c in (want * short).coeffs]
+    assert too_long == []
 
 
 def test_mul_spot_values():
