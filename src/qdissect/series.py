@@ -7,10 +7,12 @@ result to the smaller of the two input orders, so a coefficient is
 never reported unless it is fully determined.  Multiplication takes
 one of three exact paths, chosen from the operands' supports: few
 nonzero term pairs are summed directly, an operand that is a series in
-q^g splits the product into g products by residue, and the rest is one
+q^g splits the product into g products by residue, and the rest is a
 signed Kronecker substitution, both operands packed into big integers
-and multiplied once (see _mul_lists); a digit of at most 8 bytes packs
-and unpacks in two's complement through a signed array, in C.
+(see _mul_lists).  A packing of fewer than TWO_POINT_BYTES bytes is
+multiplied once; a larger one is evaluated at two points, +2^s and -2^s,
+as two multiplies of half the size (Harvey 2009).  A digit of at most 8
+bytes packs and unpacks in two's complement through a signed array, in C.
 
 Every series keeps a support profile (Profile: nonzero count, step g,
 the nonzero positions of a sparse series, largest |c|), so the multiply,
@@ -73,6 +75,25 @@ class LimitExceeded(EvaluationError):
 # times above them.  It keeps a power like (1+q)^(10^300), whose coefficients
 # near order 300 have 300k bits, from running for minutes.
 MAX_COEFF_BITS = 1 << 16
+
+# Packed size, width * n bytes, from which a packed product is evaluated at
+# two points, +-2^s, on half-width integers (see _mul_lists).  Time at two
+# points over time at one, _mul_lists on the same profiles (timeit, best of
+# 7, CPU time, CPython 3.11, 2-vCPU Xeon guest); operands dense, or for
+# 1-byte digits, whose bound keeps an operand below 128 terms, 63 terms:
+#
+#   width \ bytes  512   768  1024  1536  2048  4096  8192
+#   1             1.67  1.49  1.30  1.18  1.09  1.05  0.98
+#   2             1.38  1.01  0.91  0.93  0.91  0.83  0.79
+#   4             1.10  0.92  0.88  0.85  0.83  0.78  0.75
+#   8             1.00  0.90  0.89  0.87  0.79  0.77  0.85
+#   16            1.09  1.00  0.91  0.89  0.89  0.73  0.76
+#   32            1.09  0.95  0.94  0.86  0.89  0.89  0.76
+#
+# Every width of 2 bytes and more gains from 1024 bytes on.  A 1-byte
+# product, sparse, pays for its extra packs up to 8 KB; the benchmark has
+# two such at 6001 digits, the order of its theta-lemmas, at about 1.05.
+TWO_POINT_BYTES = 1024
 
 # The signed array typecode of each item size in bytes, read from array
 # itself: the packed multiply's digits of 1, 2, 4 and 8 bytes.
@@ -210,9 +231,23 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
       overflows into its neighbour.  A width of 3, 5, 6 or 7 bytes is
       rounded up to 4 or 8, so every width up to 8 bytes is the item size
       of a signed array typecode, and such digits pack and unpack in two's
-      complement (see `pack`).  An operand whose profile keeps its
+      complement (see `_pack`).  An operand whose profile keeps its
       positions packs by setting its kx nonzero digits in a zeroed array,
-      not by converting all its digits.
+      not by converting all its digits.  From TWO_POINT_BYTES bytes on,
+      width * n, the product is taken at two points instead (D. Harvey,
+      "Faster polynomial multiplication via multipoint Kronecker
+      substitution", J. Symbolic Comput. 44 (2009)): with s = 4 * width
+      bits, each operand packs its even and odd digits apart, E and O, and
+      is E +- (O << s) at t = +-2^s.  Two multiplies of half the size give
+      the product's values P+ and P- there, and (P+ + P-) / 2 and
+      (P+ - P-) / 2^(s + 1) are its even and odd digits packed at width
+      bytes.  Both divisions are exact shifts: P+ + P- holds the even
+      powers of t alone, each twice, and P+ - P- the odd ones, each twice
+      and a multiple of 2^s.  Every digit lies in (-half, half) under the
+      same bound, so each half unpacks as above.  E +- (O << s) spaces
+      the coefficients half a digit apart, so each multiply takes
+      operands of half the length: about half of a one-point digit is
+      padding for the product's bound, and it is not multiplied.
 
     A split or packed product is built and then added to out by one slice
     map.  Every path equals schoolbook convolution coefficient by
@@ -233,12 +268,7 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
         m = (n - 1) // g
         out = [0] * ((m + 1) * g)
         psub = Profile(px.cs[::g], list(map(operator.floordiv, px.positions, repeat(g))))
-        supports = [None] * g
-        if py.positions is not None:
-            supports = [[] for _ in range(g)]
-            for i, r in map(divmod, py.positions, repeat(g)):
-                supports[r].append(i)
-        for r, support in enumerate(supports):
+        for r, support in enumerate(_residue_supports(py.positions, g)):
             out[r::g] = _mul_lists(psub, Profile(py.cs[r::g], support), m)
         del out[n:]
         return out
@@ -246,51 +276,89 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     width = (bound.bit_length() + 8) // 8
     if width <= 8:
         width = 1 << (width - 1).bit_length()
-    code = _ARRAY_CODES.get(width)
+    if width * n < TWO_POINT_BYTES:
+        return _unpack(_pack(px.cs, px.positions, width) * _pack(py.cs, py.positions, width),
+                       n, width)
+    # At t = +-2^s, s = 4 * width bits: the even digits are (P+ + P-) / 2,
+    # the odd ones (P+ - P-) / 2^(s + 1).
+    xp, xm = _at_two_points(px, width)
+    yp, ym = _at_two_points(py, width)
+    plus, minus = xp * yp, xm * ym
+    out = [0] * n
+    out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)
+    out[1::2] = _unpack((plus - minus) >> (4 * width + 1), n // 2, width)
+    return out
+
+
+def _residue_supports(positions: list[int] | None, g: int) -> list[list[int] | None]:
+    """The supports of cs[r::g], r = 0..g-1, found in one pass over the
+    ascending nonzero positions of cs, or g Nones when they are not kept."""
+    if positions is None:
+        return [None] * g
+    supports = [[] for _ in range(g)]
+    for i, r in map(divmod, positions, repeat(g)):
+        supports[r].append(i)
+    return supports
+
+
+def _at_two_points(p: Profile, width: int) -> tuple[int, int]:
+    """p's sequence at t = +2^s and -2^s, s = 4 * width bits: E +- (O << s),
+    E and O its even and odd digits packed at width bytes."""
+    cs = p.cs
+    even, odd = _residue_supports(p.positions, 2)
+    e, o = _pack(cs[0::2], even, width), _pack(cs[1::2], odd, width) << 4 * width
+    return e + o, e - o
+
+
+def _pack(cs: Sequence[int], positions: list[int] | None, width: int) -> int:
+    """sum(c_i * 2^(8*width*i)) over cs, each |c_i| < half = 2^(8*width - 1);
+    positions, when given, holds every nonzero position of cs."""
+    # The offset digits c + half are nonnegative, so their bytes are the
+    # plain base-256 digits of sum((c_i + half) * 2^(8*width*i)), and
+    # subtracting off, which has half in every digit, leaves the packed
+    # value.  A narrow digit is an item of a signed array, its bytes c's
+    # two's complement: that differs from the offset digit c + half in the
+    # top bit alone, so one XOR with off, in C, turns every digit into its
+    # offset form.
     half = 1 << (8 * width - 1)
-    offset = half.to_bytes(width, "little")
+    off = int.from_bytes(half.to_bytes(width, "little") * len(cs), "little")
+    code = _ARRAY_CODES.get(width)
+    if not code:
+        digits = map(operator.add, cs, repeat(half))
+        raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
+        return int.from_bytes(raw, "little") - off
+    # At n = 1001 and 6001 and every narrow width, setting the k items of a
+    # zeroed array took 0.16-0.65 of the time of converting all n digits
+    # for k up to n/4, and 0.97-1.09 of it at k = n/2, where positions stop
+    # being kept (timeit, best of 7).
+    if positions is None:
+        items = array(code, cs)
+    else:
+        items = array(code, bytes(width * len(cs)))
+        for i in positions:
+            items[i] = cs[i]
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return (int.from_bytes(items.tobytes(), "little") ^ off) - off
 
-    def pack(p: Profile) -> int:
-        # sum(c_i * 2^(8*width*i)).  The offset digits c + half are
-        # nonnegative, so their bytes are the plain base-256 digits of
-        # sum((c_i + half) * 2^(8*width*i)), and subtracting off, which
-        # has half in every digit, leaves the packed value.  A narrow digit
-        # is an item of a signed array, its bytes c's two's complement:
-        # that differs from the offset digit c + half in the top bit alone,
-        # so one XOR with off, in C, turns every digit into its offset form.
-        cs = p.cs
-        off = int.from_bytes(offset * len(cs), "little")
-        if not code:
-            digits = map(operator.add, cs, repeat(half))
-            raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
-            return int.from_bytes(raw, "little") - off
-        # At n = 1001 and 6001 and every narrow width, setting the k items
-        # of a zeroed array took 0.16-0.65 of the time of converting all n
-        # digits for k up to n/4, and 0.97-1.09 of it at k = n/2, where
-        # positions stop being kept (timeit, best of 7).
-        if p.positions is None:
-            items = array(code, cs)
-        else:
-            items = array(code, bytes(width * len(cs)))
-            for i in p.positions:
-                items[i] = cs[i]
-        if _BIG_ENDIAN:
-            items.byteswap()
-        return (int.from_bytes(items.tobytes(), "little") ^ off) - off
 
-    # Adding off, half per digit, and keeping n digits turns the low
-    # digits of the product, each in (-half, half), into offset digits
-    # c + half, plain bytes.  The digits are kept with a mask: CPython's %
-    # by a power of two is a general long division, quadratic in the
-    # operand size.  A narrow digit goes back to two's complement through
-    # the same XOR and is read as a signed array item, so packing and
-    # unpacking run in C; a wider one takes one int.to_bytes or
-    # int.from_bytes call each.  The rounded-up width makes a longer
+def _unpack(value: int, m: int, width: int) -> list[int]:
+    """The low m digits of value written in balanced base 2^(8*width)
+    digits, each in (-half, half)."""
+    # Adding off, half per digit, and keeping m digits turns them into
+    # offset digits c + half, plain bytes.  The digits are kept with a
+    # mask: CPython's % by a power of two is a general long division,
+    # quadratic in the operand size.  A narrow digit goes back to two's
+    # complement through the same XOR and is read as a signed array item,
+    # so packing and unpacking run in C; a wider one takes one int.to_bytes
+    # or int.from_bytes call each.  The rounded-up width makes a longer
     # multiply, yet on the benchmark's products of 3 and 5-7 byte digits it
     # measured faster than the calls.
-    size = width * n
-    off = int.from_bytes(offset * n, "little")
-    low = (pack(px) * pack(py) + off) & ((1 << (8 * size)) - 1)
+    half = 1 << (8 * width - 1)
+    size = width * m
+    off = int.from_bytes(half.to_bytes(width, "little") * m, "little")
+    low = (value + off) & ((1 << (8 * size)) - 1)
+    code = _ARRAY_CODES.get(width)
     if code:
         digits = array(code, (low ^ off).to_bytes(size, "little"))
         if _BIG_ENDIAN:

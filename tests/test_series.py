@@ -12,6 +12,7 @@ import pytest
 from qdissect.qexpr import cross_multiplied, evaluate_direct, evaluate_text, parse
 from qdissect.series import (
     MAX_COEFF_BITS,
+    TWO_POINT_BYTES,
     _mul_lists,
     _mul_terms,
     LimitExceeded,
@@ -224,6 +225,41 @@ def mul_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def array_codes(monkeypatch):
+    """The typecode of every array the packed path builds: one per narrow
+    pack and one per narrow unpack."""
+    import qdissect.series as series
+
+    codes = []
+
+    def counting(code, items):
+        codes.append(code)
+        return array(code, items)
+
+    monkeypatch.setattr(series, "array", counting)
+    return codes
+
+
+@pytest.fixture
+def parity_splits(monkeypatch):
+    """One entry per operand split into its even and odd digits, as each
+    operand of a product taken at two points is: whether it kept its
+    positions (a q^2 split's operand is split by residue too)."""
+    import qdissect.series as series
+
+    kept = []
+    real = series._residue_supports
+
+    def counting(positions, g):
+        if g == 2:
+            kept.append(positions is not None)
+        return real(positions, g)
+
+    monkeypatch.setattr(series, "_residue_supports", counting)
+    return kept
+
+
 def _oracle(xs, ys, n_out):
     """schoolbook_mul on both operands zero-padded or cut to n_out + 1 terms."""
     def fit(cs):
@@ -355,19 +391,10 @@ def test_results_are_exact_ints():
 WIDTH_BOUNDARIES = [7, 15, 23, 31, 63, 71]
 
 
-def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
+def test_packed_widths_match_schoolbook(pair_calls, mul_calls, array_codes):
     # One packed product per case (gcd-1 supports, kx * ky > n) whose
     # widest output digit is exactly the width bound mx * my * min(kx, ky),
     # just below and just above each boundary, against the schoolbook oracle.
-    import qdissect.series as series
-
-    packed = []
-
-    def counting_array(code, items):
-        packed.append(code)
-        return array(code, items)
-
-    monkeypatch.setattr(series, "array", counting_array)
     rng = random.Random(8)
     for b in WIDTH_BOUNDARIES:
         for my in (1, 3):
@@ -399,7 +426,7 @@ def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
                         for left, right in pairs:
                             pair_calls.clear()
                             mul_calls.clear()
-                            packed.clear()
+                            array_codes.clear()
                             got = _mul_lists(Profile(left), Profile(right), n - 1)
                             assert got == _oracle(left, right, n - 1), (b, mx, my, kx, sign)
                             assert pair_calls == [] and mul_calls == []
@@ -409,7 +436,102 @@ def test_packed_widths_match_schoolbook(pair_calls, mul_calls, monkeypatch):
                             assert sign is None or max(map(abs, got)) == 4 * mx * my
                             if sign == "both":
                                 assert max(got) == 4 * mx * my == -min(got)
-                            assert len(packed) == (3 if wide <= 63 else 0), (b, wide)
+                            assert len(array_codes) == (3 if wide <= 63 else 0), (b, wide)
+
+
+def test_two_point_crossover(pair_calls, mul_calls, array_codes, parity_splits):
+    # A narrow packed product of width * n bytes below TWO_POINT_BYTES packs
+    # each operand once and unpacks once, 3 arrays; from it on, each
+    # operand packs its even and odd digits and each half of the product
+    # unpacks, 6 arrays.  Sparse operands of 1-byte digits and dense ones
+    # of 2 and 4-byte digits, on each side of the crossover.
+    rng = random.Random(2302)
+    for width in (1, 2, 4):
+        for n in (TWO_POINT_BYTES // width - 1, TWO_POINT_BYTES // width):
+            # 40 * 40 > n terms, and the bound 40 * 1 * 1 < 2^7; or
+            # n * m * 1 in [2^7, 2^15) and [2^15, 2^31)
+            k, m = (40, 1) if width == 1 else (n, 1 if width == 2 else 2**9)
+            xs = [rng.choice((m, -m)) for _ in range(k)] + [0] * (n - k)
+            ys = [rng.choice((1, -1)) for _ in range(k)] + [0] * (n - k)
+            two_point = width * n >= TWO_POINT_BYTES
+            array_codes.clear()
+            parity_splits.clear()
+            assert _mul_lists(Profile(xs), Profile(ys), n - 1) == _oracle(ys, xs, n - 1)
+            assert pair_calls == [] and mul_calls == []
+            assert len(array_codes) == (6 if two_point else 3), (width, n)
+            assert {array(code).itemsize for code in array_codes} == {width}
+            assert parity_splits == ([k < n] * 2 if two_point else []), (width, n)
+
+
+def _constant(length, positions, c):
+    """c at `positions`, zero elsewhere."""
+    cs = [0] * length
+    for i in positions:
+        cs[i] = c
+    return cs
+
+
+def test_two_point_products_match_schoolbook(pair_calls, mul_calls, parity_splits):
+    # Products at two points against the schoolbook oracle, each just past
+    # TWO_POINT_BYTES at its digit width and no split (gcd-1 supports).
+    # First the width bound: the left operand is mx at kx positions, the
+    # right my at its first ky, so digit j sums min(kx, ky) products once j
+    # passes both supports, and it reaches mx * my * min(kx, ky) exactly,
+    # just below and just above each boundary of 1, 2, 4 and 8-byte digits
+    # and of wider ones; odd and even n; dense x dense, sparse x dense,
+    # sparse x sparse, and a sparse operand at odd positions alone, whose
+    # even digits pack all zeros.
+    seen = set()
+    for b in WIDTH_BOUNDARIES:
+        width = (b + 7) // 8  # of the digits below the boundary
+        width = 1 << (width - 1).bit_length() if width <= 8 else width
+        for n in (-(-TWO_POINT_BYTES // width), -(-TWO_POINT_BYTES // width) + 1):
+            k = int(n**0.5) + 1  # k * k > n and 2 * k <= n + 1: sparse, packed
+            shapes = {"dense x dense": (range(n), n), "sparse x dense": (range(k), n),
+                      "sparse x sparse": (range(k), k), "odd x dense": (range(1, 2 * k, 2), n)}
+            for shape, (support, ky) in shapes.items():
+                bound_terms = min(len(support), ky)
+                for my, signs in ((1, (1, 1)), (3, (-1, 1)), (5, (-1, -1))):
+                    below = (2**b - 1) // (bound_terms * my)
+                    above = 2**b // (bound_terms * my) + 1
+                    for mx in (below, above) if below else ():
+                        bound = mx * my * bound_terms
+                        assert bound.bit_length() == (b if mx == below else b + 1)
+                        xs = _constant(n, support, signs[0] * mx)
+                        ys = _constant(n, range(ky), signs[1] * my)
+                        want = _oracle(xs, ys, n - 1)
+                        for left, right in ((xs, ys), (ys, xs)):
+                            parity_splits.clear()
+                            got = _mul_lists(Profile(left), Profile(right), n - 1)
+                            assert got == want, (b, n, shape, mx, my)
+                            assert max(map(abs, got)) == bound
+                            assert len(parity_splits) == 2 and pair_calls == mul_calls == []
+                        seen.add((shape, "odd n" if n % 2 else "even n",
+                                  "wide" if bound.bit_length() > 63 else "narrow"))
+    assert len(seen) == 16, sorted(seen)
+    # Then random coefficients: narrow and wide digits, operands up to
+    # three times longer than n with terms at n and past it, and products
+    # added into a list at an offset with sign -1.
+    rng = random.Random(2303)
+    for _ in range(CASES // 4):
+        wide = rng.random() < 0.5
+        n = rng.randint(60, 80) if wide else rng.randint(1100, 1200)
+        size = n + rng.randint(0, 2 * n)
+        kx = rng.choice((n, n // 8))
+        xs = _sparse(rng, size, [1, n - 1] + rng.sample(range(size), kx))
+        ys = _sparse(rng, size, [0, n - 1, size - 1] + rng.sample(range(size), n // 2))
+        if not wide:
+            xs = [max(-9, min(9, c)) for c in xs]
+            ys = [max(-9, min(9, c)) for c in ys]
+        want = _oracle(ys, xs, n - 1)
+        parity_splits.clear()
+        assert _mul_lists(Profile(xs), Profile(ys), n - 1) == want
+        assert len(parity_splits) == 2
+        offset = rng.randint(0, 5)
+        out = [rng.randint(-9, 9) for _ in range(rng.randint(1, n + 5))]
+        expected = [c - want[i - offset] if 0 <= i - offset < n else c
+                    for i, c in enumerate(out)]
+        assert _mul_lists(Profile(xs), Profile(ys), n - 1, out, offset, -1) == expected
 
 
 # --- support profiles ------------------------------------------------------
