@@ -34,7 +34,7 @@ import sys
 from collections import Counter
 from functools import lru_cache, reduce
 
-from .series import TruncatedSeries, add_product_into, check_power, product
+from .series import TruncatedSeries, add_product_into, check_power, divide, product
 from .theta import (
     InvalidFactor,
     InvalidParameters,
@@ -473,7 +473,7 @@ def render(e: QExpr) -> str:
 # term +-1, with no shift, so its series is a unit and the term-by-term path
 # could invert it too; else the power stays an opaque node, which raises as
 # that path does.  base^k, |k| > 1, is keyed by its pair (base, |k|); thetas
-# are sparse, so powers are multiplied sparse first, one inverse (_factors).
+# are sparse, so powers are multiplied sparse first, one quotient (_factors).
 #
 # Columns.  A claim read on the progression k*n + l needs dissect(e, k, l)
 # only to order m = (N - l) // k.  Each term of e splits as A * B(q^k),
@@ -553,14 +553,14 @@ class _Product:
 
 
 def _factors(powers: dict[QExpr, int], order: int) -> list[TruncatedSeries]:
-    """The series of base^power at the order, the negative powers as one
-    inverse; a form's coefficient and shift are _sum's alone."""
+    """The series of base^power at the order: the positive powers, divided as
+    one quotient by the negative ones' product; coefficient and shift are _sum's."""
     num: list[TruncatedSeries] = []
     den: list[TruncatedSeries] = []
     for base, k in powers.items():
         (num if k > 0 else den).append(_eval(base if abs(k) == 1 else (base, abs(k)), order))
     if den:
-        num.append(product(den) ** -1)
+        return [divide(product(num), product(den))] if num else [product(den) ** -1]
     return num
 
 

@@ -14,18 +14,19 @@ multiplied once; a larger one is evaluated at two points, +2^s and -2^s,
 as two multiplies of half the size (Harvey 2009).  A digit of at most 8
 bytes packs and unpacks in two's complement through a signed array, in C.
 
+Division a/d, d's constant term +-1, is one exact kernel, _quotient (Karp and
+Markstein 1997): 1/d to half the terms, the multiply by a folded into Newton's
+last round; invert is its case a = 1, at order N // g for a series in q^g.
+
 Every series keeps a support profile (Profile: nonzero count, step g,
-the nonzero positions of a sparse series, largest |c|), so the multiply,
-power_bits and invert read a series that is used again without scanning
-it again.  A kernel that knows where it wrote hands those positions to
-_of and the profile is built from them at once, with no scan: theta_f,
-a qexpr sum whose every term was added over known positions, a series'
-first n terms, and the slices of a q^g split.  A series entering a
-product of n terms is cut to them once, there (TruncatedSeries._operand:
-kept positions by one bisect, others scanned); the multiply cuts nothing.
-Any other series finds its profile on first use.  A sparse operand packs
-in time proportional to its nonzero terms.  The profile is not part of a
-series' value: ==, hash and repr read the coefficients alone.
+the nonzero positions of a sparse series, largest |c|), read again
+without a scan.  A kernel that knows where it wrote hands those positions
+to _of, and the profile is built from them: theta_f, a qexpr sum whose
+every term was added over known positions, a series' first n terms, and
+the slices of a q^g split.  A series entering a product of n terms is cut
+to them once, there (TruncatedSeries._operand); the multiply cuts nothing.
+A sparse operand packs in time proportional to its nonzero terms.  The
+profile is not part of a series' value: ==, hash and repr ignore it.
 
 A sum of shifted, signed products is built in one list of ints, in place,
 by one accumulator, add_product_into.  A lone factor is added over its
@@ -34,14 +35,13 @@ by _mul_lists, which takes the list, an offset and a sign and alone
 chooses the path: term pairs are written straight into the list.
 
 The public constructor checks every coefficient with operator.index.
-Kernel results (+, -, *, scale, invert, dissect, shift, substitute_power,
-theta_f, pochhammer, the slices of qexpr) come from checked series and
-checked scalars, and are stored through TruncatedSeries._of without that
-check.  The oracles, schoolbook_mul among them, keep the public one.
+Kernel results (+, -, *, scale, invert, divide, dissect, shift,
+substitute_power, theta_f, pochhammer, the slices of qexpr) come from checked
+series and checked scalars, and are stored through TruncatedSeries._of without
+that check.  The oracles, schoolbook_mul among them, keep the public one.
 
 A power refuses, before any multiply, to build coefficients past
-MAX_COEFF_BITS bits (LimitExceeded); inversion of a series supported on
-multiples of g runs at order N // g.
+MAX_COEFF_BITS bits (LimitExceeded).
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ MAX_COEFF_BITS = 1 << 16
 # product, sparse, pays for its extra packs up to 8 KB; the benchmark has
 # two such at 6001 digits, the order of its theta-lemmas, at about 1.05.
 TWO_POINT_BYTES = 1024
+
+# Quotients of at most this many terms are long division (_quotient): one
+# Newton level took 1.06-1.79 times as long at 24 terms, 0.92-1.37 at 32
+# (timeit, 1/d and a/d; d three products of thetas, of 16-bit digits).
+LONG_DIVISION_TERMS = 24
 
 # The signed array typecode of each item size in bytes, read from array
 # itself: the packed multiply's digits of 1, 2, 4 and 8 bytes.
@@ -232,22 +237,19 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
       rounded up to 4 or 8, so every width up to 8 bytes is the item size
       of a signed array typecode, and such digits pack and unpack in two's
       complement (see `_pack`).  An operand whose profile keeps its
-      positions packs by setting its kx nonzero digits in a zeroed array,
-      not by converting all its digits.  From TWO_POINT_BYTES bytes on,
-      width * n, the product is taken at two points instead (D. Harvey,
-      "Faster polynomial multiplication via multipoint Kronecker
-      substitution", J. Symbolic Comput. 44 (2009)): with s = 4 * width
-      bits, each operand packs its even and odd digits apart, E and O, and
-      is E +- (O << s) at t = +-2^s.  Two multiplies of half the size give
-      the product's values P+ and P- there, and (P+ + P-) / 2 and
-      (P+ - P-) / 2^(s + 1) are its even and odd digits packed at width
-      bytes.  Both divisions are exact shifts: P+ + P- holds the even
-      powers of t alone, each twice, and P+ - P- the odd ones, each twice
-      and a multiple of 2^s.  Every digit lies in (-half, half) under the
-      same bound, so each half unpacks as above.  E +- (O << s) spaces
-      the coefficients half a digit apart, so each multiply takes
-      operands of half the length: about half of a one-point digit is
-      padding for the product's bound, and it is not multiplied.
+      positions sets its kx nonzero digits in a zeroed array.  From
+      TWO_POINT_BYTES bytes on, width * n, the product is taken at two
+      points (D. Harvey, "Faster polynomial multiplication via multipoint
+      Kronecker substitution", J. Symbolic Comput. 44 (2009)): with s =
+      4 * width bits, each operand packs its even and odd digits apart,
+      E and O (kept positions read in place, not sliced), and is
+      E +- (O << s) at t = +-2^s.  Two half-size multiplies give the
+      product's values P+ and P- there, and (P+ + P-) / 2 and
+      (P+ - P-) / 2^(s + 1), both exact shifts, are its even and odd
+      digits at width bytes, each in (-half, half) under the same bound.
+      E +- (O << s) spaces the coefficients half a digit apart: about
+      half of a one-point digit is padding for the product's bound, and
+      it is not multiplied.
 
     A split or packed product is built and then added to out by one slice
     map.  Every path equals schoolbook convolution coefficient by
@@ -304,15 +306,15 @@ def _residue_supports(positions: list[int] | None, g: int) -> list[list[int] | N
 def _at_two_points(p: Profile, width: int) -> tuple[int, int]:
     """p's sequence at t = +2^s and -2^s, s = 4 * width bits: E +- (O << s),
     E and O its even and odd digits packed at width bytes."""
-    cs = p.cs
     even, odd = _residue_supports(p.positions, 2)
-    e, o = _pack(cs[0::2], even, width), _pack(cs[1::2], odd, width) << 4 * width
+    e, o = _pack(p.cs, even, width, 2, 0), _pack(p.cs, odd, width, 2, 1) << 4 * width
     return e + o, e - o
 
 
-def _pack(cs: Sequence[int], positions: list[int] | None, width: int) -> int:
-    """sum(c_i * 2^(8*width*i)) over cs, each |c_i| < half = 2^(8*width - 1);
-    positions, when given, holds every nonzero position of cs."""
+def _pack(cs: Sequence[int], positions: list[int] | None, width: int, step: int = 1,
+          start: int = 0) -> int:
+    """sum(c_i * 2^(8*width*i)) over the digits c_i of cs[start::step], each
+    |c_i| < half = 2^(8*width - 1); positions, if given, holds their nonzero ones."""
     # The offset digits c + half are nonnegative, so their bytes are the
     # plain base-256 digits of sum((c_i + half) * 2^(8*width*i)), and
     # subtracting off, which has half in every digit, leaves the packed
@@ -321,8 +323,11 @@ def _pack(cs: Sequence[int], positions: list[int] | None, width: int) -> int:
     # top bit alone, so one XOR with off, in C, turns every digit into its
     # offset form.
     half = 1 << (8 * width - 1)
-    off = int.from_bytes(half.to_bytes(width, "little") * len(cs), "little")
+    m = len(range(start, len(cs), step))
+    off = int.from_bytes(half.to_bytes(width, "little") * m, "little")
     code = _ARRAY_CODES.get(width)
+    if step > 1 and (positions is None or not code):
+        cs = cs[start::step]
     if not code:
         digits = map(operator.add, cs, repeat(half))
         raw = b"".join(map(int.to_bytes, digits, repeat(width), repeat("little")))
@@ -334,9 +339,9 @@ def _pack(cs: Sequence[int], positions: list[int] | None, width: int) -> int:
     if positions is None:
         items = array(code, cs)
     else:
-        items = array(code, bytes(width * len(cs)))
+        items = array(code, bytes(width * m))
         for i in positions:
-            items[i] = cs[i]
+            items[i] = cs[step * i + start]
     if _BIG_ENDIAN:
         items.byteswap()
     return (int.from_bytes(items.tobytes(), "little") ^ off) - off
@@ -553,25 +558,30 @@ def schoolbook_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def _newton_inverse(cs: Sequence[int]) -> list[int]:
-    # Newton iteration doubling the correct prefix each round, so every
-    # retained coefficient is exact; cs[0] is +1 or -1.  Once inv is right
-    # to h terms, a*inv = 1 + q^h*e, so inv - q^h*(inv*e) is right to
-    # prec = 2h terms: its first h terms are inv's, and the rest is
-    # -inv*e taken at length prec - h, all of inv but in the last round.
-    n = len(cs) - 1
-    inv = [cs[0]]
-    while len(inv) <= n:
-        h = len(inv)
-        prec = min(2 * h, n + 1)
-        e = _mul_lists(Profile(cs[:prec]), Profile(inv), prec - 1)[h:]
-        head = inv if prec == 2 * h else inv[:prec - h]
-        inv += map(operator.neg, _mul_lists(Profile(head), Profile(e), prec - h - 1))
-    return inv
+def _quotient(a: Sequence[int] | None, d: Sequence[int], n: int,
+              y: list[int] | None = None) -> list[int]:
+    """a/d to n terms (1/d for a None), exactly, d[0] = +-1, a and d of n terms
+    or more: with y = 1/d to h = ceil(n/2) terms (found here if not given), q0
+    = a*y and e = (d*q0 - a)[h:n], a/d is q0 then -(y*e)[:n - h]; q0 = y for a = 1."""
+    if n <= LONG_DIVISION_TERMS:  # q_i = d_0 (a_i - sum of d_j q_(i-j), j >= 1)
+        q: list[int] = []
+        for ai in [1] + [0] * (n - 1) if a is None else a[:n]:
+            q.append(d[0] * (ai - sum(map(operator.mul, d[1:len(q) + 1], reversed(q)))))
+        return q
+    h = (n + 1) // 2
+    y = y or _quotient(None, d, h)
+    py = Profile(y)
+    q = y if a is None else _mul_lists(Profile(a[:h]), py, h - 1)
+    e = _mul_lists(Profile(d[:n]), py if a is None else Profile(q), n - 1)[h:]
+    if a is not None:
+        e = list(map(operator.sub, e, a[h:n]))
+    head = py if n == 2 * h else Profile(y[:n - h])
+    q += map(operator.neg, _mul_lists(head, Profile(e), n - h - 1))
+    return q
 
 
 def invert(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse; requires constant term +1 or -1.
+    """1/a, by _quotient with a = 1; requires constant term +1 or -1.
 
     When every exponent of a nonzero term is a multiple of some g > 1,
     a(q) = b(q^g), and 1/a is 1/b, found at order N // g, spread back to
@@ -580,14 +590,27 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     c0 = a.coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(
-            f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1"
-        )
+            f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1")
     g = a.profile.step
     if g < 2:
-        return TruncatedSeries._of(tuple(_newton_inverse(a.coeffs)))
+        return TruncatedSeries._of(tuple(_quotient(None, a.coeffs, len(a.coeffs))))
     out = [0] * (a.order + 1)
-    out[::g] = _newton_inverse(a.coeffs[::g])
+    out[::g] = _quotient(None, a.coeffs[::g], a.order // g + 1)
     return TruncatedSeries._of(tuple(out))
+
+
+def divide(a: TruncatedSeries, d: TruncatedSeries) -> TruncatedSeries:
+    """a / d to the smaller order, exactly, by _quotient (A. H. Karp and P.
+    Markstein, "High-precision division and square root", ACM TOMS 23
+    (1997)); a d that invert refuses is refused with its message.  The power
+    limit is checked on the half inverse and on the quotient, each as a
+    power 1, as invert(d) ** 1 checks 1/d; the full 1/d is never built."""
+    if d.coeffs[0] not in (1, -1):
+        invert(d)  # raises NonUnitConstantTerm
+    n = min(len(a.coeffs), len(d.coeffs))
+    y = _quotient(None, d.coeffs, (n + 1) // 2)
+    check_power(TruncatedSeries._of(tuple(y)), 1)
+    return TruncatedSeries._of(tuple(_quotient(a.coeffs, d.coeffs, n, y))) ** 1
 
 
 def substitute_power(a: TruncatedSeries, k: int) -> TruncatedSeries:

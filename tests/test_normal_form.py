@@ -545,21 +545,50 @@ def test_a_power_is_lowered_however_the_text_writes_it():
 
 def test_paired_list_multiply_count(monkeypatch):
     # (q,q^4;q^5) lowers to f(-q,-q^4)/(q^5;q^5): no Pochhammer expansion,
-    # one inverse, one product.
+    # one quotient, and no product or inverse beside it.
     qexpr._eval.cache_clear()
     mul_calls = []
     real_mul = TruncatedSeries.__mul__
     monkeypatch.setattr(TruncatedSeries, "__mul__",
                         lambda a, b: mul_calls.append(1) or real_mul(a, b))
-    inverted = []
-    real_invert = series.invert
+    inverted, divided = [], []
+    real_invert, real_divide = series.invert, qexpr.divide
     monkeypatch.setattr(series, "invert", lambda a: inverted.append(1) or real_invert(a))
+    monkeypatch.setattr(qexpr, "divide", lambda a, d: divided.append(1) or real_divide(a, d))
 
     def no_expansion(*args):
         raise AssertionError("pochhammer expansion on the normal-form path")
 
     monkeypatch.setattr(qexpr, "pochhammer", no_expansion)
     got = evaluate(parse("(q,q^4;q^5)_inf"), 113)
-    assert (len(mul_calls), len(inverted)) == (1, 1)
+    assert (len(mul_calls), len(inverted), len(divided)) == (0, 0, 1)
     monkeypatch.undo()
     assert got == evaluate_direct(parse("(q,q^4;q^5)_inf"), 113)
+
+
+def test_quotients_match_direct_path():
+    # A form with positive and negative powers is one quotient (series.divide);
+    # the term-by-term path inverts the denominator and multiplies.  Both
+    # give the same series, or the same error and message: a non-unit
+    # denominator stays opaque and is refused by the inverse, and a
+    # denominator power past the limit is refused as a power.
+    texts = (
+        "(q,q^4;q^5)_inf",
+        "f(-q,-q^4)^3/(q^5;q^5)_inf^2",
+        "(q;q)_inf^2*f(q,q^2)/(f(-q,-q^9)*(q^2,q^8;q^10)_inf^3)",
+        "q^2*phi(q)/psi(q^3)^2",
+        "1/(q^2,q^3;q^5)_inf^4 - 3*f(q,q^4)/(q;q)_inf",
+        "(q;q)_inf/(q^2,q^3;q^5)_inf*f(1,q)/f(1,q)",
+        "f(-q,-q^2)/f(1,q^3)",
+        "f(q,q^4)/(2 + q)",
+        "f(q,q^2)/(q;q)_inf^100000",
+        "(q;q)_inf^3/f(-q^2,-q^3)^70000",
+    )
+    kinds = set()
+    for text in texts:
+        for order in (0, 1, 300):
+            qexpr._eval.cache_clear()
+            got = outcome(evaluate, text, order)
+            assert got == outcome(evaluate_direct, text, order), (text, order)
+            kinds.add(got[0] if isinstance(got, tuple) else type(got))
+    assert kinds == {TruncatedSeries, series.NonUnitConstantTerm, series.LimitExceeded}

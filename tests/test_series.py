@@ -22,6 +22,7 @@ from qdissect.series import (
     add_product_into,
     coeff_text,
     dissect,
+    divide,
     first_index,
     invert,
     power_bits,
@@ -1028,6 +1029,95 @@ def test_invert_requires_unit_constant():
 def test_invert_negative_unit():
     a = TruncatedSeries([-1, 5, 7])
     assert a * invert(a) == TruncatedSeries.one(2)
+
+
+def test_inversion_ladder_has_no_cliff_at_powers_of_two(mul_calls):
+    # The precision halves from the top, so N + 1 = 2^k and 2^k + 1 terms
+    # take as many Newton levels above the long-division base, and as many
+    # multiplies; a doubling ladder took one more round, at full width, for
+    # the one extra term.
+    rng = random.Random(1023)
+    for k in (5, 6, 8, 10):
+        counts = []
+        for order in (2**k - 1, 2**k):
+            cs = [0] * (order + 1)
+            cs[0], cs[1] = 1, 3
+            for i in rng.sample(range(2, order + 1), 8):
+                cs[i] = rng.choice((-1, 1))
+            mul_calls.clear()
+            inv = invert(TruncatedSeries(cs))
+            counts.append(len(mul_calls))
+            assert schoolbook_mul(TruncatedSeries(cs), inv) == TruncatedSeries.one(order)
+        assert counts[0] == counts[1] > 0, (k, counts)
+
+
+# --- division ----------------------------------------------------------------
+
+
+def _divisor(rng, n, dense, bits, g=1):
+    """A unit series of n terms in q^g: +-1, then every g-th digit (dense)
+    or 6 of them (sparse) of up to `bits` bits."""
+    cs = [0] * n
+    spots = range(g, n, g)
+    for i in spots if dense else rng.sample(spots, min(6, len(spots))):
+        cs[i] = rng.randint(-(2**bits), 2**bits)
+    cs[0] = rng.choice((1, -1))
+    return TruncatedSeries(cs)
+
+
+def test_divide_matches_schoolbook():
+    # divide(a, d) * d == a by the schoolbook oracle, and divide(a, d) ==
+    # a * invert(d): d sparse and dense, digits narrow and past 8 bytes, d
+    # in q^g, on both sides of the long-division base and at lengths next
+    # to powers of two, where the Newton ladder ends on a short level.
+    rng = random.Random(2424)
+    cases = 0
+    for n in (1, 2, 3, 15, 16, 17, 24, 25, 63, 64, 65, 127, 128, 129, 1001):
+        for dense, bits, g in ((True, 3, 1), (False, 3, 1), (True, 80, 1), (False, 80, 1),
+                               (True, 5, 3), (False, 90, 7)):
+            if n == 1001 and (dense or bits > 8):
+                continue  # keeps the oracle's O(n^2) loop short
+            d = _divisor(rng, n, dense, bits, g)
+            a = TruncatedSeries([rng.randint(-(2**bits), 2**bits) for _ in range(n)])
+            got = divide(a, d)
+            assert got.order == n - 1
+            assert schoolbook_mul(got, d) == a, (n, dense, bits, g)
+            assert got == a * invert(d), (n, dense, bits, g)
+            cases += 1
+    assert cases > 80
+
+
+def test_divide_truncates_and_refuses_like_invert():
+    # The smaller order, as every binary operation; a zero numerator; a
+    # non-unit divisor refused with invert's message.
+    a = TruncatedSeries([3, 1, 4, 1, 5])
+    d = TruncatedSeries([-1, 2, 7])
+    assert divide(a, d) == divide(TruncatedSeries([3, 1, 4]), d)
+    assert schoolbook_mul(divide(a, d), d) == TruncatedSeries([3, 1, 4])
+    assert divide(TruncatedSeries.zero(40), _divisor(random.Random(1), 41, True, 9)).is_zero()
+    for bad in ([0, 1, 2], [2, 0], [-3]):
+        with pytest.raises(NonUnitConstantTerm) as divided:
+            divide(TruncatedSeries([1] * len(bad)), TruncatedSeries(bad))
+        with pytest.raises(NonUnitConstantTerm) as inverted:
+            invert(TruncatedSeries(bad))
+        assert str(divided.value) == str(inverted.value)
+
+
+def test_divide_checks_the_half_inverse_and_the_quotient():
+    # 1/d, d = 1 - 2^2000 q, has a 2000i-bit digit at q^i, so MAX_COEFF_BITS
+    # is passed from i = 33 on.  At 80 terms the half inverse y, 40 terms,
+    # passes it, and divide refuses at y's order; at 50 terms y does not,
+    # and 1/d refuses at the quotient's order.  d/d is 1: the full inverse,
+    # which invert(d) ** 1 refuses, is never built, so it is not checked.
+    d = TruncatedSeries([1, -(2**2000)] + [0] * 78)
+    with pytest.raises(LimitExceeded, match="a power 1 of a series at order 39 "):
+        divide(TruncatedSeries.one(79), d)
+    short = TruncatedSeries(d.coeffs[:50])
+    with pytest.raises(LimitExceeded, match="a power 1 of a series at order 49 "):
+        divide(TruncatedSeries.one(49), short)
+    assert divide(short, short) == TruncatedSeries.one(49)
+    with pytest.raises(LimitExceeded, match="a power 1 of a series at order 49 "):
+        invert(short) ** 1
 
 
 # --- substitution, shift, dissection -----------------------------------------
