@@ -4,15 +4,14 @@ A series is a dense coefficient vector c[0..N] representing
 c[0] + c[1] q + ... + c[N] q^N; N is the order (highest retained
 exponent).  All arithmetic is exact.  Binary operations truncate the
 result to the smaller of the two input orders, so a coefficient is
-never reported unless it is fully determined.  Multiplication takes
-one of three exact paths, chosen from the operands' supports: few
-nonzero term pairs are summed directly, an operand that is a series in
-q^g splits the product into g products by residue, and the rest is a
-signed Kronecker substitution, both operands packed into big integers
-(see _mul_lists).  A packing of fewer than TWO_POINT_BYTES bytes is
-multiplied once; a larger one is evaluated at two points, +2^s and -2^s,
-as two multiplies of half the size (Harvey 2009).  A digit of at most 8
-bytes packs and unpacks in two's complement through a signed array, in C.
+never reported unless it is fully determined.  Multiplication takes one
+of four exact paths, chosen by one measured cost rule (see _mul_lists):
+few nonzero term pairs are summed directly; a sparse operand adds the
+other, packed into a big integer, at its shifts; an operand in q^g splits
+the product into g products by residue; the rest is a signed Kronecker
+substitution, multiplied once or, from TWO_POINT_BYTES bytes on, at two
+points +-2^s (Harvey 2009).  A digit of at most 8 bytes packs and unpacks
+in two's complement through a signed array, in C.
 
 Division a/d, d's constant term +-1, is one exact kernel, _quotient (Karp and
 Markstein 1997): 1/d to half the terms, the multiply by a folded into Newton's
@@ -91,9 +90,27 @@ MAX_COEFF_BITS = 1 << 16
 #   32            1.09  0.95  0.94  0.86  0.89  0.89  0.76
 #
 # Every width of 2 bytes and more gains from 1024 bytes on.  A 1-byte
-# product, sparse, pays for its extra packs up to 8 KB; the benchmark has
-# two such at 6001 digits, the order of its theta-lemmas, at about 1.05.
+# product, sparse, pays for its extra packs up to 8 KB; such products take
+# shifted adds (SHIFTED_ADDS), as theta-lemmas' two at 6001 digits do.
 TWO_POINT_BYTES = 1024
+
+# _mul_lists adds the denser operand, packed, at the kx shifts of the other
+# when kx^2 <= SHIFTED_ADDS * n * W (n digits of W bytes), unless the denser
+# one is in q^g, g > 1, and kx * W passes SPLIT_ADD_BYTES: its split cuts the
+# adds by g.  Shifted adds over the path taken otherwise cross 1 at k* terms
+# (tools/mul_crossover.txt: k terms of +-1 by a dense operand in q or q^2;
+# timeit, best of 7, CPU time, CPython 3.11, 2-vCPU Xeon guest; ranges over
+# both supports and seeds, ">" where still below 1 at the largest k):
+#
+#   W bytes:              1         2        8        16
+#   k*^2/(nW), g=1, 1001  2.5->4.1  3.7-9.2  3.6-4.1  >4.1
+#                   6001  >0.7      3.8-5.0  >1.4     >0.7
+#   k*W, g=2,       1001  >64       302-339  350-417  375-447
+#                   6001  >64       166-242  294-593  151-290
+#
+# Each constant is the median of its crossovers, rounded (3.8 of 15, 308 of 24).
+SHIFTED_ADDS = 4
+SPLIT_ADD_BYTES = 300
 
 # Quotients of at most this many terms are long division (_quotient): one
 # Newton level took 1.06-1.79 times as long at 24 terms, 0.92-1.37 at 32
@@ -201,59 +218,27 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     """Exact truncated convolution of two profiled integer sequences, n =
     n_out + 1 terms, returned, or added into out when it is given:
     out[offset + i] += sign * product[i] wherever offset + i < len(out),
-    and out returned.  This is the one place where the path of a product
-    is chosen.
+    and out returned: the one place where a product's path is chosen.
 
-    Each operand is a profile, its sequence (xs or ys below) read through
-    `Profile.cs`, so a series multiplied again is not scanned again.  A
-    caller hands over at most n terms (TruncatedSeries._operand cuts a
-    series to them), a cost contract alone: a longer operand still gives
-    the exact product, as pairs stop at i + j < n, packed digits past n
-    reach only product digits that the mask drops, and the width bound
-    holds for every digit.  With kx and ky nonzero terms, the product
-    takes one of three paths:
+    A caller hands over at most n terms (TruncatedSeries._operand cuts a
+    series to them), a cost contract alone: every path keeps only the first
+    n digits, and the width bound holds for every digit.  With kx <= ky
+    nonzero terms (the operands swapped if need be) and W bytes per packed
+    digit (`_width`), one rule takes the first of four exact paths that
+    applies:
 
-    - kx * ky <= n: the products of nonzero term pairs are summed
-      directly (`_mul_terms`), into out as far as it reaches.  That loop
-      takes no more Python steps than there are output digits, while the
-      packing below takes several per digit, so the rule needs no tuning
-      constant.  An all-zero operand has kx * ky = 0 and lands here.
-    - otherwise, if an operand is a series in q^g for some g > 1 (the
-      larger g of the two is taken), out[r::g] = xs[::g] * ys[r::g] for
-      each residue r, each of the g products taken by this same rule.
-      Here kx, ky >= 2, so 1 < g < n.  The sub-products add up to the
-      same digits in shorter, narrower packings.  xs[::g] is profiled
-      once, from xs's positions divided by g, and every residue is taken
-      whole at residue 0's order (n - 1) // g, the digits past n dropped;
-      when ys keeps its positions, one pass over them sorts them into the
-      residues' supports, otherwise each ys[r::g] is scanned.
-    - otherwise, signed Kronecker substitution: each operand is packed
-      into one big integer with `width` bytes per coefficient, the two
-      are multiplied once, and the product's first n digits are read
-      back as balanced digits in (-half, half).  An output coefficient
-      sums at most min(kx, ky) nonzero products, so the width bounds
-      every one of them by mx * my * min(kx, ky) < half, and no digit
-      overflows into its neighbour.  A width of 3, 5, 6 or 7 bytes is
-      rounded up to 4 or 8, so every width up to 8 bytes is the item size
-      of a signed array typecode, and such digits pack and unpack in two's
-      complement (see `_pack`).  An operand whose profile keeps its
-      positions sets its kx nonzero digits in a zeroed array.  From
-      TWO_POINT_BYTES bytes on, width * n, the product is taken at two
-      points (D. Harvey, "Faster polynomial multiplication via multipoint
-      Kronecker substitution", J. Symbolic Comput. 44 (2009)): with s =
-      4 * width bits, each operand packs its even and odd digits apart,
-      E and O (kept positions read in place, not sliced), and is
-      E +- (O << s) at t = +-2^s.  Two half-size multiplies give the
-      product's values P+ and P- there, and (P+ + P-) / 2 and
-      (P+ - P-) / 2^(s + 1), both exact shifts, are its even and odd
-      digits at width bytes, each in (-half, half) under the same bound.
-      E +- (O << s) spaces the coefficients half a digit apart: about
-      half of a one-point digit is padding for the product's bound, and
-      it is not multiplied.
+    1. kx * ky <= n: term pairs (`_mul_terms`), summed straight into out.
+       That loop takes no more Python steps than there are output digits;
+       the paths below take several per digit.  An all-zero operand has
+       kx * ky = 0 and lands here.
+    2. kx^2 <= SHIFTED_ADDS * n * W, and kx * W <= SPLIT_ADD_BYTES if the
+       denser operand is in q^g, g > 1: shifted adds (`_shifted_adds`).
+    3. an operand in q^g, g > 1: g products by residue (`_split`).
+    4. packing (`_packed`), at two points from TWO_POINT_BYTES bytes on,
+       W * n, else at one.
 
-    A split or packed product is built and then added to out by one slice
-    map.  Every path equals schoolbook convolution coefficient by
-    coefficient (that equality is a tested property).
+    Any other path's product is built, then added to out by one slice map.
+    Every path equals schoolbook convolution (a tested property).
     """
     n = n_out + 1
     kx, ky = px.count, py.count
@@ -263,28 +248,73 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     if out is not None:
         _add_coeffs(out, _mul_lists(px, py, n_out), offset, sign, None)
         return out
+    if kx > ky:
+        px, py, kx = py, px, ky
+    width = _width(px, py)
+    if kx * kx <= SHIFTED_ADDS * n * width and (py.step == 1 or kx * width <= SPLIT_ADD_BYTES):
+        return _shifted_adds(px, py, n, width)
+    if px.step > 1 or py.step > 1:
+        return _split(px, py, n)
+    return _packed(px, py, n, width, width * n >= TWO_POINT_BYTES)
+
+
+def _width(px: Profile, py: Profile) -> int:
+    """Bytes per packed digit of the product: a digit sums at most min(kx,
+    ky) nonzero products, so it stays below mx * my * min(kx, ky) < half =
+    2^(8 * width - 1).  3 and 5-7 bytes round up to 4 or 8, the item size
+    of a signed array typecode, in which digits pack (see `_pack`)."""
+    width = ((px.magnitude() * py.magnitude() * min(px.count, py.count)).bit_length() + 8) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _shifted_adds(px: Profile, py: Profile, n: int, width: int) -> list[int]:
+    """The first n digits of X * Y, X and Y px's and py's sequences packed
+    at width bytes, X never built: x_i * (Y << 8 * width * i) is added over
+    px's nonzero positions i < n, an x_i of +-1 as a plain add or subtract.
+    The sum is X cut below n times Y, so every digit keeps the width bound."""
+    y = _pack(py.cs, py.positions, width)
+    xs, positions, bits = px.cs, px.support(), 8 * width
+    total, minus = 0, -y
+    for i in positions[:bisect_left(positions, n)]:
+        c = xs[i]
+        total += (y if c == 1 else minus if c == -1 else c * y) << bits * i
+    return _unpack(total, n, width)
+
+
+def _split(px: Profile, py: Profile, n: int) -> list[int]:
+    """The n digits as g products by residue, xs the operand of the larger
+    step g > 1: out[r::g] = xs[::g] * ys[r::g], each by _mul_lists.  xs[::g]
+    is profiled once, from xs's positions, and each residue is taken whole
+    at residue 0's order (n - 1) // g, the digits past n dropped; ys's kept
+    positions are sorted into the residues' supports in one pass."""
     if py.step > px.step:
         px, py = py, px
     g = px.step
-    if g > 1:
-        m = (n - 1) // g
-        out = [0] * ((m + 1) * g)
-        psub = Profile(px.cs[::g], list(map(operator.floordiv, px.positions, repeat(g))))
-        for r, support in enumerate(_residue_supports(py.positions, g)):
-            out[r::g] = _mul_lists(psub, Profile(py.cs[r::g], support), m)
-        del out[n:]
-        return out
-    bound = px.magnitude() * py.magnitude() * min(kx, ky)
-    width = (bound.bit_length() + 8) // 8
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-    if width * n < TWO_POINT_BYTES:
+    m = (n - 1) // g
+    out = [0] * ((m + 1) * g)
+    psub = Profile(px.cs[::g], list(map(operator.floordiv, px.positions, repeat(g))))
+    for r, support in enumerate(_residue_supports(py.positions, g)):
+        out[r::g] = _mul_lists(psub, Profile(py.cs[r::g], support), m)
+    del out[n:]
+    return out
+
+
+def _packed(px: Profile, py: Profile, n: int, width: int, two_points: bool) -> list[int]:
+    """Signed Kronecker substitution: each operand packed into one big
+    integer at `width` bytes per coefficient (kept positions set in a zeroed
+    array), the two multiplied, and the first n digits read back as
+    balanced digits in (-half, half).  With two_points (D. Harvey, "Faster
+    polynomial multiplication via multipoint Kronecker substitution", J.
+    Symbolic Comput. 44 (2009)), s = 4 * width bits: each operand packs its
+    even and odd digits apart, E and O, and is E +- (O << s) at t = +-2^s.
+    Two half-size multiplies give the product's values P+ and P-, and
+    (P+ + P-) / 2 and (P+ - P-) / 2^(s + 1), exact shifts, hold its even
+    and odd digits under the same bound: about half of a one-point digit
+    is padding for the bound, and it is not multiplied."""
+    if not two_points:
         return _unpack(_pack(px.cs, px.positions, width) * _pack(py.cs, py.positions, width),
                        n, width)
-    # At t = +-2^s, s = 4 * width bits: the even digits are (P+ + P-) / 2,
-    # the odd ones (P+ - P-) / 2^(s + 1).
-    xp, xm = _at_two_points(px, width)
-    yp, ym = _at_two_points(py, width)
+    (xp, xm), (yp, ym) = _at_two_points(px, width), _at_two_points(py, width)
     plus, minus = xp * yp, xm * ym
     out = [0] * n
     out[0::2] = _unpack((plus + minus) >> 1, (n + 1) // 2, width)

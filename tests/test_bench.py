@@ -179,7 +179,7 @@ def test_mul_calls_within_committed_bench(workload):
 # Profiles found by a scan in one pass of each workload at its order,
 # with cold caches (expand-partitions on the specs of seed 1): the
 # deterministic count of sequences read to learn their support.
-SCAN_PINS = {"verify-registry": 339, "theta-lemmas": 2, "expand-partitions": 649}
+SCAN_PINS = {"verify-registry": 210, "theta-lemmas": 2, "expand-partitions": 368}
 # Prefix copies in the same passes: the series that enter a product with
 # more terms than it reads, copied once there (TruncatedSeries._operand).
 OPERAND_COPY_PINS = {"verify-registry": 18, "theta-lemmas": 0, "expand-partitions": 0}
@@ -280,7 +280,7 @@ def test_operands_cut_once_per_pass(monkeypatch):
 # repository root, PYTHONPATH=src and the arguments `bench/workloads.py
 # WORKLOAD`, for each workload, and take what it prints; any rise must be
 # recorded in CHANGES.md with its cause.
-GC_GROWTH_PINS = {"theta-lemmas": 1053, "verify-registry": 2503}
+GC_GROWTH_PINS = {"theta-lemmas": 1053, "verify-registry": 2378}
 GC_GROWTH_SCRIPT = """
 import gc, importlib.util, sys
 from qdissect import identities, qexpr

@@ -5,16 +5,20 @@ import random
 import sys
 from array import array
 from functools import reduce
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from qdissect.qexpr import cross_multiplied, evaluate_direct, evaluate_text, parse
 from qdissect.series import (
     MAX_COEFF_BITS,
+    SHIFTED_ADDS,
+    SPLIT_ADD_BYTES,
     TWO_POINT_BYTES,
     _mul_lists,
     _mul_terms,
+    _shifted_adds,
+    _width,
     LimitExceeded,
     NonUnitConstantTerm,
     Profile,
@@ -261,6 +265,22 @@ def parity_splits(monkeypatch):
     return kept
 
 
+@pytest.fixture
+def path_calls(monkeypatch):
+    """(path, n) of every product taken by shifted adds, the q^g split or
+    packing, sub-products included, in the order the paths are entered."""
+    import qdissect.series as series
+
+    calls = []
+    for name in ("_shifted_adds", "_split", "_packed"):
+        def recording(px, py, n, *rest, name=name, real=getattr(series, name)):
+            calls.append((name, n))
+            return real(px, py, n, *rest)
+
+        monkeypatch.setattr(series, name, recording)
+    return calls
+
+
 def _oracle(xs, ys, n_out):
     """schoolbook_mul on both operands zero-padded or cut to n_out + 1 terms."""
     def fit(cs):
@@ -392,52 +412,74 @@ def test_results_are_exact_ints():
 WIDTH_BOUNDARIES = [7, 15, 23, 31, 63, 71]
 
 
-def test_packed_widths_match_schoolbook(pair_calls, mul_calls, array_codes):
+def _digit_width(bits):
+    """Bytes per packed digit of a bound of `bits` bits: 3 and 5-7 round up."""
+    width = (bits + 8) // 8
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _least_packed(n, width):
+    """The least k with k^2 > SHIFTED_ADDS * n * width: a sparser operand of k
+    terms or more is not added at shifts."""
+    return isqrt(int(SHIFTED_ADDS * n * width)) + 1
+
+
+def test_packed_widths_match_schoolbook(pair_calls, mul_calls, array_codes, path_calls):
     # One packed product per case (gcd-1 supports, kx * ky > n) whose
     # widest output digit is exactly the width bound mx * my * min(kx, ky),
     # just below and just above each boundary, against the schoolbook oracle.
     rng = random.Random(8)
     for b in WIDTH_BOUNDARIES:
+        top = _digit_width(b + 1)  # the wider digit of the two
+        k = 1
+        while k < _least_packed(2 * k + 1, top):
+            k += 1
         for my in (1, 3):
-            below = (2 ** (b - 2) - 1) // my
-            above = 2 ** (b - 2) // my + 1
+            below = (2**b - 1) // (k * my)
+            above = 2**b // (k * my) + 1
             for mx, wide in ((below, b), (above, b + 1)):
-                assert (4 * mx * my).bit_length() == wide
-                # supports 0..3 and 0..kx-1: output digit 3 sums four
-                # products, and kx * ky = 16, 20 or 32 passes n = 8 or 9.
-                # With kx = 8 the left operand is dense and the right one
-                # sparse, and in the "both" case digit 3 reaches the bound
-                # and digit 7 its negative.
-                for kx, n in ((4, 8), (5, 9), (8, 8)):
+                assert (k * mx * my).bit_length() == wide
+                width = _digit_width(wide)
+                # Right: my at 0..k-1; left: mx at 0..kx-1; so output digit
+                # k - 1 sums k products, and k^2 > SHIFTED_ADDS * n * width
+                # keeps the product off shifted adds.  Both sparse, or with
+                # kx = n the left operand dense and the right one sparse; in
+                # the "both" case digit k - 1 reaches the bound and digit
+                # 2k - 1 its negative.
+                for kx, n in ((k, 2 * k - 1), (k + 1, 2 * k + 1), (2 * k + 1, 2 * k + 1)):
                     signs = [(1, 1), (-1, -1), (-1, 1), (1, -1), None]
-                    for sign in signs + ["both"] * (kx == 8):
+                    for sign in signs + ["both"] * (kx == n):
                         if sign is None:
                             xs = [rng.choice((mx, -mx)) for _ in range(kx)]
-                            ys = [rng.choice((my, -my)) for _ in range(4)]
+                            ys = [rng.choice((my, -my)) for _ in range(k)]
                         elif sign == "both":
-                            xs, ys = [mx] * 4 + [-mx] * 4, [my] * 4
+                            xs, ys = [mx] * k + [-mx] * (kx - k), [my] * k
                         else:
-                            xs, ys = [sign[0] * mx] * kx, [sign[1] * my] * 4
-                        xs, ys = xs + [0] * (n - kx), ys + [0] * (n - 4)
-                        assert (Profile(xs).positions is None) == (kx == 8)
+                            xs, ys = [sign[0] * mx] * kx, [sign[1] * my] * k
+                        xs, ys = xs + [0] * (n - kx), ys + [0] * (n - k)
+                        assert (Profile(xs).positions is None) == (kx == n)
                         assert Profile(ys).positions is not None
+                        want = _oracle(xs, ys, n - 1)
                         # operands shorter than n too, as in Newton's rounds:
                         # each packs with an offset of its own length
-                        pairs = [(xs, ys), (ys, xs), (xs, ys[:4]), (ys[:4], xs[:kx])]
+                        pairs = [(xs, ys), (ys, xs), (xs, ys[:k]), (ys[:k], xs[:kx])]
                         for left, right in pairs:
                             pair_calls.clear()
                             mul_calls.clear()
                             array_codes.clear()
+                            path_calls.clear()
                             got = _mul_lists(Profile(left), Profile(right), n - 1)
-                            assert got == _oracle(left, right, n - 1), (b, mx, my, kx, sign)
+                            assert got == want, (b, mx, my, kx, sign)
                             assert pair_calls == [] and mul_calls == []
+                            assert path_calls == [("_packed", n)]
                             # with aligned signs the digit reaches the
                             # bound; narrow digits pack and unpack through
-                            # array, wide ones do not
-                            assert sign is None or max(map(abs, got)) == 4 * mx * my
+                            # array, at one point or two, wide ones do not
+                            assert sign is None or max(map(abs, got)) == k * mx * my
                             if sign == "both":
-                                assert max(got) == 4 * mx * my == -min(got)
-                            assert len(array_codes) == (3 if wide <= 63 else 0), (b, wide)
+                                assert max(got) == k * mx * my == -min(got)
+                            arrays = 3 if width * n < TWO_POINT_BYTES else 6
+                            assert len(array_codes) == (arrays if wide <= 63 else 0), (b, wide)
 
 
 def test_two_point_crossover(pair_calls, mul_calls, array_codes, parity_splits):
@@ -449,9 +491,10 @@ def test_two_point_crossover(pair_calls, mul_calls, array_codes, parity_splits):
     rng = random.Random(2302)
     for width in (1, 2, 4):
         for n in (TWO_POINT_BYTES // width - 1, TWO_POINT_BYTES // width):
-            # 40 * 40 > n terms, and the bound 40 * 1 * 1 < 2^7; or
-            # n * m * 1 in [2^7, 2^15) and [2^15, 2^31)
-            k, m = (40, 1) if width == 1 else (n, 1 if width == 2 else 2**9)
+            # 120 terms, so 120^2 > SHIFTED_ADDS * n and the bound 120 * 1 * 1
+            # < 2^7; or n * m * 1 in [2^7, 2^15) and [2^15, 2^31)
+            k, m = (120, 1) if width == 1 else (n, 1 if width == 2 else 2**9)
+            assert k >= _least_packed(n, width)
             xs = [rng.choice((m, -m)) for _ in range(k)] + [0] * (n - k)
             ys = [rng.choice((1, -1)) for _ in range(k)] + [0] * (n - k)
             two_point = width * n >= TWO_POINT_BYTES
@@ -473,7 +516,7 @@ def _constant(length, positions, c):
 
 
 def test_two_point_products_match_schoolbook(pair_calls, mul_calls, parity_splits):
-    # Products at two points against the schoolbook oracle, each just past
+    # Products at two points against the schoolbook oracle, each past
     # TWO_POINT_BYTES at its digit width and no split (gcd-1 supports).
     # First the width bound: the left operand is mx at kx positions, the
     # right my at its first ky, so digit j sums min(kx, ky) products once j
@@ -481,13 +524,18 @@ def test_two_point_products_match_schoolbook(pair_calls, mul_calls, parity_split
     # just below and just above each boundary of 1, 2, 4 and 8-byte digits
     # and of wider ones; odd and even n; dense x dense, sparse x dense,
     # sparse x sparse, and a sparse operand at odd positions alone, whose
-    # even digits pack all zeros.
+    # even digits pack all zeros.  n is the least past TWO_POINT_BYTES at
+    # which k terms, k^2 > SHIFTED_ADDS * n * width at either width, are
+    # still sparse, and fit at odd positions.
     seen = set()
     for b in WIDTH_BOUNDARIES:
-        width = (b + 7) // 8  # of the digits below the boundary
-        width = 1 << (width - 1).bit_length() if width <= 8 else width
-        for n in (-(-TWO_POINT_BYTES // width), -(-TWO_POINT_BYTES // width) + 1):
-            k = int(n**0.5) + 1  # k * k > n and 2 * k <= n + 1: sparse, packed
+        width = _digit_width(b)  # of the digits below the boundary
+        top = _digit_width(b + 1)
+        start = -(-TWO_POINT_BYTES // width)
+        while 2 * _least_packed(start + 1, top) > start:
+            start += 1
+        for n in (start, start + 1):
+            k = _least_packed(n, top)
             shapes = {"dense x dense": (range(n), n), "sparse x dense": (range(k), n),
                       "sparse x sparse": (range(k), k), "odd x dense": (range(1, 2 * k, 2), n)}
             for shape, (support, ky) in shapes.items():
@@ -512,18 +560,19 @@ def test_two_point_products_match_schoolbook(pair_calls, mul_calls, parity_split
     assert len(seen) == 16, sorted(seen)
     # Then random coefficients: narrow and wide digits, operands up to
     # three times longer than n with terms at n and past it, and products
-    # added into a list at an offset with sign -1.
+    # added into a list at an offset with sign -1.  A wide product's n/2-term
+    # operand is past SHIFTED_ADDS * n * width from n = 250 on (width 12).
     rng = random.Random(2303)
     for _ in range(CASES // 4):
         wide = rng.random() < 0.5
-        n = rng.randint(60, 80) if wide else rng.randint(1100, 1200)
+        n = rng.randint(250, 300) if wide else rng.randint(1100, 1200)
         size = n + rng.randint(0, 2 * n)
-        kx = rng.choice((n, n // 8))
+        kx = n if wide else rng.choice((n, n // 8))
         xs = _sparse(rng, size, [1, n - 1] + rng.sample(range(size), kx))
         ys = _sparse(rng, size, [0, n - 1, size - 1] + rng.sample(range(size), n // 2))
-        if not wide:
-            xs = [max(-9, min(9, c)) for c in xs]
-            ys = [max(-9, min(9, c)) for c in ys]
+        bound = 2**40 if wide else 9
+        xs = [max(-bound, min(bound, c)) for c in xs]
+        ys = [max(-bound, min(bound, c)) for c in ys]
         want = _oracle(ys, xs, n - 1)
         parity_splits.clear()
         assert _mul_lists(Profile(xs), Profile(ys), n - 1) == want
@@ -674,7 +723,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
     for text in texts:
         evaluate_text(text, 300)
     assert all(r.status == "pass" for r in identities.verify_all(order=300))
-    assert producers == {"theta_f", "_sum", "_operand", "_mul_lists"}, producers
+    assert producers == {"theta_f", "_sum", "_operand", "_split"}, producers
 
 
 # Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
@@ -683,7 +732,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
 SPARSE_BOUNDARIES = [7, 15, 31, 63]
 
 
-def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
+def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls, path_calls):
     rng = random.Random(1202)
     # One series multiplied several times: its profile is found once and
     # read by every product, including products with longer operands,
@@ -715,8 +764,9 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
         for left, right in ((xs, ys), (ys, xs), (ys, ys[:n_out + 1]), (xs, xs)):
             got = _mul_lists(Profile(left), Profile(right), n_out)
             assert got == _oracle(left, right, n_out), (left, right, n_out)
-    # Sparse narrow packing: supports 0..k-1, gcd 1 and kx * ky > n, so
-    # one packed product; the widest digit, at q^(min(kx, ky) - 1), reaches
+    # Sparse narrow products: supports 0..k-1, gcd 1, kx * ky > n and
+    # k^2 <= SHIFTED_ADDS * n, so one product by shifted adds, the denser
+    # operand packed; the widest digit, at q^(min(kx, ky) - 1), reaches
     # the width bound.  Both profiles keep their positions, or (ky = 14 of
     # n = 20) one operand is dense; an xs cut to 2 * kx terms is
     # shorter than n and still sparse.
@@ -738,9 +788,11 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
                             assert len(dense) == (ky == 14)
                             pair_calls.clear()
                             mul_calls.clear()
+                            path_calls.clear()
                             got = _mul_lists(pl, pr, n - 1)
                             assert got == _oracle(left, right, n - 1), (b, mx, my, kx)
                             assert pair_calls == [] and mul_calls == []
+                            assert path_calls == [("_shifted_adds", n)]
                             assert max(map(abs, got)) == mx * my * k
     # Term-pair products: an outer support (the shorter) with coefficients
     # +-1 and others, against inner terms at n - 1 and, in an operand one
@@ -760,42 +812,128 @@ def test_profiled_kernel_matches_schoolbook(pair_calls, mul_calls):
             assert a * b == schoolbook_mul(a, b)
 
 
-# (left, right, order, kx, ky, pairs, calls): `pairs` is whether the
-# product takes the term-pair path, `calls` the n_out of every _mul_lists
-# call it makes, its sub-products included.
+def _terms(rng, length, positions, top):
+    """Zeros except at `positions`: top at the first, then +-1 and +-2."""
+    cs = [0] * length
+    for i in positions:
+        cs[i] = rng.choice((1, -1, 2, -2))
+    cs[positions[0]] = top
+    return cs
+
+
+def test_shifted_adds_match_schoolbook(pair_calls, path_calls):
+    # Shifted adds against the schoolbook oracle on both sides of each
+    # boundary the rule draws around them: kx * ky = n (term pairs below),
+    # kx^2 = SHIFTED_ADDS * n * W (packing past it) and, with the denser
+    # operand in q^2, kx * W = SPLIT_ADD_BYTES (the split past it).  The
+    # sparser operand's coefficients are +-1, +-2 and one of 1 to 71 bits,
+    # so digits of 1, 2, 8 and 10 bytes; it holds terms at n and past it, in
+    # an operand longer than n.  Each product is also added into a list at
+    # an offset and a sign.
+    rng = random.Random(2501)
+    seen = set()
+
+    def check(xs, ys, n, path):
+        want = _oracle(xs, ys, n - 1)
+        for left, right in ((xs, ys), (ys, xs)):
+            pair_calls.clear()
+            path_calls.clear()
+            assert _mul_lists(Profile(left), Profile(right), n - 1) == want, path
+            assert (path_calls[0] if path_calls else ("_mul_terms", n)) == (path, n)
+            offset, sign = rng.randint(0, 3), rng.choice((1, -1, 2))
+            out = [rng.randint(-9, 9) for _ in range(rng.randint(1, n + 4))]
+            expected = [c + sign * want[i - offset] if 0 <= i - offset < n else c
+                        for i, c in enumerate(out)]
+            got = _mul_lists(Profile(left), Profile(right), n - 1, out, offset, sign)
+            assert got == expected, path
+        seen.add(path)
+
+    # kx * ky = n takes term pairs; one more than n, shifted adds
+    for kx, ky in ((2, 30), (3, 20), (5, 12)):
+        for n, path in ((kx * ky, "_mul_terms"), (kx * ky - 1, "_shifted_adds")):
+            xs = _terms(rng, n + 3, [1] + rng.sample(range(2, n), kx - 2) + [n + 1], 1)
+            ys = _terms(rng, n, [0, 1] + rng.sample(range(2, n), ky - 2), 1)
+            check(xs, ys, n, path)
+    # kx^2 <= SHIFTED_ADDS * n * W adds at shifts, one term more packs: a
+    # denser operand of 100 terms below n = 200, kept or in a dense prefix
+    n = 200
+    for mx, my, width in ((2, 1, 1), (2, 50, 2), (2**70, 1, 10)):
+        kx = isqrt(int(SHIFTED_ADDS * n * width))
+        for extra in (0, 1):
+            assert _digit_width((mx * my * (kx + extra)).bit_length()) == width
+            positions = [1] + rng.sample(range(2, n), kx + extra - 2) + [n + 2]
+            xs = _terms(rng, n + 5, positions, mx)
+            ys = _terms(rng, n, [0, 1] + rng.sample(range(2, n), 98), my)
+            check(xs, ys, n, "_packed" if extra else "_shifted_adds")
+    # With the denser operand in q^2, kx * W <= SPLIT_ADD_BYTES adds at
+    # shifts, one term more splits: 8 and 10-byte digits
+    for mx, width in ((2**50 * 32, 8), (2**70, 10)):
+        kx = SPLIT_ADD_BYTES // width
+        for extra in (0, 1):
+            assert _digit_width((mx * (kx + extra)).bit_length()) == width
+            assert (kx + extra) ** 2 <= SHIFTED_ADDS * n * width
+            xs = _terms(rng, n + 5, [1] + rng.sample(range(2, n), kx + extra - 2) + [n + 1], mx)
+            ys = _terms(rng, n, list(range(0, n, 2)), 1)
+            check(xs, ys, n, "_split" if extra else "_shifted_adds")
+    assert seen == {"_mul_terms", "_shifted_adds", "_packed", "_split"}
+    # Called directly, at the 10-byte width of the one below: an all-zero
+    # sparser operand (which _mul_lists sends to term pairs), or one whose
+    # terms all sit at n and past it, adds nothing: n zero digits.
+    ys = _terms(rng, n, rng.sample(range(n), 150), 2**70)
+    for xs in ([0] * n, _terms(rng, n + 9, [n, n + 4, n + 8], 1)):
+        assert _shifted_adds(Profile(xs), Profile(ys), n, 10) == [0] * n == _oracle(xs, ys, n - 1)
+    assert _width(Profile(xs), Profile(ys)) == 10
+    assert _mul_lists(Profile(xs), Profile(ys), n - 1) == [0] * n
+
+
+# (left, right, order, kx, ky, pairs, path, calls): `pairs` is whether the
+# product takes the term-pair path, `path` the path of the product itself,
+# `calls` the n_out of every _mul_lists call it makes, its sub-products
+# included.
+M1 = "(f(q^18,q^22)^2 - q^8*f(q^2,q^38)^2)"  # the registry's L3.MN, in q^2
 DISPATCH = [
-    ("phi(q^5)", "psi(q^10)", 6000, 35, 35, True, [6000]),
-    # both supports have gcd 1: one packed product
-    ("f(q,q^2)", "f(q^2,q^3)", 6000, 127, 98, False, [6000]),
+    ("phi(q^5)", "psi(q^10)", 6000, 35, 35, True, "_mul_terms", [6000]),
+    # both supports have gcd 1 and 98^2 <= SHIFTED_ADDS * 6001 * 1 byte:
+    # the 127-term operand added at 98 shifts
+    ("f(q,q^2)", "f(q^2,q^3)", 6000, 127, 98, False, "_shifted_adds", [6000]),
+    # the denser operand in q^2, and 78 * 2 bytes <= SPLIT_ADD_BYTES
+    ("phi(q)", M1, 6000, 78, 791, False, "_shifted_adds", [6000]),
     # right is in q^2: two packed products of 501 digits, residue 0's,
     # the last digit of residue 1 past the order and dropped
-    ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False, [1000, 500, 500]),
-    # left is in q^8: eight packed products of 126 digits
-    ("(q^8;q^8)_inf^7", "(q;q)_inf^-1", 1000, 126, 1001, False, [1000] + [125] * 8),
+    ("(q;q)_inf^-1", "(q^2;q^2)_inf^-1", 1000, 1001, 501, False, "_split", [1000, 500, 500]),
+    # left, the sparser, is in q^8: its split would not cut the adds, and
+    # 126^2 <= SHIFTED_ADDS * 1001 * 16 bytes
+    ("(q^8;q^8)_inf^7", "(q;q)_inf^-1", 1000, 126, 1001, False, "_shifted_adds", [1000]),
+    # left, the denser, is in q^8 and 51 * 12 bytes passes SPLIT_ADD_BYTES:
+    # eight products of 126 digits
+    ("(q^8;q^8)_inf^-7", "f(q,q^2)", 1000, 126, 51, False, "_split", [1000] + [125] * 8),
     # right is in q^3, the larger step: residues 0 and 2 of left are
     # again in q^2 and split once more, residue 1 packs
-    ("(q^2;q^2)_inf^-1", "(q^3;q^3)_inf^-1", 1000, 501, 334, False,
+    ("(q^2;q^2)_inf^-1", "(q^3;q^3)_inf^-1", 1000, 501, 334, False, "_split",
      [1000, 333, 166, 166, 333, 333, 166, 166]),
 ]
 
 
-@pytest.mark.parametrize("left, right, order, kx, ky, pairs, calls", DISPATCH,
+@pytest.mark.parametrize("left, right, order, kx, ky, pairs, path, calls", DISPATCH,
                          ids=["-".join(map(str, row[:6])) for row in DISPATCH])
-def test_mul_path_dispatch(pair_calls, mul_calls, left, right, order, kx, ky, pairs, calls):
+def test_mul_path_dispatch(pair_calls, mul_calls, path_calls, left, right, order, kx, ky,
+                           pairs, path, calls):
     # The term-pair path runs exactly when kx * ky <= n = order + 1; past
-    # it an operand in q^g splits into g sub-products by residue, each
-    # dispatched by the same rule.
+    # it the rule picks shifted adds, the q^g split into g sub-products by
+    # residue, each dispatched by the same rule, or packing.
     a, b = evaluate_text(left, order), evaluate_text(right, order)
     assert (sum(map(bool, a.coeffs)), sum(map(bool, b.coeffs))) == (kx, ky)
     pair_calls.clear()
     mul_calls.clear()
+    path_calls.clear()
     product = a * b
     assert mul_calls == calls
     assert pair_calls == ([(kx, ky, order + 1)] if pairs else [])
+    assert (path_calls[0] if path_calls else ("_mul_terms", order + 1)) == (path, order + 1)
     assert product == schoolbook_mul(b, a)
 
 
-def test_longer_operands_give_the_exact_product(pair_calls, mul_calls):
+def test_longer_operands_give_the_exact_product(pair_calls, mul_calls, path_calls):
     # "At most n_out + 1 terms" is a cost contract, not a cut: operands up
     # to three times longer, nonzero at n_out, n_out + 1 and past them,
     # give the exact product on every path, returned or added into a list.
@@ -805,13 +943,17 @@ def test_longer_operands_give_the_exact_product(pair_calls, mul_calls):
         n_out = rng.randint(9, 60)
         n = n_out + 1
         size = n + rng.randint(6, 2 * n)
-        path = rng.choice(("pairs", "x in q^g", "y in q^g", "narrow", "wide"))
+        path = rng.choice(("pairs", "x in q^g", "y in q^g", "shifted", "narrow", "wide"))
         if path == "pairs":  # 3 * 3 <= n nonzero terms, the last ones past n
             xs = _sparse(rng, size, [0, n_out, n])
             ys = _sparse(rng, size, [n_out, n, size - 1])
+        elif path == "wide":  # dense, 3n terms: (3n)^2 > SHIFTED_ADDS * n * 12 bytes
+            xs = [rng.choice((-1, 1)) * rng.randint(1, 2**40) for _ in range(3 * n)]
+            ys = [rng.choice((-1, 1)) * rng.randint(1, 2**40) for _ in range(3 * n)]
         else:
-            bound = 2**70 if path == "wide" else 9
-            xs = _sparse(rng, size, [0, 1, n_out, n] + rng.sample(range(size), n // 2))
+            bound = rng.choice((9, 2**70)) if path == "shifted" else 9
+            xs = [0, 1, n_out, n] + rng.sample(range(size), 2 if path == "shifted" else n // 2)
+            xs = _sparse(rng, size, xs)
             ys = _sparse(rng, size, [0, 1, n_out, n] + rng.sample(range(size), n // 2))
             xs = [max(-bound, min(bound, c)) for c in xs]
             ys = [max(-bound, min(bound, c)) for c in ys]
@@ -823,21 +965,23 @@ def test_longer_operands_give_the_exact_product(pair_calls, mul_calls):
         px, py = Profile(xs), Profile(ys)
         pair_calls.clear()
         mul_calls.clear()
+        path_calls.clear()
         product = _oracle(xs, ys, n_out)
         assert _mul_lists(px, py, n_out) == product, (path, xs, ys)
-        if pair_calls:
+        bits = (px.magnitude() * py.magnitude() * min(px.count, py.count)).bit_length()
+        if pair_calls and not path_calls:
             seen.add("pairs")
-        elif mul_calls:
+        elif path_calls[0][0] == "_split":
             seen.add("x in q^g" if px.step > 1 else "y in q^g")
         else:
-            bits = (px.magnitude() * py.magnitude() * min(px.count, py.count)).bit_length()
-            seen.add("narrow" if bits < 64 else "wide")
+            seen.add((path_calls[0][0], "narrow" if bits < 64 else "wide"))
         offset, sign = rng.randint(0, 5), rng.choice((1, -1, 3))
         out = [rng.randint(-9, 9) for _ in range(rng.randint(1, n + 5))]
         want = [c + sign * product[i - offset] if 0 <= i - offset < n else c
                 for i, c in enumerate(out)]
         assert _mul_lists(px, py, n_out, out, offset, sign) == want, path
-    assert seen == {"pairs", "x in q^g", "y in q^g", "narrow", "wide"}, seen
+    assert seen == {"pairs", "x in q^g", "y in q^g", ("_shifted_adds", "narrow"),
+                    ("_shifted_adds", "wide"), ("_packed", "narrow"), ("_packed", "wide")}, seen
 
 
 def test_mismatched_orders_cut_each_operand_once(monkeypatch):
