@@ -34,7 +34,7 @@ import sys
 from collections import Counter
 from functools import lru_cache, reduce
 
-from .series import TruncatedSeries, add_product_into, check_power, divide, product
+from .series import TruncatedSeries, add_product_into, check_power, divide, product, product_residue
 from .theta import (
     InvalidFactor,
     InvalidParameters,
@@ -479,14 +479,16 @@ def render(e: QExpr) -> str:
 # only to order m = (N - l) // k.  Each term of e splits as A * B(q^k),
 # where B holds every theta whose two exponents, and every Pochhammer base
 # whose exponent and modulus, are multiples of k (for k = 1, every base).
-# Then dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q): A is evaluated
-# at the claim's order through the cache, so every residue and claim that
-# shares it shares one series, and B(q) at order N // k, k the largest of
-# the claim's moduli, so every residue shares it too.  When A is c*q^s the
-# column is c*B(q) shifted, with no product; either way one call adds it,
-# as it adds a sum's terms (see "Sums").  A and B are cached under
-# their flat pairs (base, power, base, ...), one tuple: a tuple per pair
-# would keep more young objects for the garbage collector to traverse.  The
+# Then dissect(A * B(q^k), k, l) = dissect(A, k, l) * B(q).  An A of two
+# bases to the first power that takes term pairs sums only its pairs in
+# residue l (series.product_residue); any other A (a power or a third base
+# is dense in the registry) is evaluated at the claim's order through the
+# cache, shared by every residue and claim, and B(q) at order N // k, k
+# the largest of the claim's moduli, so every residue shares it too.  When
+# A is c*q^s the column is c*B(q) shifted, with no product; either way one
+# call adds it, as it adds a sum's terms (see "Sums").  A and B are cached
+# under their flat pairs (base, power, base, ...), one tuple: a tuple per
+# pair would keep more young objects for the collector to traverse.  The
 # columns of a claim are multiplied by the common denominator D of all B
 # parts, each base to the largest negative power any term gives it, so no
 # side is inverted; D's constant term is +-1, since only bases with
@@ -703,20 +705,23 @@ def _check_powers(powers: dict[QExpr, int], order: int) -> None:
 def _add_column(out: list[int], a: _Product, b: dict[QExpr, int], k: int, l: int,
                 order: int, m_b: int) -> None:
     """out += dissect(A, k, l) * B(q), out being the column to order m =
-    len(out) - 1; A is taken at the claim's order and B at m_b >= m, one
+    len(out) - 1; A's residue is read at the claim's order and B at m_b >= m, one
     order for every residue, so they share B's series."""
-    m = len(out) - 1
     b_key = tuple(v for pair in b.items() if pair[1] for v in pair)
     factors = [_eval(b_key, m_b)] if b_key else []
     # Entry n is A's coefficient at k*n + l: that of A's powers at
-    # k*n + l - shift, so the entries below n0 are 0.
+    # k*n + l - shift, so the entries below n0 are 0; n0's is at start < k.
     n0 = max(0, -((l - a.shift) // k))
+    start, size = l + k * n0 - a.shift, len(out) - n0
     if a.powers:
-        x = _eval(tuple(v for pair in a.powers.items() for v in pair), order).coeffs
-        if n0 > m:
-            return
-        start = l + k * n0 - a.shift
-        factors.append(TruncatedSeries._of(x[start:start + k * (m + 1 - n0):k]))
+        two = size > 0 and list(a.powers.values()) == [1, 1]
+        x = product_residue(*_factors(a.powers, order), k, start, size) if two else None
+        if x is None:
+            x = _eval(tuple(v for pair in a.powers.items() for v in pair), order)._coeffs
+            if size <= 0:
+                return
+            x = TruncatedSeries._of(x[start:start + k * size:k])
+        factors.append(x)
     elif (a.shift - l) % k:  # A = c*q^s with s not k*n0 + l: nothing in the column
         return
     add_product_into(out, factors, n0, a.coeff)
@@ -765,7 +770,7 @@ def cross_multiplied(
 
 
 def _power(base: TruncatedSeries, k: int) -> TruncatedSeries:
-    if k < 0 and base.coeffs[0] == 0:
+    if k < 0 and base._coeffs[0] == 0:
         raise NegativeExponent(
             "a negative power of a series with zero constant term needs q^-1 terms"
         )

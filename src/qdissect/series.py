@@ -2,16 +2,18 @@
 
 A series is a dense coefficient vector c[0..N] representing
 c[0] + c[1] q + ... + c[N] q^N; N is the order (highest retained
-exponent).  All arithmetic is exact.  Binary operations truncate the
-result to the smaller of the two input orders, so a coefficient is
-never reported unless it is fully determined.  Multiplication takes one
-of four exact paths, chosen by one measured cost rule (see _mul_lists):
-few nonzero term pairs are summed directly; a sparse operand adds the
-other, packed into a big integer, at its shifts; an operand in q^g splits
-the product into g products by residue; the rest is a signed Kronecker
-substitution, multiplied once or, from TWO_POINT_BYTES bytes on, at two
-points +-2^s (Harvey 2009).  A digit of at most 8 bytes packs and unpacks
-in two's complement through a signed array, in C.
+exponent), stored (_coeffs) as a tuple of ints or a signed array that its
+producer knows fits (theta_f's bytes); .coeffs is a tuple, == and hash
+compare values.  All arithmetic is exact.  Binary operations truncate the
+result to the smaller of the two input orders, so a coefficient is never
+reported unless it is fully determined.  Multiplication takes one of four
+exact paths, chosen by one measured cost rule (see _mul_lists): few nonzero
+term pairs are summed directly; a sparse operand adds the other, packed
+into a big integer, at its shifts; an operand in q^g splits the product
+into g products by residue; the rest is a signed Kronecker substitution,
+multiplied once or, from TWO_POINT_BYTES bytes on, at two points +-2^s
+(Harvey 2009).  A digit of at most 8 bytes packs and unpacks in two's
+complement through a signed array, in C.
 
 Division a/d, d's constant term +-1, is one exact kernel, _quotient (Karp and
 Markstein 1997): 1/d to half the terms, the multiply by a folded into Newton's
@@ -21,11 +23,11 @@ Every series keeps a support profile (Profile: nonzero count, step g,
 the nonzero positions of a sparse series, largest |c|), read again
 without a scan.  A kernel that knows where it wrote hands those positions
 to _of, and the profile is built from them: theta_f, a qexpr sum whose
-every term was added over known positions, a series' first n terms, and
-the slices of a q^g split.  A series entering a product of n terms is cut
-to them once, there (TruncatedSeries._operand); the multiply cuts nothing.
-A sparse operand packs in time proportional to its nonzero terms.  The
-profile is not part of a series' value: ==, hash and repr ignore it.
+every term was added over known positions, a series' first n terms, the
+slices of a q^g split, and product_residue.  A series entering a product
+of n terms is cut to them once, there (TruncatedSeries._operand); the
+multiply cuts nothing.  A sparse operand packs in time proportional to its
+nonzero terms.  The profile is not part of a series' value.
 
 A sum of shifted, signed products is built in one list of ints, in place,
 by one accumulator, add_product_into.  A lone factor is added over its
@@ -35,9 +37,9 @@ chooses the path: term pairs are written straight into the list.
 
 The public constructor checks every coefficient with operator.index.
 Kernel results (+, -, *, scale, invert, divide, dissect, shift,
-substitute_power, theta_f, pochhammer, the slices of qexpr) come from checked
-series and checked scalars, and are stored through TruncatedSeries._of without
-that check.  The oracles, schoolbook_mul among them, keep the public one.
+substitute_power, theta_f, pochhammer, product_residue, qexpr's slices)
+come from checked series and checked scalars, and are stored through
+TruncatedSeries._of without that check.  The oracles keep the public one.
 
 A power refuses, before any multiply, to build coefficients past
 MAX_COEFF_BITS bits (LimitExceeded).
@@ -158,6 +160,39 @@ def _mul_terms(xs: Sequence[int], ys: Sequence[int], ix: Sequence[int],
     return out
 
 
+def product_residue(x: TruncatedSeries, y: TruncatedSeries, k: int, l: int,
+                    size: int) -> TruncatedSeries | None:
+    """dissect(x * y, k, l), 0 <= l < k, to size terms if the product takes
+    term pairs (_takes_pairs), else None: pairs i = k*u + r and j = k*v + s land
+    iff r = (l - s) mod k, at u + v, +1 if s > l; a bit marks each entry written."""
+    n = min(len(x._coeffs), len(y._coeffs))
+    px, py = sorted((x._operand(n), y._operand(n)), key=lambda p: -p.count)
+    if not _takes_pairs(px, py, n):
+        return None
+    xs, ys, iy, keys = px.cs, py.cs, py.support(), _residue_supports(px.support(), k)
+    inner = [list(zip(us, map(xs.__getitem__, map(range(r, n, k).__getitem__, us))))
+             for r, us in enumerate(keys)]
+    bits = [sum(map((1).__lshift__, us)) for us in keys]
+    out, written = [0] * size, 0
+    for j in iy:
+        v, s = divmod(j, k)
+        r, e = (l - s) % k, v + (s > l)
+        cut = bisect_left(keys[r], size - e)
+        written |= bits[r] << e
+        b, terms = ys[j], inner[r][:cut]
+        if b == 1:
+            for u, a in terms:
+                out[u + e] += a
+        elif b == -1:
+            for u, a in terms:
+                out[u + e] -= a
+        else:
+            for u, a in terms:
+                out[u + e] += a * b
+    flags = f"{written:b}".encode()[::-1].translate(bytes.maketrans(b"01", b"\0\1"))
+    return TruncatedSeries._of(tuple(out), list(compress(range(size), flags)))
+
+
 class Profile:
     """What the multiply reads of a coefficient sequence `cs`, kept beside
     a reference to it: `count`, its number of nonzero terms; `step`, the
@@ -227,7 +262,7 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     digit (`_width`), one rule takes the first of four exact paths that
     applies:
 
-    1. kx * ky <= n: term pairs (`_mul_terms`), summed straight into out.
+    1. kx * ky <= n: term pairs (`_mul_terms`, `_takes_pairs`), into out.
        That loop takes no more Python steps than there are output digits;
        the paths below take several per digit.  An all-zero operand has
        kx * ky = 0 and lands here.
@@ -242,7 +277,7 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     """
     n = n_out + 1
     kx, ky = px.count, py.count
-    if kx * ky <= n:
+    if _takes_pairs(px, py, n):
         bound = n if out is None else min(n, len(out) - offset)
         return _mul_terms(px.cs, py.cs, px.support(), py.support(), bound, out, offset, sign)
     if out is not None:
@@ -256,6 +291,11 @@ def _mul_lists(px: Profile, py: Profile, n_out: int, out: list[int] | None = Non
     if px.step > 1 or py.step > 1:
         return _split(px, py, n)
     return _packed(px, py, n, width, width * n >= TWO_POINT_BYTES)
+
+
+def _takes_pairs(px: Profile, py: Profile, n: int) -> bool:
+    """_mul_lists' first rule, stated once: at most n nonzero term pairs."""
+    return px.count * py.count <= n
 
 
 def _width(px: Profile, py: Profile) -> int:
@@ -417,10 +457,10 @@ class TruncatedSeries:
         self._profile = None
 
     @classmethod
-    def _of(cls, cs: tuple[int, ...], support: list[int] | None = None) -> "TruncatedSeries":
+    def _of(cls, cs: Sequence[int], support: list[int] | None = None) -> "TruncatedSeries":
         """A kernel's result, stored as it is: a nonempty tuple of exact
-        ints, which the kernels build from checked series and checked
-        scalars alone, so it is not checked again.  A kernel that knows
+        ints or a signed array that fits them, built from checked series and
+        checked scalars alone, so it is not checked again.  A kernel that knows
         where it wrote passes `support` (see Profile), and the profile is
         built from it at once; otherwise it is found on first use."""
         series = object.__new__(cls)
@@ -430,7 +470,7 @@ class TruncatedSeries:
 
     @property
     def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
+        return tuple(self._coeffs)  # a tuple as it is, an array copied
 
     @property
     def profile(self) -> Profile:
@@ -452,10 +492,10 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         shown = ", ".join(map(coeff_text, self._coeffs[:8]))
@@ -562,7 +602,7 @@ def power_bits(a: TruncatedSeries, k: int) -> int:
     |c|^k (n + 1) (k * sum of |a_i|)^n.  For |c| = 1 its width grows with
     log2(k), not k, so it can stay small for a huge k; __pow__ then also
     bounds the number of powering steps."""
-    cs = a.coeffs
+    cs = a._coeffs
     n = a.order
     p = a.profile
     low = first_index(cs)
@@ -617,15 +657,15 @@ def invert(a: TruncatedSeries) -> TruncatedSeries:
     a(q) = b(q^g), and 1/a is 1/b, found at order N // g, spread back to
     every g-th coefficient.
     """
-    c0 = a.coeffs[0]
+    c0 = a._coeffs[0]
     if c0 not in (1, -1):
         raise NonUnitConstantTerm(
             f"cannot invert series with constant term {coeff_text(c0)}; need +1 or -1")
     g = a.profile.step
     if g < 2:
-        return TruncatedSeries._of(tuple(_quotient(None, a.coeffs, len(a.coeffs))))
+        return TruncatedSeries._of(tuple(_quotient(None, a._coeffs, len(a._coeffs))))
     out = [0] * (a.order + 1)
-    out[::g] = _quotient(None, a.coeffs[::g], a.order // g + 1)
+    out[::g] = _quotient(None, a._coeffs[::g], a.order // g + 1)
     return TruncatedSeries._of(tuple(out))
 
 
@@ -635,12 +675,12 @@ def divide(a: TruncatedSeries, d: TruncatedSeries) -> TruncatedSeries:
     (1997)); a d that invert refuses is refused with its message.  The power
     limit is checked on the half inverse and on the quotient, each as a
     power 1, as invert(d) ** 1 checks 1/d; the full 1/d is never built."""
-    if d.coeffs[0] not in (1, -1):
+    if d._coeffs[0] not in (1, -1):
         invert(d)  # raises NonUnitConstantTerm
-    n = min(len(a.coeffs), len(d.coeffs))
-    y = _quotient(None, d.coeffs, (n + 1) // 2)
+    n = min(len(a._coeffs), len(d._coeffs))
+    y = _quotient(None, d._coeffs, (n + 1) // 2)
     check_power(TruncatedSeries._of(tuple(y)), 1)
-    return TruncatedSeries._of(tuple(_quotient(a.coeffs, d.coeffs, n, y))) ** 1
+    return TruncatedSeries._of(tuple(_quotient(a._coeffs, d._coeffs, n, y))) ** 1
 
 
 def substitute_power(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -651,7 +691,7 @@ def substitute_power(a: TruncatedSeries, k: int) -> TruncatedSeries:
     if k < 1:
         raise ValueError("substitution power must be a positive integer")
     out = [0] * (k * a.order + 1)
-    out[::k] = a.coeffs
+    out[::k] = a._coeffs
     return TruncatedSeries._of(tuple(out))
 
 
@@ -769,4 +809,4 @@ def dissect(a: TruncatedSeries, k: int, l: int) -> TruncatedSeries:
     check_progression(k, l)
     if l > a.order:
         raise ValueError(f"residue {l} exceeds series order {a.order}")
-    return TruncatedSeries._of(a.coeffs[l::k])
+    return TruncatedSeries._of(a._coeffs[l::k])

@@ -9,7 +9,7 @@ taken at signed monomial arguments a = +-q^r, b = +-q^s with r + s >= 1.
 Its product form (the triple product) is f(a, b) = (-a; ab) (-b; ab) (ab; ab),
 each factor an infinite product expanded lazily to the truncation order.
 phi, psi and the bilateral sums bsum are special values of f and are
-built by theta_f.
+built by theta_f, in signed bytes: every coefficient lies in [-2, 2].
 
 The expression evaluator replaces Pochhammer products by these sparse
 series through four consequences of the triple product, stated in the
@@ -25,6 +25,7 @@ identity (O(1) however deep a tree is), and _check runs once per value.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .series import EvaluationError, TruncatedSeries
@@ -167,27 +168,21 @@ def theta_f(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries
     documented doubling case f(1, b) = 2 f(b, b^3).  The term exponent
     r*n(n+1)/2 + s*n(n-1)/2 grows in both directions once |n| >= 1, so
     the sum walks n = 0, 1, 2, ... and n = -1, -2, ... until it passes
-    the order.
+    the order; it takes each value at most twice, so bytes hold the sum.
     """
     _theta_validate(a, b)
-    cs = [0] * (order + 1)
+    cs = array("b", bytes(order + 1))
     written = set()
     for n, step in ((0, 1), (-1, -1)):
         while True:
-            t1 = n * (n + 1) // 2
-            t2 = n * (n - 1) // 2
+            t1, t2 = n * (n + 1) // 2, n * (n - 1) // 2
             e = a.exponent * t1 + b.exponent * t2
             if e > order:
                 break
-            s = 1
-            if a.sign < 0 and t1 & 1:
-                s = -s
-            if b.sign < 0 and t2 & 1:
-                s = -s
-            cs[e] += s
+            cs[e] += a.sign ** (t1 & 1) * b.sign ** (t2 & 1)
             written.add(e)
             n += step
-    return TruncatedSeries._of(tuple(cs), sorted(written))
+    return TruncatedSeries._of(cs, sorted(written))
 
 
 def _product_signed_base(

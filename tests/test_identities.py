@@ -171,6 +171,20 @@ def test_verdicts_stable_between_orders():
         assert low.status == high.status == "pass"
 
 
+@pytest.mark.parametrize("order", (300, 1000))
+def test_every_claim_holds_on_its_columns(monkeypatch, order):
+    # A claim whose columns fail is checked again on the plain path, so a
+    # wrong column would still pass, and show only as lost speed: every
+    # registry claim passes with the plain path never taken.
+    from qdissect import identities
+
+    plain = []
+    monkeypatch.setattr(identities, "_series_of", lambda text, n: plain.append(text))
+    reports = verify_all(order=order)
+    assert plain == []
+    assert sum(r.status == "pass" for r in reports) == len(reports) == 114
+
+
 def test_report_serialization():
     report = verify(get_record("T1.G0"), order=40)
     d = report.to_dict()

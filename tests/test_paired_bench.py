@@ -4,6 +4,8 @@ benchmark or other subprocess is run."""
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 spec = importlib.util.spec_from_file_location(
     "paired_bench", Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py")
 paired_bench = importlib.util.module_from_spec(spec)
@@ -36,3 +38,64 @@ def test_summary_of_pairs():
     ]
     one = paired_bench.summarize(pairs[:1], {"run_s": "lower"})
     assert one["run_s"]["parent_q1_median_q3"] == [0.2] * 3
+
+
+def _summary(parent, change, better="lower"):
+    pairs = [(_result(p, 20.0), _result(c, 20.0)) for p, c in zip(parent, change)]
+    return paired_bench.summarize(pairs, {"run_s": better})
+
+
+def test_bound_verdict():
+    # The change's median against the parent's, by the metric's bound.
+    s = _summary([1.0] * 4, [1.2] * 4)
+    assert paired_bench.bound_verdict(s["run_s"], "lower", 0.25) == "bound 25%: within (+20.0%)"
+    assert paired_bench.bound_verdict(s["run_s"], "lower", 0.1) == "bound 10%: WORSE (+20.0%)"
+    # for a metric where higher is better, a rise is no harm
+    assert paired_bench.bound_verdict(s["run_s"], "higher", 0.1) == "bound 10%: within (+20.0%)"
+    down = _summary([1.0] * 4, [0.8] * 4)["run_s"]
+    assert paired_bench.bound_verdict(down, "higher", 0.1) == "bound 10%: WORSE (-20.0%)"
+
+
+def test_claim_verdict_needs_nine_tenths_and_a_gap_past_the_spread():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # q3 - q1 = 0.03
+    faster = [p - 0.10 for p in parent]
+    s = _summary(parent, faster)["run_s"]
+    assert s["change_better_pairs"] == "10/10"
+    assert paired_bench.claim_verdict(s, "lower").startswith("claim: holds (better in 10/10, needs 9")
+    # 8 of 10 pairs better: too few, whatever the gap
+    eight = faster[:8] + [2.0, 2.0]
+    s = _summary(parent, eight)["run_s"]
+    assert paired_bench.claim_verdict(s, "lower").startswith("claim: NOT shown (better in 8/10")
+    # 9 of 10, the tenth a tie, which counts for neither side
+    nine = faster[:9] + [parent[9]]
+    assert paired_bench.claim_verdict(_summary(parent, nine)["run_s"], "lower").startswith(
+        "claim: holds (better in 9/10")
+    # every pair better, but by less than the parent's own spread
+    close = [p - 0.01 for p in parent]
+    verdict = paired_bench.claim_verdict(_summary(parent, close)["run_s"], "lower")
+    assert verdict.startswith("claim: NOT shown (better in 10/10") and "<= parent q3 - q1" in verdict
+    # a metric where higher is better wins by rising
+    assert paired_bench.claim_verdict(_summary(parent, faster, "higher")["run_s"],
+                                      "higher").startswith("claim: NOT shown (better in 0/10")
+
+
+def test_summary_lines_carry_the_verdicts():
+    summary = _summary([1.0, 1.1, 0.9, 1.0], [0.5, 0.6, 0.4, 0.5])
+    ends = {"run_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1)}
+    lines = paired_bench.format_summary(summary, ends, frozenset({"run_s"}))
+    assert lines == [
+        "run_s: 1 [0.975, 1.025] -> 0.5 [0.475, 0.525] (change better in 4/4)",
+        "  bound 25%: within (-50.0%)",
+        "  claim: holds (better in 4/4, needs 4; gap 0.5 > parent q3 - q1 0.05)",
+        "failed items: parent 0, change 0",
+    ]
+    assert "claim" not in "".join(paired_bench.format_summary(summary, ends))
+
+
+def test_a_claim_names_a_metric_and_a_measured_workload(capsys):
+    # Refused before any revision is written out or run.
+    for claim in ("run_s@nowhere", "run_s", "speed@theta-lemmas"):
+        with pytest.raises(SystemExit):
+            paired_bench.main(["A", "B", "--pairs", "1", "--workload", "theta-lemmas",
+                               "--claim", claim])
+        assert "--claim needs METRIC@WORKLOAD" in capsys.readouterr().err

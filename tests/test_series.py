@@ -609,7 +609,7 @@ def test_profile_invariants(monkeypatch):
     support = [i for i, c in enumerate(theta.coeffs) if c]
     assert _fields(theta.profile) == (len(support), 1, support, 1)
     assert theta.profile is theta.profile  # found once, then kept
-    assert theta.profile.cs is theta.coeffs  # a reference, not a copy
+    assert theta.profile.cs is theta._coeffs  # a reference, not a copy
     rng = random.Random(1201)
     seen = set()
     for _ in range(CASES):
@@ -723,7 +723,7 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
     for text in texts:
         evaluate_text(text, 300)
     assert all(r.status == "pass" for r in identities.verify_all(order=300))
-    assert producers == {"theta_f", "_sum", "_operand", "_split"}, producers
+    assert producers == {"theta_f", "_sum", "_operand", "_split", "product_residue"}, producers
 
 
 # Digit bounds mx * my * min(kx, ky) of the sparse packings below sit just
@@ -1314,6 +1314,94 @@ def test_dissection_reconstruction_random():
             padded += [0] * (a.order + 1 - len(padded))
             total = total + TruncatedSeries(padded)
         assert total == a
+
+
+def _pairs_at(rng, kx, ky, n, last):
+    """x and y of n terms with kx and ky nonzero terms of +-1, +-2 or up to
+    100 bits; with `last`, both hold a term at n - 1, the order."""
+    def operand(k):
+        if not k:
+            return [0] * n
+        positions = rng.sample(range(n - 1), k - 1) + [n - 1] if last else rng.sample(range(n), k)
+        cs = _terms(rng, n, sorted(positions), 1)
+        for i in rng.sample(positions, rng.randint(0, k)):
+            cs[i] = rng.choice((-1, 1)) * rng.randint(1, rng.choice((2, 2**70, 2**100)))
+        return cs
+    return TruncatedSeries(operand(kx)), TruncatedSeries(operand(ky))
+
+
+def test_product_residue_matches_dissect(monkeypatch):
+    # The residue kernel against dissect(x * y, k, l) and against
+    # schoolbook_mul then dissect, for k = 1, 2, 5, 7, 11 and every residue
+    # l, whole and cut short: at kx * ky = n the product takes term pairs
+    # and the kernel gives its residue; at n + 1 it does not, and None
+    # sends the caller to the whole product.  Operands hold terms at the
+    # order, coefficients +-1, +-2 and past 64 bits, or no terms at all.
+    # Each result's handed-over profile equals a scan's.
+    import qdissect.series as series
+    from qdissect.series import product_residue
+
+    handed = []
+
+    def recording(cs, support=None):
+        if support is not None:
+            handed.append((cs, support))
+        return Profile(cs, support)
+
+    monkeypatch.setattr(series, "Profile", recording)
+    rng = random.Random(2601)
+    seen = set()
+    for k in (1, 2, 5, 7, 11):
+        for _ in range(12):
+            kx, ky = rng.randint(1, 9), rng.randint(1, 9)
+            for n in (kx * ky, kx * ky - 1):
+                if n < max(kx, ky):
+                    continue
+                x, y = _pairs_at(rng, kx, ky, n, rng.random() < 0.5)
+                if rng.random() < 0.1:
+                    x = TruncatedSeries.zero(n - 1)  # an empty support: 0 pairs
+                takes = x.profile.count * y.profile.count <= n
+                for l in range(min(k, n)):
+                    whole = dissect(x * y, k, l)
+                    assert whole == dissect(schoolbook_mul(x, y), k, l)
+                    for size in {whole.order + 1, rng.randint(1, whole.order + 1)}:
+                        handed.clear()
+                        got = product_residue(x, y, k, l, size)
+                        if not takes:
+                            assert got is None
+                            seen.add("whole")
+                            continue
+                        assert got.coeffs == whole.coeffs[:size], (k, l, size)
+                        assert [cs for cs, _ in handed] == [got._coeffs]
+                        assert _fields(got.profile) == _fields(Profile(got.coeffs))
+                        seen.add(("pairs", x.is_zero(), size == whole.order + 1))
+    assert seen == {"whole", ("pairs", False, True), ("pairs", False, False),
+                    ("pairs", True, True), ("pairs", True, False)}
+
+
+def test_columns_read_a_residue_of_the_product(monkeypatch):
+    # A column's A part of two thetas whose product takes term pairs is
+    # read in its residue alone: with no shift, with a shift past l, whose
+    # first n0 > 0 entries are 0, and with an empty support (f(-1, q) is 0).
+    # A shift past the column, and a product that does not take pairs, are
+    # read whole.  Every column equals the dissected expression.
+    from qdissect import qexpr
+
+    real, seen = qexpr.product_residue, set()
+
+    def recording(x, y, k, l, size):
+        got = real(x, y, k, l, size)
+        seen.add("whole" if got is None else "n0 > 0" if size < (60 - l) // k + 1 else "n0 = 0")
+        return got
+
+    monkeypatch.setattr(qexpr, "product_residue", recording)
+    for text in ("f(q,q^4)*bsum(40,22)", "q^7*f(q,q^4)*bsum(40,38)", "q^23*f(-q,q^2)*bsum(30,7)",
+                 "q^2*f(q,q^4)*f(-1,q)", "q^90*f(q,q^4)*bsum(40,22)", "f(q,q^4)*f(q^2,q^3)"):
+        for k in (2, 5, 7):
+            for l in range(k):
+                (column,) = cross_multiplied([(parse(text), k, l)], 60, exact=True)
+                assert column == dissect(evaluate_text(text, 60), k, l), (text, k, l)
+    assert seen == {"whole", "n0 > 0", "n0 = 0"}
 
 
 def test_substitute_power_composes():

@@ -133,6 +133,25 @@ def test_triple_product_oracle_sweep():
                     assert theta_f(a, b, 100) == jtp_product(a, b, 100), (a, b)
 
 
+@pytest.mark.parametrize("order", (0, 1, 2, 6000))
+def test_theta_f_bytes_match_the_product_form(order):
+    # theta_f stores its coefficients, each in [-2, 2], in a signed byte
+    # array; the series equals, both ways, and hashes like the triple
+    # product's tuple-backed one, and .coeffs reads as a tuple.  f(1, q^k)
+    # holds 2s, mixed signs alternate, and f(-1, b) is the zero series.
+    for a, b in ((sm(1, 0), sm(1, 40)), (sm(-1, 17), sm(1, 23)), (sm(-1, 0), sm(1, 40)),
+                 (sm(-1, 20), sm(-1, 20)), (sm(1, 0), sm(-1, 1))):
+        if order == 6000 and a.exponent + b.exponent < 40:
+            continue  # the product form is quadratic in the order over the base
+        got, want = theta_f(a, b, order), jtp_product(a, b, order)
+        assert got._coeffs.typecode == "b" and type(want._coeffs) is tuple
+        assert got == want and want == got and hash(got) == hash(want)
+        assert type(got.coeffs) is tuple and got.coeffs == want.coeffs
+        assert max(map(abs, got.coeffs)) <= 2
+        assert got != TruncatedSeries(list(want.coeffs[:-1]) + [want.coeffs[-1] + 1])
+    assert 2 in theta_f(sm(1, 0), sm(1, 40), 6000).coeffs
+
+
 # --- bilateral quadratic sums --------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Paired benchmark of two revisions of this repository.
 
-    python3 tools/paired_bench.py PARENT_REV CHANGE_REV --workload W --pairs N
-        [--seconds S] [--first-seed I] [--traced-seed T] [--json PATH] [--workdir DIR]
+    python3 tools/paired_bench.py PARENT_REV CHANGE_REV --pairs N [--workload W ...]
+        [--claim METRIC@WORKLOAD ...] [--seconds S] [--first-seed I] [--traced-seed T]
+        [--json PATH] [--workdir DIR]
 
 Each revision is written out by `git archive` into a directory of its own,
 and `python -m compileall` is run on that copy's src and bench, so every
@@ -12,17 +13,26 @@ then reads the compilation.  Pair i runs
     python3 bench/run.py --workload W --seed i --seconds S --trace 0
 
 in both copies, one after the other, the parent first for odd i; the seeds
-are I, I + 1, ... (I = 1).  With --traced-seed one more pair runs with
---trace 1 at that seed.  Every run's two output lines are kept.
+are I, I + 1, ... (I = 1).  Each --workload runs its pairs in turn, every
+workload of BENCHMARK.json when none is given.  With --traced-seed one more
+pair per workload runs with --trace 1 at that seed.  Every run's two output
+lines are kept.
 
-It prints each end-to-end metric as
+It prints each end-to-end metric of each workload as
 
     run_s: 0.1317 [0.1301, 0.1335] -> 0.1096 [0.1090, 0.1130] (change better in 10/10)
+      bound 25%: within (-16.8%)
+      claim: holds (better in 10/10, needs 9; gap 0.0221 > parent q3 - q1 0.0034)
 
 the parent's median [q1, q3], then the change's, then the number of pairs
-in which the change reads better, plus the failed items of each side.
---json writes the runs and the summary in the layout of the BENCH_*.json
-files.  The copies live in --workdir (a new temporary directory, removed
+in which the change reads better; then whether the change's median is worse
+than the parent's by more than the metric's bound in BENCHMARK.json; and,
+for a metric named by --claim METRIC@WORKLOAD, whether a gain may be
+claimed: the change reads better in at least nine tenths of the pairs, ties
+counting for neither, and the medians differ by more than the parent's own
+spread, q3 - q1.  Last come the failed items of each side.  --json writes
+the runs and the summaries of every workload, in the layout of the
+BENCH_*.json files.  The copies live in --workdir (a new temporary directory, removed
 afterwards, when not given).  Nothing is written in the checkout the tool
 runs from but the --json file.
 """
@@ -70,14 +80,45 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     return summary
 
 
-def format_summary(summary: dict) -> list[str]:
-    """One line per metric of a summary, then one for the failed items."""
+def bound_verdict(s: dict, way: str, bound: float) -> str:
+    """Whether the change's median of a metric reads worse than the
+    parent's by more than the bound, a fraction of the parent's median."""
+    p, c = s["parent_q1_median_q3"][1], s["change_q1_median_q3"][1]
+    change = c / p - 1 if p else 0.0
+    worse = change if way == "lower" else -change
+    return f"bound {bound:.0%}: {'WORSE' if worse > bound else 'within'} ({change:+.1%})"
+
+
+def claim_verdict(s: dict, way: str) -> str:
+    """Whether a gain in the metric may be claimed: the change reads better
+    in at least nine tenths of the pairs, and its median is better than the
+    parent's by more than the parent's q3 - q1."""
+    wins, pairs = map(int, s["change_better_pairs"].split("/"))
+    p, c = s["parent_q1_median_q3"], s["change_q1_median_q3"]
+    gap, spread = (p[1] - c[1] if way == "lower" else c[1] - p[1]), p[2] - p[0]
+    needed = -(-9 * pairs // 10)
+    holds = wins >= needed and gap > spread
+    return (f"claim: {'holds' if holds else 'NOT shown'} (better in {wins}/{pairs}, needs "
+            f"{needed}; gap {gap:.4g} {'>' if gap > spread else '<='} parent q3 - q1 {spread:.4g})")
+
+
+def format_summary(summary: dict, ends: dict[str, tuple[str, float]] | None = None,
+                   claimed: frozenset[str] = frozenset()) -> list[str]:
+    """One line per metric of a summary, then one for the failed items.
+    With ends, each metric's (better, bound) from BENCHMARK.json, a metric
+    line is followed by its bound verdict, and by its claim verdict when
+    the metric is in claimed."""
     lines = []
     for name, s in summary.items():
         if "change_better_pairs" in s:
             p, c = s["parent_q1_median_q3"], s["change_q1_median_q3"]
             lines.append(f"{name}: {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> {c[1]:.4g} "
                          f"[{c[0]:.4g}, {c[2]:.4g}] (change better in {s['change_better_pairs']})")
+            if ends and name in ends:
+                way, bound = ends[name]
+                lines.append("  " + bound_verdict(s, way, bound))
+                if name in claimed:
+                    lines.append("  " + claim_verdict(s, way))
     failed = summary.get("failed", {})
     lines.append(f"failed items: parent {failed.get('parent')}, change {failed.get('change')}")
     return lines
@@ -105,11 +146,38 @@ def run(copy: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     return {"context": json.loads(context), "result": json.loads(result)}
 
 
+def measure(copies: dict[str, Path], workload: str, args, better: dict[str, str]
+            ) -> tuple[dict, dict]:
+    """The pairs of one workload, and its traced pair if asked for: its
+    summary and its results."""
+    runs: dict = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.first_seed + i
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            runs[side].append(run(copies[side], workload, seed, args.seconds, 0))
+            print(f"{workload} seed {seed} {side}: "
+                  f"run_s {runs[side][-1]['result']['metrics']['run_s']['value']:.4f}",
+                  file=sys.stderr)
+    pairs = [(p["result"], c["result"]) for p, c in zip(runs["parent"], runs["change"])]
+    summary = summarize(pairs, better)
+    results = {"trace0": runs}
+    if args.traced_seed is not None:
+        traced = {side: run(copies[side], workload, args.traced_seed, args.seconds, 1)
+                  for side in ("parent", "change")}
+        results["trace1"] = traced
+        layers = [traced[side]["result"]["metrics"] for side in ("parent", "change")]
+        summary["traced"] = {name: {"parent": layers[0][name]["value"],
+                                    "change": layers[1][name]["value"]}
+                             for name in sorted(layers[0]) if name in layers[1]}
+    return summary, results
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append")
+    ap.add_argument("--claim", action="append", default=[], metavar="METRIC@WORKLOAD")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--first-seed", type=int, default=1)
@@ -119,43 +187,40 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    ends = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    better = {name: way for name, (way, _) in ends.items()}
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    claims = [claim.partition("@")[::2] for claim in args.claim]
+    for metric, workload in claims:
+        if metric not in ends or workload not in workloads:
+            ap.error(f"--claim needs METRIC@WORKLOAD, an end-to-end metric and a measured "
+                     f"workload; got {metric}@{workload}")
     workdir = args.workdir or Path(tempfile.mkdtemp(prefix="paired_bench_"))
     copies = {"parent": workdir / "parent", "change": workdir / "change"}
+    summaries, results = {}, {}
     try:
         for side, rev in (("parent", args.parent), ("change", args.change)):
             export(rev, copies[side])
-        runs: dict = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            for side in ("parent", "change") if seed % 2 else ("change", "parent"):
-                runs[side].append(run(copies[side], args.workload, seed, args.seconds, 0))
-                print(f"seed {seed} {side}: "
-                      f"run_s {runs[side][-1]['result']['metrics']['run_s']['value']:.4f}",
-                      file=sys.stderr)
-        pairs = [(p["result"], c["result"]) for p, c in zip(runs["parent"], runs["change"])]
-        summary = summarize(pairs, better)
-        results = {"trace0": runs}
-        if args.traced_seed is not None:
-            traced = {side: run(copies[side], args.workload, args.traced_seed, args.seconds, 1)
-                      for side in ("parent", "change")}
-            results["trace1"] = traced
-            layers = [traced[side]["result"]["metrics"] for side in ("parent", "change")]
-            summary["traced"] = {name: {"parent": layers[0][name]["value"],
-                                        "change": layers[1][name]["value"]}
-                                 for name in sorted(layers[0]) if name in layers[1]}
+        for workload in workloads:
+            summaries[workload], results[workload] = measure(copies, workload, args, better)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
-    print("\n".join(format_summary(summary)))
+    for workload, summary in summaries.items():
+        claimed = frozenset(metric for metric, w in claims if w == workload)
+        print(f"{workload}:\n" + "\n".join(format_summary(summary, ends, claimed)))
     if args.json:
         args.json.write_text(json.dumps({
             "code": {"parent": args.parent, "change": args.change},
-            "protocol": (f"tools/paired_bench.py {args.parent} {args.change} --workload "
-                         f"{args.workload} --pairs {args.pairs} --seconds {args.seconds} "
-                         f"--first-seed {args.first_seed}"),
-            "summary": {args.workload: summary},
-            "results": {args.workload: results},
+            "protocol": (f"tools/paired_bench.py {args.parent} {args.change} "
+                         + "".join(f"--workload {w} " for w in workloads)
+                         + "".join(f"--claim {c} " for c in args.claim)
+                         + f"--pairs {args.pairs} --seconds {args.seconds} "
+                         f"--first-seed {args.first_seed}"
+                         + ("" if args.traced_seed is None else
+                            f" --traced-seed {args.traced_seed}")),
+            "summary": summaries,
+            "results": results,
         }, indent=1) + "\n")
     return 0
 
