@@ -68,7 +68,9 @@ def _cmd_verify(args: argparse.Namespace) -> Result:
     records = load_records(args.records) if args.records else None
     reports = verify_all(order=args.order, id_filter=args.filter, records=records)
     if not reports:
-        print(f"warning: no records match filter {args.filter!r}", file=sys.stderr)
+        why = (f"{args.records} holds no records" if records == []
+               else f"no records match filter {args.filter!r}")
+        print(f"warning: {why}", file=sys.stderr)
     lines = []
     for r in reports:
         line = f"{r.status.upper():5s} {r.id}  (order {r.checked_order}, {r.elapsed:.3f}s)"

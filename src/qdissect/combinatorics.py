@@ -11,13 +11,12 @@ dynamic program against which series coefficients can be checked.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import comb
 from operator import mul, ne
 
 from .series import TruncatedSeries, dissect, first_index, read_int
 from .qexpr import QExpr, evaluate
-from .theta import Value
+from .theta import Record, Value
 
 
 class InvalidSpec(ValueError):
@@ -103,8 +102,10 @@ def counting_series(spec: PartClassSpec, order: int) -> TruncatedSeries:
     return TruncatedSeries(dp)
 
 
-@dataclass
-class InterpretationReport:
+class InterpretationReport(Record):
+    """The outcome of verify_interpretation: whether the counts matched
+    the series up to checked_up_to, and if not, the first n where not."""
+
     ok: bool
     checked_up_to: int
     first_failure: tuple[int, int, int] | None = None  # (n, count side, series side)
@@ -133,8 +134,10 @@ def verify_interpretation(
     return InterpretationReport(False, up_to, (n, expected[n], selected[n]))
 
 
-@dataclass
-class SignScan:
+class SignScan(Record):
+    """The coefficients of a series along k*n + l for n <= up_to, and
+    their signs, zeros and sign changes."""
+
     k: int
     l: int
     up_to: int

@@ -17,6 +17,12 @@ scan (series.first_index):
   entries at the listed exceptions skipped (sign pattern).  A failure is
   (index, entry, 0 or the expected sign).
 
+The kinds, IdentityRecord and VerificationReport are theta.Records:
+immutable, built positionally or by keyword, equal when their fields
+are.  Each kind also carries @dataclass(init=False, repr=False,
+eq=False), which generates no method: it only lets dataclasses.fields
+and dataclasses.replace read a kind's fields.
+
 Every column is taken by qexpr.cross_multiplied, an equality being the
 progression n + 0; the columns of a claim come times one unit, which
 changes no equality, vanishing or congruence, and a sign pattern takes
@@ -41,7 +47,7 @@ from itertools import repeat
 from operator import ge, le, mul, ne
 
 from .series import check_progression, coeff_text, dissect, first_index, read_int
-from .theta import SignedMonomial
+from .theta import Record, SignedMonomial
 from .qexpr import (
     Add, Monomial, Mul, Sub, ThetaF, cross_multiplied, evaluate_text, family_g, family_h,
     parse, render,
@@ -52,14 +58,16 @@ from .qexpr import (
 # Claim kinds
 
 
-@dataclass(frozen=True)
-class SeriesEquality:
+@dataclass(init=False, repr=False, eq=False)
+class SeriesEquality(Record):
+    """The series lhs equals the series rhs, coefficient by coefficient."""
+
     lhs: str
     rhs: str
 
 
-@dataclass(frozen=True)
-class DissectionRelation:
+@dataclass(init=False, repr=False, eq=False)
+class DissectionRelation(Record):
     """Coefficients of lhs along k1*n + l1 equal sign * those of rhs along
     k2*n + l2, compared in compressed (index n) form."""
 
@@ -72,23 +80,30 @@ class DissectionRelation:
     sign_factor: int = 1
 
 
-@dataclass(frozen=True)
-class VanishingProgression:
+@dataclass(init=False, repr=False, eq=False)
+class VanishingProgression(Record):
+    """Every coefficient of expr along k*n + l is 0."""
+
     expr: str
     k: int
     l: int
 
 
-@dataclass(frozen=True)
-class Congruence:
+@dataclass(init=False, repr=False, eq=False)
+class Congruence(Record):
+    """Every coefficient of expr along k*n + l is 0 mod modulus."""
+
     expr: str
     k: int
     l: int
     modulus: int
 
 
-@dataclass(frozen=True)
-class SignPattern:
+@dataclass(init=False, repr=False, eq=False)
+class SignPattern(Record):
+    """Every coefficient of expr along k*n + l has the strict sign
+    expected_sign, the indices n in exceptions skipped."""
+
     expr: str
     k: int
     l: int
@@ -101,8 +116,11 @@ ClaimKind = (
 )
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Record):
+    """One claim of the registry or of a records file: its kind, checked
+    at default_order unless an order is asked for, and the alternate
+    readings tried when the kind fails."""
+
     id: str
     citation: str
     kind: ClaimKind
@@ -111,8 +129,9 @@ class IdentityRecord:
     alternates: tuple[ClaimKind, ...] = ()
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
+    """The outcome of verify() on one record."""
+
     id: str
     status: str  # "pass" | "fail" | "error"
     checked_order: int
@@ -230,8 +249,8 @@ def verify(record: IdentityRecord, order: int | None = None) -> VerificationRepo
         status = "pass" if miss is None else "fail"
     except ValueError as exc:  # evaluation errors are reported; faults are raised
         status, miss, notes = "error", None, [f"{type(exc).__name__}: {exc}"]
-    return VerificationReport(
-        record.id, status, n, miss, time.perf_counter() - start, "; ".join(filter(None, notes)))
+    return VerificationReport._make(
+        (record.id, status, n, miss, time.perf_counter() - start, "; ".join(filter(None, notes))))
 
 
 def verify_all(

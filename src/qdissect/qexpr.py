@@ -29,7 +29,6 @@ oracle for all of them.
 from __future__ import annotations
 
 import operator
-import string
 import sys
 from collections import Counter
 from functools import lru_cache, reduce
@@ -138,6 +137,8 @@ QExpr = (
 # Lexer
 
 _SYMBOLS = "+-*/^(),;"
+_DIGITS = "0123456789"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class _Token:
@@ -160,9 +161,9 @@ def _lex(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c in string.digits:
+        if c in _DIGITS:
             j = i
-            while j < n and text[j] in string.digits:
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j
@@ -173,9 +174,9 @@ def _lex(text: str) -> list[_Token]:
                 i += 4
                 continue
             raise ParseError(i, "'_inf'", repr(text[i : i + 4]))
-        if c in string.ascii_letters:
+        if c in _LETTERS:
             j = i
-            while j < n and text[j] in string.ascii_letters:
+            while j < n and text[j] in _LETTERS:
                 j += 1
             tokens.append(_Token("name", text[i:j], i))
             i = j

@@ -21,6 +21,9 @@ qexpr's AST nodes, SignedMonomial, PochhammerFactor and combinatorics'
 PartClassSpec are Values: immutable, their fields the class's __slots__
 in order, and interned, so equal values are one object, == and hash are
 identity (O(1) however deep a tree is), and _check runs once per value.
+The claim kinds, records and reports of identities and combinatorics are
+Records: immutable too, their fields declared as annotations, but not
+interned, so == and hash compare the fields.
 """
 
 from __future__ import annotations
@@ -48,10 +51,26 @@ class InvalidFactor(EvaluationError):
     modulus below 1, the vanishing factor (q^0; q^m), or a scale below 1."""
 
 
+class _Frozen:
+    """Fields named by the class's __slots__, in order, that refuse
+    assignment, and the repr Cls(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 _INTERNED: dict[tuple, "Value"] = {}
 
 
-class Value:
+class Value(_Frozen):
     """An interned immutable value (see the module docstring)."""
 
     __slots__ = ()
@@ -72,14 +91,69 @@ class Value:
     def _check(self) -> None:
         """Raise if the fields are outside the class's domain."""
 
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to field {name!r}")
 
-    __delattr__ = __setattr__
+_REQUIRED = object()  # the default of a Record field that has none
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
+
+class _RecordType(type):
+    """Makes a Record class's annotated names its __slots__, in order, and
+    their values in the class body its _defaults, _REQUIRED where none."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = tuple(namespace.pop(f, _REQUIRED) for f in fields)
+        namespace["__slots__"] = fields
+        cls = super().__new__(mcls, name, bases, namespace)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in fields)
+        return cls
+
+
+class Record(_Frozen, metaclass=_RecordType):
+    """An immutable record, declared like a dataclass: each annotated
+    name is a field, a value given in the class body its default.  It is
+    built from positional and keyword fields, and == and hash compare the
+    fields of two records of one class (see the module docstring).  No
+    method is generated, so defining the class compiles nothing."""
+
+    def __new__(cls, *args, **kw):
+        tail = cls._defaults[len(args):]
+        if kw or _REQUIRED in tail or len(args) > len(cls._defaults):
+            return cls._make(cls._bind(args, kw))
+        return cls._make(args + tail)
+
+    @classmethod
+    def _make(cls, fields):
+        """The record of a sequence of all its fields in order, built with
+        no binding: the fast path of the constructor."""
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, fields):
+            set_field(self, value)
+        return self
+
+    @classmethod
+    def _bind(cls, args: tuple, kw: dict) -> list:
+        """The fields in order: args, then each keyword in its place, then
+        the defaults."""
+        names = cls.__slots__
+        values = [*args, *cls._defaults[len(args):]]
+        if kw.keys() <= set(names[len(args):]):
+            for name, value in kw.items():
+                values[names.index(name)] = value
+            if len(values) == len(names) and _REQUIRED not in values[len(args):]:
+                return values
+        optional = tuple(n for n, d in zip(names, cls._defaults) if d is not _REQUIRED)
+        raise TypeError(f"{cls.__name__} takes the fields {names}, optional {optional}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class SignedMonomial(Value):

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import dataclasses
+
 import pytest
 
 from qdissect.identities import (
@@ -7,6 +9,18 @@ from qdissect.identities import (
 )
 from qdissect.qexpr import evaluate_direct, parse
 from qdissect.series import check_progression
+
+
+def claim_fields(kind):
+    """A claim kind's fields, {name: value} in order.  The tests read a
+    kind's fields through this helper and change them through replaced,
+    so how the kinds expose their fields is stated here alone."""
+    return {f.name: getattr(kind, f.name) for f in dataclasses.fields(kind)}
+
+
+def replaced(kind, **changes):
+    """A copy of the claim kind with the named fields changed."""
+    return dataclasses.replace(kind, **changes)
 
 
 def direct_check(kind, order):

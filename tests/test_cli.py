@@ -292,6 +292,23 @@ def test_verify_records_file(tmp_path, capsys):
     assert "first failure at index 1" in out
 
 
+def test_verify_empty_selection_names_file_or_filter(tmp_path, capsys):
+    # A records file with no records is named as what selected nothing,
+    # even under a filter; a filter is named when the file has records.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# comments only\n\n", encoding="utf-8")
+    for extra in ([], ["--filter", "u."]):
+        code, out, err = run(capsys, "verify", "--records", str(empty), *extra)
+        assert code == 0 and "0/0 records pass" in out
+        assert err == f"warning: {empty} holds no records\n"
+    good = tmp_path / "good.txt"
+    good.write_text("u.1 | equality | | phi(q) | phi(q^4) + 2*q*psi(q^8)\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, "verify", "--records", str(good), "--filter", "NOSUCH")
+    assert code == 0
+    assert err == "warning: no records match filter 'NOSUCH'\n"
+
+
 def test_verify_malformed_records_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("my.v | vanishing | k=5 | q |\n", encoding="utf-8")

@@ -7,11 +7,11 @@ every quotient.  The direct path is the oracle: both must give the same
 series, or raise the same error with the same message.
 """
 
-import dataclasses
 import random
 import re
 
 import pytest
+from conftest import claim_fields, replaced
 
 import qdissect.qexpr as qexpr
 import qdissect.series as series
@@ -34,8 +34,7 @@ def outcome(evaluator, text, order):
 
 def claim_texts(record):
     for kind in (record.kind, *record.alternates):
-        for f in dataclasses.fields(kind):
-            value = getattr(kind, f.name)
+        for value in claim_fields(kind).values():
             if isinstance(value, str):
                 yield value
 
@@ -319,7 +318,7 @@ def _planted(rng, kind, order):
         text = text[:i] + str(digit + rng.choice((-1, 1)) or 3) + text[i + 1:]
     else:
         text = f"{text} + {rng.randint(-3, 3) or 1}*q^{rng.randint(0, order)}"
-    return dataclasses.replace(kind, **{side: text})
+    return replaced(kind, **{side: text})
 
 
 def _planted_column(rng, kind, order):
@@ -330,14 +329,14 @@ def _planted_column(rng, kind, order):
                         else ("expr", kind.k, kind.l))
     how = rng.choice(("term", "term", "flip", "residue"))
     if how == "flip" and isinstance(kind, DissectionRelation):
-        return dataclasses.replace(kind, sign_factor=-kind.sign_factor)
+        return replaced(kind, sign_factor=-kind.sign_factor)
     if how == "residue":
         field = "l1" if isinstance(kind, DissectionRelation) else "l"
-        return dataclasses.replace(kind, **{field: k - 1}), k - 2
+        return replaced(kind, **{field: k - 1}), k - 2
     n = rng.choice((0, rng.randint(1, (order - l) // k)))
     c = rng.choice((-1, 1)) * (10**6 if isinstance(kind, SignPattern) else rng.randint(1, 3))
     text = f"{getattr(kind, text_field)} + {c}*q^{k * n + l}"
-    return dataclasses.replace(kind, **{text_field: text})
+    return replaced(kind, **{text_field: text})
 
 
 def _claim_cases(rng, order):

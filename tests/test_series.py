@@ -1,6 +1,5 @@
 """Exact truncated series arithmetic: unit checks and randomized laws."""
 
-import dataclasses
 import random
 import sys
 from array import array
@@ -8,6 +7,7 @@ from functools import reduce
 from math import gcd, isqrt
 
 import pytest
+from conftest import claim_fields
 
 from qdissect.qexpr import cross_multiplied, evaluate_direct, evaluate_text, parse
 from qdissect.series import (
@@ -716,9 +716,9 @@ def test_handed_over_profile_equals_scanned(monkeypatch):
             a.profile, b.profile
             assert a * b == schoolbook_mul(a, b)
     # every registry text, and every claim, at order 300
-    texts = sorted({getattr(kind, f.name) for r in identities.registry()
-                    for kind in (r.kind, *r.alternates) for f in dataclasses.fields(kind)
-                    if isinstance(getattr(kind, f.name), str)})
+    texts = sorted({value for r in identities.registry()
+                    for kind in (r.kind, *r.alternates) for value in claim_fields(kind).values()
+                    if isinstance(value, str)})
     assert len(texts) == 155
     for text in texts:
         evaluate_text(text, 300)

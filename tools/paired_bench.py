@@ -18,7 +18,8 @@ workload of BENCHMARK.json when none is given.  With --traced-seed one more
 pair per workload runs with --trace 1 at that seed.  Every run's two output
 lines are kept.
 
-It prints each end-to-end metric of each workload as
+It prints first that both copies were bytecode-compiled, then each
+end-to-end metric of each workload as
 
     run_s: 0.1317 [0.1301, 0.1335] -> 0.1096 [0.1090, 0.1130] (change better in 10/10)
       bound 25%: within (-16.8%)
@@ -32,9 +33,10 @@ claimed: the change reads better in at least nine tenths of the pairs, ties
 counting for neither, and the medians differ by more than the parent's own
 spread, q3 - q1.  Last come the failed items of each side.  --json writes
 the runs and the summaries of every workload, in the layout of the
-BENCH_*.json files.  The copies live in --workdir (a new temporary directory, removed
-afterwards, when not given).  Nothing is written in the checkout the tool
-runs from but the --json file.
+BENCH_*.json files, its "context" stating the compiled bytecode too.  The
+copies live in --workdir (a new temporary directory, removed afterwards,
+when not given).  Nothing is written in the checkout the tool runs from
+but the --json file.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+COMPILE = ["-m", "compileall", "-q", "src", "bench"]
+BYTECODE = ("both copies bytecode-compiled (python " + " ".join(COMPILE)
+            + ") before any run")
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -132,8 +137,7 @@ def export(rev: str, dest: Path) -> None:
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, **safe)
-    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"], cwd=dest,
-                   check=True)
+    subprocess.run([sys.executable, *COMPILE], cwd=dest, check=True)
 
 
 def run(copy: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -206,12 +210,14 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
+    print(BYTECODE)
     for workload, summary in summaries.items():
         claimed = frozenset(metric for metric, w in claims if w == workload)
         print(f"{workload}:\n" + "\n".join(format_summary(summary, ends, claimed)))
     if args.json:
         args.json.write_text(json.dumps({
             "code": {"parent": args.parent, "change": args.change},
+            "context": {"bytecode": BYTECODE},
             "protocol": (f"tools/paired_bench.py {args.parent} {args.change} "
                          + "".join(f"--workload {w} " for w in workloads)
                          + "".join(f"--claim {c} " for c in args.claim)
