@@ -2,6 +2,8 @@
 Pochhammer products, an expression language, a registry of verified
 identities, and partition-counting oracles."""
 
+from types import ModuleType as _ModuleType
+
 from .series import (
     EvaluationError,
     LimitExceeded,
@@ -82,73 +84,7 @@ from .combinatorics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EvaluationError",
-    "LimitExceeded",
-    "NonUnitConstantTerm",
-    "TruncatedSeries",
-    "dissect",
-    "divide",
-    "invert",
-    "schoolbook_mul",
-    "shift",
-    "substitute_power",
-    "InvalidFactor",
-    "InvalidParameters",
-    "InvalidThetaArgument",
-    "NegativeExponent",
-    "PochhammerFactor",
-    "SignedMonomial",
-    "bsum",
-    "jtp_product",
-    "phi",
-    "pochhammer",
-    "psi",
-    "theta_f",
-    "Add",
-    "BSum",
-    "Div",
-    "IntLit",
-    "InvalidFamilyParameters",
-    "Monomial",
-    "Mul",
-    "Neg",
-    "ParseError",
-    "Phi",
-    "Poch",
-    "Pow",
-    "Psi",
-    "QExpr",
-    "Sub",
-    "ThetaF",
-    "evaluate",
-    "evaluate_direct",
-    "evaluate_text",
-    "family_g",
-    "family_h",
-    "parse",
-    "render",
-    "Congruence",
-    "DissectionRelation",
-    "IdentityRecord",
-    "SeriesEquality",
-    "SignPattern",
-    "VanishingProgression",
-    "VerificationReport",
-    "get_record",
-    "load_records",
-    "registry",
-    "verify",
-    "verify_all",
-    "InterpretationReport",
-    "InvalidSpec",
-    "PartClassSpec",
-    "SignScan",
-    "count_partitions",
-    "counting_series",
-    "parse_spec",
-    "scan_signs",
-    "spec_text",
-    "verify_interpretation",
-    "__version__",
-]
+# Every public name the imports above bind, in their order, then __version__.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -16,7 +16,7 @@ from operator import mul, ne
 
 from .series import TruncatedSeries, dissect, first_index, read_int
 from .qexpr import QExpr, evaluate
-from .theta import Record, Value
+from .theta import Record, Value, check_order
 
 
 class InvalidSpec(ValueError):
@@ -87,6 +87,7 @@ def counting_series(spec: PartClassSpec, order: int) -> TruncatedSeries:
     (1 - q^s)^(-f) = sum_j C(f + j - 1, j) q^(s*j), which costs order // s
     terms per count, fewer than f passes, so f may be as large as any int.
     """
+    check_order(order)
     dp = [0] * (order + 1)
     dp[0] = 1
     for residue, flavours in spec.classes:

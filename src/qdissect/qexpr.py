@@ -36,12 +36,12 @@ from functools import lru_cache, reduce
 from .series import TruncatedSeries, add_product_into, check_power, divide, product, product_residue
 from .theta import (
     InvalidFactor,
-    InvalidParameters,
     NegativeExponent,
     PochhammerFactor,
     SignedMonomial,
     Value,
     bsum,
+    check_order,
     check_scale,
     phi,
     pochhammer,
@@ -849,14 +849,14 @@ def _eval(e: QExpr | tuple[QExpr | int, ...], order: int) -> TruncatedSeries:
 
 def evaluate(e: QExpr, order: int) -> TruncatedSeries:
     """Lower an expression to an exact TruncatedSeries at the given order."""
-    if order < 0:
-        raise InvalidParameters(f"order must be nonnegative, got {order}")
+    check_order(order)
     return _eval(e, order)
 
 
 def evaluate_direct(e: QExpr, order: int) -> TruncatedSeries:
     """e by the term-by-term rules alone, no normal form and no cache: the
     oracle the theta normal form is tested against."""
+    check_order(order)
     return _direct(e, order, evaluate_direct)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from operator import add, sub
 
 from .series import EvaluationError, TruncatedSeries
 
@@ -180,6 +181,12 @@ class SignedMonomial(Value):
         return SignedMonomial(-self.sign, self.exponent)
 
 
+def check_order(order: int) -> None:
+    """The domain of every truncation order: order >= 0."""
+    if order < 0:
+        raise InvalidParameters(f"order must be nonnegative, got {order}")
+
+
 def check_scale(name: str, scale: int) -> None:
     """The domain of phi(q^k) and psi(q^k), named by `name`: k >= 1."""
     if scale < 1:
@@ -200,27 +207,15 @@ class PochhammerFactor(Value):
             raise InvalidFactor("(q^0; q^m)_inf is identically zero")
 
 
-def _apply_factor(cs: list[int], sign: int, e: int) -> None:
-    # Multiply the coefficient vector in place by (1 - sign*q^e).
-    # Descending index order keeps the update exact; e == 0 with sign -1
-    # doubles every coefficient, which is the correct (1 + 1) factor.
-    n = len(cs) - 1
-    if sign > 0:
-        for i in range(n, e - 1, -1):
-            cs[i] -= cs[i - e]
-    else:
-        for i in range(n, e - 1, -1):
-            cs[i] += cs[i - e]
-
-
 @lru_cache(maxsize=None)
 def pochhammer(factor: PochhammerFactor, order: int) -> TruncatedSeries:
     """Expand (+-q^r; q^m)_inf to the given order.
 
-    The factors (1 -+ q^(r+nm)) are multiplied in place by
-    _product_signed_base, the loop jtp_product uses, so the whole
-    expansion costs O(order^2 / m) integer operations.
+    The factors (1 -+ q^(r+nm)) are multiplied in by
+    _product_signed_base, one slice map each, as jtp_product does, so the
+    whole expansion costs O(order^2 / m) integer operations.
     """
+    check_order(order)
     cs = [0] * (order + 1)
     cs[0] = 1
     _product_signed_base(cs, factor.arg, SignedMonomial(1, factor.modulus), order)
@@ -244,6 +239,7 @@ def theta_f(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSeries
     the sum walks n = 0, 1, 2, ... and n = -1, -2, ... until it passes
     the order; it takes each value at most twice, so bytes hold the sum.
     """
+    check_order(order)
     _theta_validate(a, b)
     cs = array("b", bytes(order + 1))
     written = set()
@@ -263,13 +259,15 @@ def _product_signed_base(
     cs: list[int], first: SignedMonomial, base: SignedMonomial, order: int
 ) -> bool:
     # Multiply cs in place by prod_{n>=0} (1 - first*base^n).  Returns False
-    # when some factor is (1 - q^0), i.e. the whole product vanishes.
+    # when some factor is (1 - q^0), i.e. the whole product vanishes.  Each
+    # factor (1 - s*q^e) is one slice map: every new coefficient reads only
+    # old ones, and e == 0 with s == -1 doubles them all, the (1 + 1) factor.
     e = first.exponent
     s = first.sign
     while e <= order:
         if e == 0 and s == 1:
             return False
-        _apply_factor(cs, s, e)
+        cs[e:] = map(sub if s > 0 else add, cs[e:], cs[:len(cs) - e])
         e += base.exponent
         s *= base.sign
     return True
@@ -283,6 +281,7 @@ def jtp_product(a: SignedMonomial, b: SignedMonomial, order: int) -> TruncatedSe
     appears (the f(-1, b) case) the product is the zero series, matching
     the cancelling bilateral sum.
     """
+    check_order(order)
     _theta_validate(a, b)
     base = a.times(b)
     cs = [0] * (order + 1)

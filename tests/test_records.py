@@ -1,12 +1,15 @@
 """The nine classes on theta.Record, the five claim kinds, IdentityRecord
-and the three reports, behave as the dataclasses they replace did, and
-importing the package generates no code."""
+and the three reports, behave as the dataclasses they replace did;
+importing the package generates no code; and the package exports the
+public names its imports bind."""
 
+import ast
 import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -164,3 +167,20 @@ def test_no_generated_code_and_no_string_import():
                           timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['qdissect.cli']"
+
+
+def test_public_surface_is_the_imported_names():
+    # __all__ is the public names __init__'s import statements bind, in
+    # their order, then __version__; a star import binds exactly those.
+    tree = ast.parse((SRC / "qdissect" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    public = [name for name in imported if not name.startswith("_")]
+    assert qdissect.__all__ == [*public, "__version__"]
+    assert len(qdissect.__all__) == 68
+    bound = {name for name, value in vars(qdissect).items()
+             if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert bound == set(public)
+    ns = {}
+    exec("from qdissect import *", ns)
+    assert ns.keys() - {"__builtins__"} == set(qdissect.__all__)

@@ -2,6 +2,9 @@
 
 import pytest
 
+from qdissect import theta
+from qdissect.combinatorics import counting_series, parse_spec
+from qdissect.qexpr import evaluate_direct, parse
 from qdissect.series import TruncatedSeries, schoolbook_mul
 from qdissect.theta import (
     InvalidFactor,
@@ -47,6 +50,27 @@ def test_pochhammer_factor_validation():
     PochhammerFactor(sm(-1, 0), 5)  # (−q^0; q^5) = (1 − (−1)) · … is fine
 
 
+@pytest.mark.parametrize("build", [
+    lambda: theta_f(sm(1, 1), sm(1, 2), -1),
+    lambda: phi(1, -1),
+    lambda: psi(1, -1),
+    lambda: bsum(2, 1, -1),
+    lambda: pochhammer(PochhammerFactor(sm(1, 1), 1), -1),
+    lambda: jtp_product(sm(1, 1), sm(1, 2), -1),
+    lambda: evaluate_direct(parse("f(q,q^2)"), -1),
+    lambda: evaluate_direct(parse("q"), -1),
+    lambda: counting_series(parse_spec("M=5;1x1"), -1),
+], ids=["theta_f", "phi", "psi", "bsum", "pochhammer", "jtp_product",
+        "evaluate_direct-theta", "evaluate_direct-monomial", "counting_series"])
+def test_negative_order_refused(build):
+    # Every builder refuses order -1 with one error, and theta_f caches
+    # nothing for it.
+    cached = theta.theta_f.cache_info().currsize
+    with pytest.raises(InvalidParameters, match="order must be nonnegative, got -1"):
+        build()
+    assert theta.theta_f.cache_info().currsize == cached
+
+
 # --- classical expansions -----------------------------------------------------
 
 
@@ -62,17 +86,20 @@ def test_pochhammer_sparse_factor():
 
 
 def test_pochhammer_negative_argument_matches_factor_product():
-    # (-q^r; q^m) = prod_n (1 + q^(r+nm)), multiplied out here with the
-    # schoolbook oracle, outside the in-place loop pochhammer shares with
-    # jtp_product.  r = 0 gives the factor (1 + 1) = 2.
+    # (-+q^r; q^m) = prod_n (1 +- q^(r+nm)), multiplied out here with the
+    # schoolbook oracle, outside the slice map pochhammer shares with
+    # jtp_product: both signs of its factor step.  r = 0 with the minus
+    # argument gives the factor (1 + 1) = 2.
     order = 40
-    for m in range(1, 7):
-        for r in range(0, 2 * m + 1):
-            want = TruncatedSeries.one(order)
-            for e in range(r, order + 1, m):
-                want = schoolbook_mul(
-                    want, TruncatedSeries.one(order) + TruncatedSeries.monomial(e, order))
-            assert pochhammer(PochhammerFactor(sm(-1, r), m), order) == want, (r, m)
+    for sign, first in ((-1, 0), (1, 1)):
+        for m in range(1, 7):
+            for r in range(first, 2 * m + 1):
+                want = TruncatedSeries.one(order)
+                for e in range(r, order + 1, m):
+                    want = schoolbook_mul(want, TruncatedSeries.one(order)
+                                          - TruncatedSeries.monomial(e, order, sign))
+                got = pochhammer(PochhammerFactor(sm(sign, r), m), order)
+                assert got == want, (sign, r, m)
 
 
 def test_phi_psi_values():
