@@ -284,8 +284,10 @@ def _parse_params(text: str) -> dict[str, str]:
             continue
         if "=" not in piece:
             raise ValueError(f"bad parameter {piece!r}, expected key=value")
-        k, v = piece.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in piece.split("=", 1))
+        if k in out:
+            raise ValueError(f"repeated parameter {k!r}")
+        out[k] = v
     return out
 
 
@@ -361,7 +363,7 @@ def load_records(path: str) -> list[IdentityRecord]:
     Parameters are comma-separated key=value pairs; an order=N entry
     overrides the default order.  The file is UTF-8, a leading byte-order
     mark skipped.  A malformed line (a byte that is not UTF-8, a missing,
-    bad or unknown parameter, a progression dissect would reject, a
+    bad, unknown or repeated parameter, a progression dissect would reject, a
     nonpositive order or modulus, a negative sign-pattern exception, an
     rhs on a one-column kind, an expression that does not parse, or a
     repeated id) raises ValueError naming the file and line.

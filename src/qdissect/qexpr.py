@@ -134,26 +134,20 @@ QExpr = (
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer.  A token is its text alone: no text of one kind of token equals
+# a text of another, so the parser tells tokens apart by their texts.
 
 _SYMBOLS = "+-*/^(),;"
 _DIGITS = "0123456789"
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-class _Token:
-    # A plain class: a frozen dataclass pays object.__setattr__ per field,
-    # and the lexer builds one token per symbol of every claim text.
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "int", "name", "sym", "inf", "end"
-        self.text = text
-        self.pos = pos
-
-
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _lex(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of text, and the position where each starts.  A token is
+    a run of ASCII digits, a run of ASCII letters, "_inf", or one of
+    _SYMBOLS; whitespace only separates tokens, and "" ends the list."""
+    tokens: list[str] = []
+    starts: list[int] = []
     i = 0
     n = len(text)
     while i < n:
@@ -161,33 +155,23 @@ def _lex(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
+        j = i + 1
         if c == "_":
-            if text[i : i + 4] == "_inf":
-                tokens.append(_Token("inf", "_inf", i))
-                i += 4
-                continue
-            raise ParseError(i, "'_inf'", repr(text[i : i + 4]))
-        if c in _LETTERS:
-            j = i
-            while j < n and text[j] in _LETTERS:
+            if text[i : i + 4] != "_inf":
+                raise ParseError(i, "'_inf'", repr(text[i : i + 4]))
+            j = i + 4
+        elif c not in _SYMBOLS:
+            run = _DIGITS if c in _DIGITS else _LETTERS if c in _LETTERS else None
+            if run is None:
+                raise ParseError(i, "a token", repr(c))
+            while j < n and text[j] in run:
                 j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token("sym", c, i))
-            i += 1
-            continue
-        raise ParseError(i, "a token", repr(c))
-    tokens.append(_Token("end", "", n))
-    return tokens
+        tokens.append(text[i:j])
+        starts.append(i)
+        i = j
+    tokens.append("")
+    starts.append(n)
+    return tokens, starts
 
 
 # ---------------------------------------------------------------------------
@@ -207,39 +191,38 @@ MAX_DEPTH = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the token texts and start positions of _lex:
+    an int is known by its first character, a digit, and a name by a
+    letter; every other token is matched by its text."""
+
+    def __init__(self, tokens: list[str], starts: list[int]):
         self.tokens = tokens
+        self.starts = starts
         self.i = 0
         self.groups = 0  # parenthesised groups open at the current token
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        t = self.tokens[self.i]
+    def advance(self) -> int:
+        """Consume the token at the cursor and return where it starts."""
         self.i += 1
-        return t
+        return self.starts[self.i - 1]
 
     def fail(self, expected: str) -> ParseError:
         t = self.peek()
-        found = repr(t.text) if t.kind != "end" else "end of input"
-        return ParseError(t.pos, expected, found)
+        return ParseError(self.starts[self.i], expected, repr(t) if t else "end of input")
 
     def accept(self, s: str) -> bool:
-        """Consume symbol s if it is the next token."""
-        t = self.tokens[self.i]
-        if t.kind == "sym" and t.text == s:
+        """Consume the token s (a symbol, 'q', '1' or '_inf') if it is next."""
+        if self.tokens[self.i] == s:
             self.i += 1
             return True
         return False
 
-    def eat_sym(self, s: str) -> None:
+    def eat(self, s: str) -> None:
         if not self.accept(s):
             raise self.fail(f"'{s}'")
-
-    def at_sym(self, s: str) -> bool:
-        t = self.peek()
-        return t.kind == "sym" and t.text == s
 
     def nest(self, pos: int, *depths: int) -> int:
         """Depth of a node one level above `depths`, at most MAX_DEPTH."""
@@ -252,26 +235,25 @@ class _Parser:
 
     def expr(self, level: int = 1) -> tuple[QExpr, int]:
         """Factors joined by binary operators of precedence level or
-        tighter.  Only symbol tokens carry an operator's text."""
+        tighter."""
         node, depth = self.factor()
         while True:
-            op = self.peek()
-            cls, prec = _BINARY.get(op.text, (None, 0))
+            cls, prec = _BINARY.get(self.peek(), (None, 0))
             if prec < level:
                 return node, depth
-            self.advance()
+            pos = self.advance()
             rhs, rhs_depth = self.factor() if prec == _TIGHTEST else self.expr(prec + 1)
-            node, depth = cls(node, rhs), self.nest(op.pos, depth, rhs_depth)
+            node, depth = cls(node, rhs), self.nest(pos, depth, rhs_depth)
 
     def factor(self) -> tuple[QExpr, int]:
         # Leading minus signs are collected in a loop, not by recursion,
         # and applied outermost: -q^2 is -(q^2).
         minus = []
-        while self.at_sym("-"):
-            minus.append(self.advance().pos)
+        while self.peek() == "-":
+            minus.append(self.advance())
         node, depth = self.atom()
-        if self.at_sym("^"):
-            pos = self.advance().pos
+        if self.peek() == "^":
+            pos = self.advance()
             node, depth = Pow(node, self.signed_int()), self.nest(pos, depth)
         for pos in reversed(minus):
             node, depth = Neg(node), self.nest(pos, depth)
@@ -282,35 +264,28 @@ class _Parser:
         longer than the interpreter's int-string conversion limit is a
         ParseError at its position."""
         t = self.peek()
-        if t.kind != "int":
+        if not t[:1].isdigit():
             raise self.fail(expected)
-        self.advance()
+        pos = self.advance()
         try:
-            return int(t.text)
+            return int(t)
         except ValueError:
             raise ParseError(
-                t.pos,
+                pos,
                 f"an integer of at most {sys.get_int_max_str_digits()} digits",
-                f"{len(t.text)} digits",
+                f"{len(t)} digits",
             ) from None
 
     def signed_int(self) -> int:
         return -self.integer() if self.accept("-") else self.integer()
 
     def monomial_exponent(self) -> int:
-        t = self.peek()
-        if not (t.kind == "name" and t.text == "q"):
-            raise self.fail("'q'")
-        self.advance()
+        self.eat("q")
         return self.integer("an unsigned integer") if self.accept("^") else 1
 
     def smono(self) -> SignedMonomial:
         sign = -1 if self.accept("-") else 1
-        t = self.peek()
-        if t.kind == "int" and t.text == "1":
-            self.advance()
-            return SignedMonomial(sign, 0)
-        return SignedMonomial(sign, self.monomial_exponent())
+        return SignedMonomial(sign, 0 if self.accept("1") else self.monomial_exponent())
 
     # Call atoms: name -> (node class, argument reader, two arguments?).
     CALLS = {
@@ -322,52 +297,49 @@ class _Parser:
 
     def atom(self) -> tuple[QExpr, int]:
         t = self.peek()
-        if t.kind == "int":
+        if t[:1].isdigit():
             return IntLit(self.integer()), 1
-        if t.kind == "name":
-            if t.text == "q":
-                return Monomial(1, self.monomial_exponent()), 1
-            call = self.CALLS.get(t.text)
+        if t == "q":
+            return Monomial(1, self.monomial_exponent()), 1
+        if t[:1].isalpha():
+            call = self.CALLS.get(t)
             if call is None:
                 raise self.fail("'q', 'f', 'phi', 'psi', or 'bsum'")
             cls, read, pair = call
             self.advance()
-            self.eat_sym("(")
+            self.eat("(")
             args = [read(self)]
             if pair:
-                self.eat_sym(",")
+                self.eat(",")
                 args.append(read(self))
-            self.eat_sym(")")
+            self.eat(")")
             # Checked after the ")", so a missing ")" stays a ParseError.
             if cls in (Phi, Psi):
-                check_scale(t.text, args[0])
+                check_scale(t, args[0])
             return cls(*args), 1
-        if self.at_sym("("):
+        if t == "(":
             mark = self.i
             try:
                 return self.poch(), 1
             except ParseError:
                 self.i = mark
-            pos = self.advance().pos
+            pos = self.advance()
             self.groups = self.nest(pos, self.groups)
             node, depth = self.expr()
             self.groups -= 1
-            self.eat_sym(")")
+            self.eat(")")
             return node, self.nest(pos, depth)
         raise self.fail("an integer, 'q', 'f(', 'phi(', 'psi(', 'bsum(', or '('")
 
     def poch(self) -> Poch:
-        self.eat_sym("(")
+        self.eat("(")
         args = [self.smono()]
         while self.accept(","):
             args.append(self.smono())
-        self.eat_sym(";")
+        self.eat(";")
         modulus = self.monomial_exponent()
-        self.eat_sym(")")
-        t = self.peek()
-        if t.kind != "inf":
-            raise self.fail("'_inf'")
-        self.advance()
+        self.eat(")")
+        self.eat("_inf")
         return Poch(tuple(args), modulus)
 
 
@@ -375,11 +347,10 @@ class _Parser:
 def parse(text: str) -> QExpr:
     """Parse expression text into an AST, each text once; raises ParseError
     with position, also for nesting deeper than MAX_DEPTH."""
-    p = _Parser(_lex(text))
+    p = _Parser(*_lex(text))
     node, _ = p.expr()
-    t = p.peek()
-    if t.kind != "end":
-        raise ParseError(t.pos, "end of input", repr(t.text))
+    if p.peek():
+        raise p.fail("end of input")
     return node
 
 

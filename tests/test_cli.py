@@ -334,6 +334,14 @@ def test_verify_malformed_records_file(tmp_path, capsys):
     assert err == f"error: {bad}:2: byte 0xe9 at column 23 is not UTF-8\n"
 
 
+def test_verify_refuses_a_repeated_parameter(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"a | vanishing | k=5,l=3,l=1 | {G1_TEXT} |\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--records", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}:1: repeated parameter 'l'\n"
+
+
 def test_verify_honours_record_order(tmp_path, capsys):
     path = tmp_path / "records.txt"
     path.write_text("u.low | equality | order=25 | psi(q) | psi(q)\n"

@@ -411,6 +411,21 @@ def test_load_records_rejects_malformed(tmp_path):
         assert str(error.value) == f"{path}:1: {message}"
 
 
+def test_load_records_refuses_a_repeated_parameter(tmp_path):
+    # Keeping the last value checked l=1, so the true claim at l=3 read
+    # FAIL, and order=50,order=300 ran at 300 without a word.
+    path = tmp_path / "bad.txt"
+    for line, key in (
+        ("a | vanishing | k=5,l=3,l=1 | (-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf |", "l"),
+        ("a | equality | order=50,order=300 | q | q", "order"),
+        ("a | equality | order=50, order = 50 | q | q", "order"),
+    ):
+        path.write_text("# header\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as error:
+            load_records(str(path))
+        assert str(error.value) == f"{path}:2: repeated parameter {key!r}"
+
+
 def test_load_records_checks_progressions_like_dissect(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("my.v | vanishing | k=5,l=5 | q |\n", encoding="utf-8")

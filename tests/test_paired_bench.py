@@ -2,6 +2,7 @@
 benchmark or other subprocess is run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,48 @@ def test_a_claim_names_a_metric_and_a_measured_workload(capsys):
             paired_bench.main(["A", "B", "--pairs", "1", "--workload", "theta-lemmas",
                                "--claim", claim])
         assert "--claim needs METRIC@WORKLOAD" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--pairs", "0"], "--pairs must be at least 1, got 0"),
+    (["--pairs", "-3"], "--pairs must be at least 1, got -3"),
+    (["--pairs", "1", "--workload", "nowhere"], "argument --workload: invalid choice: 'nowhere'"),
+])
+def test_pairs_and_workloads_are_checked_before_any_export(argv, message, capsys, monkeypatch):
+    # Refused with a usage error before any revision is written out or run.
+    def export(rev, dest):
+        raise AssertionError(f"exported {rev}")
+
+    monkeypatch.setattr(paired_bench, "export", export)
+    with pytest.raises(SystemExit) as exit_:
+        paired_bench.main(["A", "B", *argv])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_json_holds_the_verdicts_printed(tmp_path, capsys, monkeypatch):
+    # Made-up runs: the change reads half the parent on every metric.
+    ends = [m["name"] for m in json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())
+            ["end_to_end"]]
+
+    def run(copy, workload, seed, seconds, trace):
+        value = (1.0 if copy.name == "parent" else 0.5) + seed / 100
+        return {"context": {}, "result": {"attempted": 4, "failed": 0, "metrics": {
+            name: {"value": value} for name in ends}}}
+
+    monkeypatch.setattr(paired_bench, "export", lambda rev, dest: None)
+    monkeypatch.setattr(paired_bench, "run", run)
+    out = tmp_path / "bench.json"
+    assert paired_bench.main(["A", "B", "--pairs", "3", "--workload", "theta-lemmas",
+                              "--claim", "run_s@theta-lemmas", "--traced-seed", "7",
+                              "--json", str(out), "--workdir", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    summary = json.loads(out.read_text())["summary"]["theta-lemmas"]
+    assert [name for name in summary if "bound" in summary[name]] == ends
+    assert [name for name in summary if "claim" in summary[name]] == ["run_s"]
+    assert summary["run_s"]["bound"] == "bound 25%: within (-49.0%)"
+    assert summary["run_s"]["claim"].startswith("claim: holds (better in 3/3")
+    assert printed[1:] == ["theta-lemmas:", *paired_bench.format_summary(summary)]
+    for name in ends:
+        at = next(i for i, line in enumerate(printed) if line.startswith(f"{name}: "))
+        assert printed[at + 1] == "  " + summary[name]["bound"]

@@ -275,6 +275,16 @@ def test_render_round_trip_random():
         assert parse(render(again)) == again
 
 
+def test_render_wraps_a_negative_literal_base():
+    # The parser never builds a negative IntLit; only the API does.  An
+    # even power tells the wrapped text from the unwrapped one: -2^2 reads
+    # as -(2^2), while -2^3 would equal (-2)^3.
+    tree = Pow(IntLit(-2), 2)
+    assert render(tree) == "(-2)^2"
+    assert evaluate_text(render(tree), 5) == evaluate(tree, 5)
+    assert evaluate(tree, 5).coeffs == (4, 0, 0, 0, 0, 0)
+
+
 # --- front-end corpus -------------------------------------------------------------
 
 

@@ -13,10 +13,10 @@ then reads the compilation.  Pair i runs
     python3 bench/run.py --workload W --seed i --seconds S --trace 0
 
 in both copies, one after the other, the parent first for odd i; the seeds
-are I, I + 1, ... (I = 1).  Each --workload runs its pairs in turn, every
-workload of BENCHMARK.json when none is given.  With --traced-seed one more
-pair per workload runs with --trace 1 at that seed.  Every run's two output
-lines are kept.
+are I, I + 1, ... (I = 1), and N is at least 1.  Each --workload, one of
+BENCHMARK.json, runs its pairs in turn, every workload when none is given.
+With --traced-seed one more pair per workload runs with --trace 1 at that
+seed.  Every run's two output lines are kept.
 
 It prints first that both copies were bytecode-compiled, then each
 end-to-end metric of each workload as
@@ -33,10 +33,11 @@ claimed: the change reads better in at least nine tenths of the pairs, ties
 counting for neither, and the medians differ by more than the parent's own
 spread, q3 - q1.  Last come the failed items of each side.  --json writes
 the runs and the summaries of every workload, in the layout of the
-BENCH_*.json files, its "context" stating the compiled bytecode too.  The
-copies live in --workdir (a new temporary directory, removed afterwards,
-when not given).  Nothing is written in the checkout the tool runs from
-but the --json file.
+BENCH_*.json files, its "context" stating the compiled bytecode too.  Each
+verdict is computed once and kept in its metric's summary, as "bound" and
+"claim", so the file holds the verdict lines printed.  The copies live in
+--workdir (a new temporary directory, removed afterwards, when not given).
+Nothing is written in the checkout the tool runs from but the --json file.
 """
 
 from __future__ import annotations
@@ -107,23 +108,36 @@ def claim_verdict(s: dict, way: str) -> str:
             f"{needed}; gap {gap:.4g} {'>' if gap > spread else '<='} parent q3 - q1 {spread:.4g})")
 
 
+def judge(summary: dict, ends: dict[str, tuple[str, float]],
+          claimed: frozenset[str] = frozenset()) -> dict:
+    """A copy of the summary with its verdicts: each metric of ends, its
+    (better, bound) from BENCHMARK.json, gains a "bound" field holding its
+    bound verdict, and one in claimed a "claim" field too."""
+    judged = {}
+    for name, s in summary.items():
+        if name in ends and "change_better_pairs" in s:
+            way, bound = ends[name]
+            s = {**s, "bound": bound_verdict(s, way, bound)}
+            if name in claimed:
+                s["claim"] = claim_verdict(s, way)
+        judged[name] = s
+    return judged
+
+
 def format_summary(summary: dict, ends: dict[str, tuple[str, float]] | None = None,
                    claimed: frozenset[str] = frozenset()) -> list[str]:
     """One line per metric of a summary, then one for the failed items.
-    With ends, each metric's (better, bound) from BENCHMARK.json, a metric
-    line is followed by its bound verdict, and by its claim verdict when
-    the metric is in claimed."""
+    A metric line is followed by the verdicts the summary holds; with
+    ends, the summary is judged first."""
+    if ends:
+        summary = judge(summary, ends, claimed)
     lines = []
     for name, s in summary.items():
         if "change_better_pairs" in s:
             p, c = s["parent_q1_median_q3"], s["change_q1_median_q3"]
             lines.append(f"{name}: {p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> {c[1]:.4g} "
                          f"[{c[0]:.4g}, {c[2]:.4g}] (change better in {s['change_better_pairs']})")
-            if ends and name in ends:
-                way, bound = ends[name]
-                lines.append("  " + bound_verdict(s, way, bound))
-                if name in claimed:
-                    lines.append("  " + claim_verdict(s, way))
+            lines.extend("  " + s[verdict] for verdict in ("bound", "claim") if verdict in s)
     failed = summary.get("failed", {})
     lines.append(f"failed items: parent {failed.get('parent')}, change {failed.get('change')}")
     return lines
@@ -177,10 +191,11 @@ def measure(copies: dict[str, Path], workload: str, args, better: dict[str, str]
 
 
 def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", action="append")
+    ap.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--claim", action="append", default=[], metavar="METRIC@WORKLOAD")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, default=20.0)
@@ -189,8 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--json", type=Path)
     ap.add_argument("--workdir", type=Path)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ends = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     better = {name: way for name, (way, _) in ends.items()}
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -206,14 +222,15 @@ def main(argv: list[str] | None = None) -> int:
         for side, rev in (("parent", args.parent), ("change", args.change)):
             export(rev, copies[side])
         for workload in workloads:
-            summaries[workload], results[workload] = measure(copies, workload, args, better)
+            summary, results[workload] = measure(copies, workload, args, better)
+            claimed = frozenset(metric for metric, w in claims if w == workload)
+            summaries[workload] = judge(summary, ends, claimed)
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
     print(BYTECODE)
     for workload, summary in summaries.items():
-        claimed = frozenset(metric for metric, w in claims if w == workload)
-        print(f"{workload}:\n" + "\n".join(format_summary(summary, ends, claimed)))
+        print(f"{workload}:\n" + "\n".join(format_summary(summary)))
     if args.json:
         args.json.write_text(json.dumps({
             "code": {"parent": args.parent, "change": args.change},
