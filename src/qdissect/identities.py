@@ -24,13 +24,19 @@ eq=False), which generates no method: it only lets dataclasses.fields
 and dataclasses.replace read a kind's fields.
 
 Every column is taken by qexpr.cross_multiplied, an equality being the
-progression n + 0; the columns of a claim come times one unit, which
+progression n + 0; the columns of a claim come times one unit D, which
 changes no equality, vanishing or congruence, and a sign pattern takes
-the exact column (the rule is in qexpr's "Columns" section).  When that
-check does not hold, raises, or a progression is invalid or its residue
-passes the order, the claim is checked again on the plain path, each
-text expanded at the order and dissected, so every failure and error is
-reported from the claim's own coefficients.
+the exact column (the rule is in qexpr's "Columns" section).  A claim
+that fails there is read once more on its exact columns and reported
+from them, so a failure gives the claim's own coefficients; D's constant
+term is +-1, so both fail at the same index, and a claim whose two
+readings differ raises AssertionError, a fault.  An evaluation error is
+raised where the columns meet it: every text is parsed first, then part
+by part, and within a part the powered B bases first, then each term's
+B and A; a claim with several errors reports the first of them.  A part
+without a column (an invalid progression, or a residue past the order)
+is met before any column: its text is expanded at the order and
+dissected, so it raises as dissect does, after the text's own errors.
 
 Expressions are stored as text in the expression language of qexpr and
 parsed on use.  verify_all() runs records in id order, so output is
@@ -158,8 +164,8 @@ class VerificationReport(Record):
 # Verification
 
 
-# The plain path evaluates claim texts through this one name (the benchmark
-# wraps it to count repeated texts).
+# A part without a column has its text expanded through this one name (the
+# benchmark wraps it to count repeated texts).
 _series_of = evaluate_text
 
 
@@ -210,22 +216,24 @@ def _scan(kind: ClaimKind, columns: list[tuple[int, ...]]
 
 
 def _check(kind: ClaimKind, order: int) -> tuple[tuple[int, int, int] | None, str]:
-    """(first failure, detail) of one claim at one order: on the columns
-    of qexpr.cross_multiplied when the claim holds there, otherwise on the
-    plain path (see the module docstring)."""
+    """(first failure, detail) of one claim at one order, read on the
+    columns of qexpr.cross_multiplied (see the module docstring).  A part
+    without a column raises, as dissect does, after its text's own errors.
+    A failure is reported from the exact columns, and must sit at the
+    index where the columns times D fail: else AssertionError, a fault."""
     parts = _parts(kind)
-    if all(l <= order for _, _, l in parts):
-        try:
-            for _, k, l in parts:
-                check_progression(k, l)
-            columns = cross_multiplied(
-                [(parse(text), k, l) for text, k, l in parts], order, isinstance(kind, SignPattern))
-            found = _scan(kind, [c.coeffs for c in columns])
-            if found[0] is None:
-                return found
-        except ValueError:  # any error is reported as the plain path meets it
-            pass
-    return _scan(kind, [dissect(_series_of(text, order), k, l).coeffs for text, k, l in parts])
+    for text, k, l in parts:
+        if not 0 <= l < k or l > order:
+            dissect(_series_of(text, order), k, l)
+    trees = [(parse(text), k, l) for text, k, l in parts]
+    exact = isinstance(kind, SignPattern)
+    miss, detail = _scan(kind, [c.coeffs for c in cross_multiplied(trees, order, exact)])
+    if miss is None or exact:
+        return miss, detail
+    found = _scan(kind, [c.coeffs for c in cross_multiplied(trees, order, True)])
+    if found[0] is None or found[0][0] != miss[0]:
+        raise AssertionError(f"the columns times D fail at {miss[0]}, the exact ones at {found[0]}")
+    return found
 
 
 def verify(record: IdentityRecord, order: int | None = None) -> VerificationReport:

@@ -469,11 +469,12 @@ def render(e: QExpr) -> str:
 # with k = 1 and D = 1 is evaluated whole, through the cache.  A sign
 # pattern needs the exact column, so it keeps B's inverse, at order
 # N // k.  Every power a B part holds, also inside a sum, is checked
-# against the power limit at N first, as the plain path would check it,
-# so a power limit does not depend on the path.  identities falls back to
-# the plain path, every text expanded at N and then dissected, whenever
-# this check does not hold, so every failure and error is reported from
-# the claim's own coefficients.
+# against the power limit at N first, as expanding the text would check
+# it, so a power limit does not depend on the path.  The columns meet a
+# claim's errors part by part, and within a part the powered B bases
+# first, then each term's B and A.  identities decides every claim whose
+# parts all have a column here, and reads a failing claim once more with
+# exact=True, so a failure is reported from the claim's own coefficients.
 #
 # Sums.  A sum is the list of its terms' normal forms (_terms), and its
 # series is one list of order + 1 ints that each term is added into, at its
@@ -661,9 +662,10 @@ def _split(term: _Product, k: int) -> tuple[_Product, _Product]:
 
 
 def _check_powers(powers: dict[QExpr, int], order: int) -> None:
-    """Raise LimitExceeded where evaluating these powers at the order
-    would: at each base to a power other than +-1, and at the powers
-    inside a sum or an opaque power; a quotient's inverse is not bounded."""
+    """Raise LimitExceeded where expanding the text at the order would:
+    at each base to a power other than +-1, and at the powers inside a sum
+    or an opaque power; a quotient's inverse is not bounded.  A powered
+    base's own evaluation errors are met here, before any column."""
     for base, p in powers.items():
         if abs(p) > 1 or isinstance(base, Pow) and base.exponent < -1:
             s = _eval(base, order)

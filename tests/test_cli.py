@@ -63,6 +63,19 @@ def test_expand_json(capsys):
     assert all(isinstance(c, str) for c in payload["coeffs"])
 
 
+def test_expression_starting_with_minus_goes_after_double_dash(capsys):
+    # argparse reads an argument that starts with "-" and holds no space as
+    # a flag; after "--" it is the expression.
+    rhs = "-q*f(q,q^9)*f(-q^4,-q^6)"  # L3.repN's rhs
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", rhs, "-N", "4"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: expr" in capsys.readouterr().err
+    code, out, _ = run(capsys, "expand", "-N", "4", "--", rhs)
+    assert code == 0
+    assert out.strip() == "0 -1 -1 0 0"
+
+
 def test_expand_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "expand", "(q;q_inf", "-N", "5")
     assert code == 2

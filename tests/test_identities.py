@@ -173,9 +173,9 @@ def test_verdicts_stable_between_orders():
 
 @pytest.mark.parametrize("order", (300, 1000))
 def test_every_claim_holds_on_its_columns(monkeypatch, order):
-    # A claim whose columns fail is checked again on the plain path, so a
-    # wrong column would still pass, and show only as lost speed: every
-    # registry claim passes with the plain path never taken.
+    # Every claim is decided on its columns, and no text is expanded
+    # plainly: that is left only to a part without a column, which no
+    # registry claim has.
     from qdissect import identities
 
     plain = []
@@ -183,6 +183,78 @@ def test_every_claim_holds_on_its_columns(monkeypatch, order):
     reports = verify_all(order=order)
     assert plain == []
     assert sum(r.status == "pass" for r in reports) == len(reports) == 114
+
+
+def test_columns_that_disagree_with_the_exact_ones_are_a_fault(monkeypatch):
+    # The columns times D, a unit, fail where the exact columns fail.  A
+    # column read wrong is a fault that verify raises, not a verdict.
+    from qdissect import identities
+
+    real = identities.cross_multiplied
+
+    def skewed(parts, order, exact=False):
+        columns = real(parts, order, exact)
+        if exact:
+            return columns
+        first = list(columns[0].coeffs)
+        first[3] += 1
+        return (TruncatedSeries(first), *columns[1:])
+
+    monkeypatch.setattr(identities, "cross_multiplied", skewed)
+    with pytest.raises(AssertionError, match="fail at 3, the exact ones at None"):
+        verify(get_record("T1.G0"), 100)
+
+
+G1 = "(-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf"
+G1_RHS = "(q,q^4;q^5)_inf^-2*(q^2,q^8;q^10)_inf^-1"
+# Claims that each hold one evaluation error, and whether a text of theirs
+# has no column, so is expanded plainly.  Order 30.
+ONE_ERROR = [
+    # in an A part, in a B part, and in a B part raised to a power, at k = 5
+    (DissectionRelation(f"bsum(1,5)*{G1}", 5, 0, G1_RHS, 1, 0), False),
+    (VanishingProgression("(q;q)_inf/(2 + q)", 5, 3), False),
+    (VanishingProgression(f"f(1,1)*{G1}", 5, 3), False),
+    (DissectionRelation(G1, 5, 0, f"f(1,1)*{G1_RHS}", 1, 0), False),
+    (Congruence(f"f(1,1)^3*{G1}", 5, 3, 2), False),
+    # inside a sum
+    (DissectionRelation(G1, 5, 0, f"{G1_RHS} + bsum(1,5)", 1, 0), False),
+    (VanishingProgression(f"{G1}*(1 + f(1,1))", 5, 3), False),
+    (SeriesEquality("phi(q)", "phi(q^4) + 2*q*psi(q^8) + 1/(q - q^2)"), False),
+    # in an A part shifted past its column
+    (VanishingProgression("q^40/(2 + q)", 5, 0), False),
+    # on a sign pattern
+    (SignPattern(f"f(1,1)*{G1}", 5, 0, 1), False),
+    (SignPattern(f"{G1}/(3 - q)", 5, 0, 1), False),
+    # next to an invalid progression, and next to a residue past the order
+    (DissectionRelation("f(1,1)", 5, 7, "q", 1, 0), True),
+    (DissectionRelation("q", 1, 0, "(q;q)_inf/(2 + q)", 0, 0), True),
+    (DissectionRelation("phi(q)", 5, 0, "psi(q)", 5, 9), True),
+    (VanishingProgression("bsum(1,5)", 35, 34), True),
+    (SignPattern("q/(2 + q)", 40, 31, 1), True),
+]
+
+
+@pytest.mark.parametrize("kind, plain_read", ONE_ERROR)
+def test_columns_report_the_error_of_a_plain_read(monkeypatch, kind, plain_read):
+    # The columns meet a claim's one error, and report what expanding each
+    # text at the order and dissecting it, part by part, reports.
+    from qdissect import identities
+
+    order = 30
+    try:
+        for text, k, l in identities._parts(kind):
+            dissect(evaluate_text(text, order), k, l)
+        want = ("pass", "")
+    except ValueError as exc:
+        want = ("error", f"{type(exc).__name__}: {exc}")
+    assert want[0] == "error"
+    expanded = []
+    real = identities._series_of
+    monkeypatch.setattr(identities, "_series_of",
+                        lambda *args: expanded.append(args) or real(*args))
+    report = verify(IdentityRecord("x", "test", kind, order))
+    assert (report.status, report.detail) == want
+    assert bool(expanded) == plain_read
 
 
 def test_report_serialization():
@@ -280,9 +352,9 @@ def test_claim_walk_matches_plain_loop(claim_oracle):
 
 
 # Claims whose first failure sits on a column's first or last entry, a
-# relation read with sign factor -1 (on columns of different lengths on
-# the plain path), and sign patterns whose exceptions sit on the first and
-# last entries.  ORDER is the last index.
+# relation read with sign factor -1 (on sides of different lengths in the
+# plain loop, which the columns cut to one), and sign patterns whose
+# exceptions sit on the first and last entries.  ORDER is the last index.
 ORDER = 40
 RISING = f"1/(1 - q) - 2 - 2*q^{ORDER}"  # -1, 1, 1, ..., 1, -1
 SCAN_EDGES = [

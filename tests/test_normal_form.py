@@ -470,9 +470,9 @@ P = "(1+q)^70000"
     SeriesEquality("(q;q)_inf^-70000", "(q;q)_inf^-70000"),
 ])
 def test_power_limit_does_not_depend_on_the_path(kind):
-    # Each claim holds, and the columns need no power past the limit; the
-    # plain path, expanding its texts at the order, does.  The report is
-    # the plain path's error.
+    # Each claim holds, and the columns need no power past the limit;
+    # expanding its texts at the order does.  The report is the error that
+    # expanding the texts raises.
     order = 300
     for text, _, _ in identities._parts(kind):
         try:

@@ -83,14 +83,15 @@ def test_claim_verdict_needs_nine_tenths_and_a_gap_past_the_spread():
 def test_summary_lines_carry_the_verdicts():
     summary = _summary([1.0, 1.1, 0.9, 1.0], [0.5, 0.6, 0.4, 0.5])
     ends = {"run_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1)}
-    lines = paired_bench.format_summary(summary, ends, frozenset({"run_s"}))
+    lines = paired_bench.format_summary(
+        paired_bench.judge(summary, ends, frozenset({"run_s"})))
     assert lines == [
         "run_s: 1 [0.975, 1.025] -> 0.5 [0.475, 0.525] (change better in 4/4)",
         "  bound 25%: within (-50.0%)",
         "  claim: holds (better in 4/4, needs 4; gap 0.5 > parent q3 - q1 0.05)",
         "failed items: parent 0, change 0",
     ]
-    assert "claim" not in "".join(paired_bench.format_summary(summary, ends))
+    assert "claim" not in "".join(paired_bench.format_summary(paired_bench.judge(summary, ends)))
 
 
 def test_a_claim_names_a_metric_and_a_measured_workload(capsys):

@@ -124,13 +124,10 @@ def judge(summary: dict, ends: dict[str, tuple[str, float]],
     return judged
 
 
-def format_summary(summary: dict, ends: dict[str, tuple[str, float]] | None = None,
-                   claimed: frozenset[str] = frozenset()) -> list[str]:
+def format_summary(summary: dict) -> list[str]:
     """One line per metric of a summary, then one for the failed items.
-    A metric line is followed by the verdicts the summary holds; with
-    ends, the summary is judged first."""
-    if ends:
-        summary = judge(summary, ends, claimed)
+    A metric line is followed by the verdicts the summary holds (see
+    judge)."""
     lines = []
     for name, s in summary.items():
         if "change_better_pairs" in s:
