@@ -23,8 +23,8 @@ import sys
 
 from .combinatorics import count_partitions, parse_spec, scan_signs
 from .identities import load_records, verify_all
-from .qexpr import evaluate, parse
-from .series import EvaluationError, check_progression, coeff_text, dissect, read_int
+from .qexpr import column, evaluate, parse
+from .series import EvaluationError, check_progression, coeff_text, read_int
 
 _SIGN_CHAR = {1: "+", 0: "0", -1: "-"}
 
@@ -57,8 +57,7 @@ def _cmd_expand(args: argparse.Namespace) -> Result:
 
 def _cmd_dissect(args: argparse.Namespace) -> Result:
     check_progression(args.mod, args.res)
-    series = evaluate(parse(args.expr), args.order)
-    coeffs = list(map(coeff_text, dissect(series, args.mod, args.res).coeffs))
+    coeffs = list(map(coeff_text, column(parse(args.expr), args.mod, args.res, args.order).coeffs))
     payload = {"expr": args.expr, "order": args.order, "mod": args.mod, "res": args.res,
                "coeffs": coeffs}
     return 0, payload, [" ".join(coeffs)]

@@ -14,8 +14,8 @@ import re
 from math import comb
 from operator import mul, ne
 
-from .series import TruncatedSeries, dissect, first_index, read_int
-from .qexpr import QExpr, evaluate
+from .series import TruncatedSeries, first_index, read_int
+from .qexpr import QExpr, column
 from .theta import Record, Value, check_order
 
 
@@ -127,7 +127,7 @@ def verify_interpretation(
     the counts come from the independent DP, so the two sides share no
     machinery.
     """
-    selected = dissect(evaluate(expr, k * up_to + l), k, l).coeffs
+    selected = column(expr, k, l, k * up_to + l).coeffs
     expected = counting_series(spec, up_to).scale(sign_factor * multiplier).coeffs
     n = first_index(map(ne, expected, selected))
     if n is None:
@@ -150,9 +150,7 @@ class SignScan(Record):
 
 def scan_signs(expr: QExpr, k: int, l: int, up_to: int) -> SignScan:
     """Signs of expr's coefficients along the progression k*n + l, n <= up_to."""
-    series = evaluate(expr, k * up_to + l)
-    selected = dissect(series, k, l)
-    values = [selected[n] for n in range(up_to + 1)]
+    values = list(column(expr, k, l, k * up_to + l).coeffs)
     signs = [0 if v == 0 else (1 if v > 0 else -1) for v in values]
     zeros = [n for n, s in enumerate(signs) if s == 0]
     changes = []

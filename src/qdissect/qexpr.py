@@ -33,7 +33,8 @@ import sys
 from collections import Counter
 from functools import lru_cache, reduce
 
-from .series import TruncatedSeries, add_product_into, check_power, divide, product, product_residue
+from .series import (TruncatedSeries, add_product_into, check_power, dissect, divide, product,
+                     product_residue)
 from .theta import (
     InvalidFactor,
     NegativeExponent,
@@ -737,6 +738,17 @@ def cross_multiplied(
                 _add_column(column, a, bd, k, l, order, m_b)
             out.append(TruncatedSeries._of(tuple(column)))
     return tuple(out)
+
+
+def column(e: QExpr, k: int, l: int, order: int) -> TruncatedSeries:
+    """dissect(evaluate(e, order), k, l), the one progression reader: the
+    exact column of cross_multiplied when k*n + l has one at the order, so
+    only the residue's coefficients are built.  Otherwise e is evaluated
+    whole and dissected, so the text's own errors come first, then dissect's
+    (an invalid progression, a residue past the order)."""
+    if 0 <= l < k and l <= order:
+        return cross_multiplied([(e, k, l)], order, exact=True)[0]
+    return dissect(evaluate(e, order), k, l)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from qdissect.combinatorics import (
     spec_text,
     verify_interpretation,
 )
-from qdissect.qexpr import evaluate_text, parse
+from qdissect.qexpr import evaluate, evaluate_text, parse
+from qdissect.series import dissect
 
 G0_SPEC = "M=10;1x2,9x2,2x1,8x1,4x2,6x2"
 G1_TEXT = "(-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf"
@@ -135,6 +136,20 @@ def test_verify_interpretation_multiplier():
     report = verify_interpretation(spec, parse(G1_TEXT), 5, 1, up_to=12,
                                    multiplier=2)
     assert report.ok
+
+
+@pytest.mark.parametrize("k, l", [(5, 0), (5, 4), (1, 0), (0, 0), (5, 5)])
+def test_no_index_reports_the_error_of_a_plain_read(k, l):
+    # up_to = -1 puts the order k*up_to + l below the residue, or the
+    # progression is invalid: there is no column, and both readers raise
+    # what expanding the text at that order and dissecting it raises.
+    e, spec = parse(G1_TEXT), parse_spec(G0_SPEC)
+    with pytest.raises(ValueError) as plain:
+        dissect(evaluate(e, l - k), k, l)
+    for read in (scan_signs, lambda *args: verify_interpretation(spec, *args)):
+        with pytest.raises(ValueError) as got:
+            read(e, k, l, -1)
+        assert (type(got.value), str(got.value)) == (type(plain.value), str(plain.value))
 
 
 def test_scan_signs_records_zero_exceptions():

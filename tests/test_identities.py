@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qdissect import identities
 from qdissect.identities import (
     Congruence,
     DissectionRelation,
@@ -19,7 +20,7 @@ from qdissect.identities import (
     verify,
     verify_all,
 )
-from qdissect.qexpr import evaluate_text
+from qdissect.qexpr import column, evaluate, evaluate_text, parse
 from qdissect.series import TruncatedSeries, dissect
 
 
@@ -176,8 +177,6 @@ def test_every_claim_holds_on_its_columns(monkeypatch, order):
     # Every claim is decided on its columns, and no text is expanded
     # plainly: that is left only to a part without a column, which no
     # registry claim has.
-    from qdissect import identities
-
     plain = []
     monkeypatch.setattr(identities, "_series_of", lambda text, n: plain.append(text))
     reports = verify_all(order=order)
@@ -188,8 +187,6 @@ def test_every_claim_holds_on_its_columns(monkeypatch, order):
 def test_columns_that_disagree_with_the_exact_ones_are_a_fault(monkeypatch):
     # The columns times D, a unit, fail where the exact columns fail.  A
     # column read wrong is a fault that verify raises, not a verdict.
-    from qdissect import identities
-
     real = identities.cross_multiplied
 
     def skewed(parts, order, exact=False):
@@ -231,6 +228,8 @@ ONE_ERROR = [
     (DissectionRelation("phi(q)", 5, 0, "psi(q)", 5, 9), True),
     (VanishingProgression("bsum(1,5)", 35, 34), True),
     (SignPattern("q/(2 + q)", 40, 31, 1), True),
+    # a residue past the order alone
+    (VanishingProgression("psi(q)", 35, 34), True),
 ]
 
 
@@ -238,8 +237,6 @@ ONE_ERROR = [
 def test_columns_report_the_error_of_a_plain_read(monkeypatch, kind, plain_read):
     # The columns meet a claim's one error, and report what expanding each
     # text at the order and dissecting it, part by part, reports.
-    from qdissect import identities
-
     order = 30
     try:
         for text, k, l in identities._parts(kind):
@@ -255,6 +252,25 @@ def test_columns_report_the_error_of_a_plain_read(monkeypatch, kind, plain_read)
     report = verify(IdentityRecord("x", "test", kind, order))
     assert (report.status, report.detail) == want
     assert bool(expanded) == plain_read
+
+
+@pytest.mark.parametrize("text, k, l", sorted({
+    part for kind, _ in ONE_ERROR for part in identities._parts(kind)}))
+def test_column_reports_the_error_of_a_plain_read(text, k, l):
+    # The one progression reader, on each part of the claims above: the
+    # exact column where k*n + l has one at the order, else the plain read
+    # itself (an invalid progression, a residue past the order).  Either
+    # way the coefficients, or the error's type and message, are those of
+    # expanding the text whole and dissecting it.
+    def outcome(read):
+        try:
+            return read().coeffs
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    e, order = parse(text), 30
+    want = outcome(lambda: dissect(evaluate(e, order), k, l))
+    assert outcome(lambda: column(e, k, l, order)) == want
 
 
 def test_report_serialization():

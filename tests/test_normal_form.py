@@ -16,6 +16,8 @@ from conftest import claim_fields, replaced
 import qdissect.qexpr as qexpr
 import qdissect.series as series
 import qdissect.identities as identities
+from qdissect.cli import main
+from qdissect.combinatorics import parse_spec, verify_interpretation
 from qdissect.identities import (
     Congruence, DissectionRelation, IdentityRecord, SeriesEquality, SignPattern,
     VanishingProgression, registry, verify,
@@ -524,6 +526,30 @@ def test_column_parts_are_not_lowered_again(monkeypatch):
     assert powers == []
     parts = {(frozenset(zip(key[::2], key[1::2])), order) for key, order in keys}
     assert len(parts) == len(keys)
+
+
+@pytest.mark.parametrize("read", ["dissect", "scan", "interpretation"])
+def test_progressions_are_read_on_their_columns(monkeypatch, capsys, read):
+    # On a valid progression k*n + l, dissect and scan through the command
+    # line, and the interpretation check, read one exact column through
+    # cross_multiplied; the text is never evaluated whole, at k*N + l or
+    # any other order.
+    text, k, l, up_to = "(-q,-q^4;q^5)_inf^2*(q^4,q^6;q^10)_inf", 5, 1, 40
+    e, order = parse(text), k * up_to + l
+    evaluated, read_columns = [], []
+    real_eval, real_columns = qexpr._eval, qexpr.cross_multiplied
+    monkeypatch.setattr(qexpr, "_eval", lambda x, n: evaluated.append(x) or real_eval(x, n))
+    monkeypatch.setattr(qexpr, "cross_multiplied",
+                        lambda *a, **kw: read_columns.append((a, kw)) or real_columns(*a, **kw))
+    if read == "interpretation":
+        spec = parse_spec("M=10;1x1,9x1,2x2,8x2,3x1,7x1,4x1,6x1")
+        assert verify_interpretation(spec, e, k, l, up_to, multiplier=2).ok
+    else:
+        flags = ["-N", str(order)] if read == "dissect" else ["--upTo", str(up_to)]
+        assert main([read, text, "--mod", str(k), "--res", str(l), *flags]) == 0
+        capsys.readouterr()
+    assert read_columns == [(([(e, k, l)], order), {"exact": True})]
+    assert e not in evaluated
 
 
 def test_a_power_is_lowered_however_the_text_writes_it():
