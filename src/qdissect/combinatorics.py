@@ -123,9 +123,9 @@ def verify_interpretation(
 ) -> InterpretationReport:
     """Check sign_factor * multiplier * count(n) == dissect(expr, k, l)(n).
 
-    The expression is evaluated just far enough (order k*up_to + l) and
-    the counts come from the independent DP, so the two sides share no
-    machinery.
+    The series side is the column of expr along k*n + l, n <= up_to, read
+    by qexpr.column at order k*up_to + l; the counts come from the
+    independent DP, which shares no machinery with it.
     """
     selected = column(expr, k, l, k * up_to + l).coeffs
     expected = counting_series(spec, up_to).scale(sign_factor * multiplier).coeffs
@@ -149,7 +149,8 @@ class SignScan(Record):
 
 
 def scan_signs(expr: QExpr, k: int, l: int, up_to: int) -> SignScan:
-    """Signs of expr's coefficients along the progression k*n + l, n <= up_to."""
+    """Signs of expr's coefficients along the progression k*n + l, n <= up_to,
+    read as one column by qexpr.column at order k*up_to + l."""
     values = list(column(expr, k, l, k * up_to + l).coeffs)
     signs = [0 if v == 0 else (1 if v > 0 else -1) for v in values]
     zeros = [n for n, s in enumerate(signs) if s == 0]

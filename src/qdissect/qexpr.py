@@ -20,7 +20,8 @@ reparses to the same tree, one object, since nodes are interned.
 evaluate() lowers each product to a theta normal form (see the section of
 that name below), and adds the terms of a sum into one list (see "Sums"
 below).  cross_multiplied() takes the columns dissect(e, k, l) that every
-claim compares, inverting no side (see "Columns" below).
+claim compares, inverting no side (see "Columns" below), and column()
+reads one progression the same way.
 evaluate_direct() evaluates node by node, every Pochhammer factor
 expanded and every quotient inverted, and adds series by + and -: the
 oracle for all of them.
